@@ -3,7 +3,7 @@ graphs, completeness and regularness criteria, splitting-polynomial
 certificates, genus sequences, and constrained equation search."""
 
 from . import errors
-from .divisor import Divisor, div_of_set, divisor_to_function, principal_divisor, pullback, restricted_different
+from .divisor import Divisor, divisor_to_function, principal_divisor, pullback, restricted_different
 from .feq import (
     CriterionReport,
     FunctionalReport,
@@ -39,7 +39,7 @@ from .series import (
     series_feq_check,
     truncate_H_mod_p,
 )
-from .tgraph import ComponentClass, ComponentReport, TowerGraph, build_graph, graph_export
+from .tgraph import ComponentClass, ComponentReport, TowerGraph, graph_export
 from .upoly import Poly, RatFun, compose_rational, ratfun_proportional, resultant
 
 __version__ = "0.1.0"

@@ -26,9 +26,7 @@ def _parse_modulus(text):
 
 
 def _graph_ctx(args):
-    ext = args.ext
-    modulus = _parse_modulus(getattr(args, "modulus", None))
-    return FieldCtx(args.p, ext, modulus) if ext > 1 else FieldCtx(args.p)
+    return FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
 
 
 def _emit(obj):
@@ -95,7 +93,7 @@ def cmd_feq_check(args) -> int:
         graph = tgraph.TowerGraph(bound.f, bound.g, ctx)
         chi = fixtures.chi_from_graph(graph)
         holds, constant = series.functional_equation_holds(
-            [c.coeffs[0] for c in chi.coeffs], [1, 0, 1], [0, 2], args.p)
+            [c.coeffs[0] for c in chi.coeffs], bound.f.num_coeffs, bound.f.den_coeffs, args.p)
     _emit({"fixture": args.fixture, "p": args.p, "holds": holds,
            "constant": None if constant is None else str(constant)})
     return 0 if holds else 1

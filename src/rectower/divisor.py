@@ -113,10 +113,6 @@ class Divisor:
 # ---------------------------------------------------------------------------
 # pullback, restricted different, principal divisors
 
-def div_of_set(points, ctx: FieldCtx = None) -> Divisor:
-    return Divisor.of_set(points, ctx)
-
-
 def pullback(m: RatMap, d: Divisor) -> Divisor:
     """m* D, extended linearly over fibers (with multiplicity)."""
     out = Divisor.zero(d.ctx)

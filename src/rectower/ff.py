@@ -8,9 +8,15 @@ equality of canonical vectors and elements hash safely.
 
 Everything here is immutable after construction and all operations are
 pure; contexts and elements can be shared freely between callers.
+
+The module also holds the package's dense polynomial arithmetic over F_p on
+ascending int coefficient lists (``ptrim``, ``padd``, ``pmul``, ``pmod``,
+``pgcd``, ``psubst``, ``pproportional``).
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from .errors import (
     CompositeP,
@@ -47,60 +53,88 @@ def legendre(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bare integer-coefficient polynomial helpers mod p (used to validate moduli
-# before any FieldCtx exists; coefficients ascending, trailing zeros stripped)
+# dense polynomials over F_p: ascending int coefficient lists, reduced mod p
+# and with trailing zeros stripped on output.  They validate moduli here,
+# before any FieldCtx exists; p1 uses them for map forms and parsing, series
+# for the cleared functional equations.
 
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def ptrim(f, p):
+    """f reduced mod p, as a new list without trailing zeros."""
+    out = [c % p for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _pmul(f, g, p):
+def padd(f, g, p):
+    return ptrim([a + b for a, b in zip_longest(f, g, fillvalue=0)], p)
+
+
+def pmul(f, g, p):
     out = [0] * (len(f) + len(g) - 1) if f and g else []
+    g_terms = [(j, b) for j, b in enumerate(g) if b]
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
+            for j, b in g_terms:
+                out[i + j] += a * b
+    return ptrim(out, p)
 
 
-def _pmod(f, m, p):
+def pmod(f, m, p):
+    """Remainder of f on division by m, whose leading coefficient is a unit."""
     f = list(f)
     inv_lead = pow(m[-1], p - 2, p)
-    while len(f) >= len(m):
-        c = (f[-1] * inv_lead) % p
-        shift = len(f) - len(m)
+    for top in range(len(f) - 1, len(m) - 2, -1):
+        c = f[top] * inv_lead % p
         if c:
+            shift = top - len(m) + 1
             for i, a in enumerate(m):
-                f[shift + i] = (f[shift + i] - c * a) % p
-        f.pop()
-        _ptrim(f)
-        if not f:
-            break
-    return f
+                f[shift + i] -= c * a
+    return ptrim(f[:len(m) - 1], p)
 
 
-def _pgcd(f, g, p):
-    f, g = list(f), list(g)
+def pgcd(f, g, p):
+    """A greatest common divisor of f and g (not normalized)."""
+    f, g = ptrim(f, p), ptrim(g, p)
     while g:
-        f, g = g, _pmod(f, g, p)
+        f, g = g, pmod(f, g, p)
     return f
 
 
-def _ppow_xq(k: int, m, p):
-    """x^(p^k) reduced mod m, by k rounds of p-th powering."""
-    acc = [0, 1]
-    for _ in range(k):
-        out = [0]
-        for i, a in enumerate(acc):
-            if a:
-                term = [0] * (i * p) + [a]
-                L = max(len(out), len(term))
-                out = [((out[j] if j < len(out) else 0) + (term[j] if j < len(term) else 0)) % p
-                       for j in range(L)]
-        acc = _pmod(_ptrim(out), m, p)
-    return acc
+def psubst(h, a, b, p):
+    """sum_k h_k a^k b^(n-k) mod p with n = len(h) - 1 the formal degree.
+
+    For polynomials this is h(a/b) with the denominator cleared by b^n; for
+    a form h of degree n and linear forms A, B it is the form h(A, B)."""
+    n = len(h) - 1
+    b_pows = [[1]]
+    for _ in range(n):
+        b_pows.append(pmul(b_pows[-1], b, p))
+    out = []
+    for k in range(n, -1, -1):
+        out = padd(pmul(out, a, p), [h[k] * c for c in b_pows[n - k]], p)
+    return out
+
+
+def pproportional(a, b, p):
+    """The constant c with a = c*b mod p, or None (also when either is zero)."""
+    a, b = ptrim(a, p), ptrim(b, p)
+    if not a or not b or len(a) != len(b):
+        return None
+    c = (a[-1] * pow(b[-1], p - 2, p)) % p
+    if all((x - c * y) % p == 0 for x, y in zip(a, b)):
+        return c
+    return None
+
+
+def _pow_mod(f, e: int, m, p):
+    """f^e reduced mod m for e >= 1, by left-to-right square-and-multiply."""
+    out = pmod(f, m, p)
+    for bit in bin(e)[3:]:
+        out = pmod(pmul(out, out, p), m, p)
+        if bit == "1":
+            out = pmod(pmul(out, f, p), m, p)
+    return out
 
 
 def _is_irreducible(m, p: int) -> bool:
@@ -112,24 +146,18 @@ def _is_irreducible(m, p: int) -> bool:
     r = len(m) - 1
     if r <= 3:
         return all(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p for x in range(p))
-    xq = _ppow_xq(r, m, p)
-    minus_x = list(xq)
-    while len(minus_x) < 2:
-        minus_x.append(0)
-    minus_x[1] = (minus_x[1] - 1) % p
-    if _ptrim(minus_x):
+    frob = [[0, 1]]  # frob[k] = x^(p^k) mod m
+    for _ in range(r):
+        frob.append(_pow_mod(frob[-1], p, m, p))
+    minus_x = [0, -1]
+    if padd(frob[r], minus_x, p):
         return False
     l = 2
     rr = r
     while rr > 1:
         while rr % l:
             l += 1
-        g = _ppow_xq(r // l, m, p)
-        g = list(g)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        if len(_pgcd(m, _ptrim(g), p)) > 1:
+        if len(pgcd(m, padd(frob[r // l], minus_x, p), p)) > 1:
             return False
         while rr % l == 0:
             rr //= l

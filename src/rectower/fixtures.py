@@ -194,7 +194,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     """Run every end-to-end consistency check a fixture supports and report
     one pass/fail entry per check."""
     checks: list = []
-    ctx = FieldCtx(p, ext, modulus) if ext > 1 else FieldCtx(p)
+    ctx = FieldCtx(p, ext, modulus)
     bound = load_fixture(name, p, ctx=ctx, check=False)
     f, g = bound.f, bound.g
 
@@ -211,8 +211,8 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
                verdict is feq.LenstraVerdict.NO_SPLITTING_SET_POSSIBLE,
                f"{verdict.value} (conditional on irreducibility)")
         for r in range(1, ext + 1):
-            sub = FieldCtx(p, r) if r > 1 else FieldCtx(p)
-            regs = TowerGraph(f, g, sub).regular_components()
+            graph_r = graph if r == ext else TowerGraph(f, g, FieldCtx(p, r))
+            regs = graph_r.regular_components()
             _check(checks, f"no-regular-component-r{r}", not regs,
                    f"{len(regs)} regular components")
         return _finish(name, p, ext, checks)
@@ -269,7 +269,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
         _check(checks, "singular-chain-shape", chain,
                f"{len(sing)} singular components")
         holds, const = series.functional_equation_holds(
-            [c.coeffs[0] for c in chi.coeffs], [1, 0, 1], [0, 2], p)
+            [c.coeffs[0] for c in chi.coeffs], f.num_coeffs, f.den_coeffs, p)
         _check(checks, "functional-equation", holds, f"constant {const}")
 
     return _finish(name, p, ext, checks)

@@ -22,7 +22,7 @@ from .errors import (
     InsufficientField,
     MapSyntaxError,
 )
-from .ff import FieldCtx, FieldElem
+from .ff import FieldCtx, FieldElem, padd, pmul, psubst, ptrim
 from .upoly import Poly, resultant
 
 
@@ -81,13 +81,6 @@ class ProjPoint:
         return lbl if lbl is not None else str(self.x)
 
 
-def _strip(v):
-    v = [c for c in v]
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
 def _int_poly_str(coeffs, var="x") -> str:
     if not coeffs:
         return "0"
@@ -125,8 +118,7 @@ class RatMap:
     @classmethod
     def from_affine(cls, p: int, num, den) -> "RatMap":
         """Map from affine numerator/denominator integer coefficients."""
-        num = _strip([c % p for c in num])
-        den = _strip([c % p for c in den])
+        num, den = ptrim(num, p), ptrim(den, p)
         d = max(len(num), len(den)) - 1
         if d < 1:
             raise DegreeZero("constant fraction does not define a map")
@@ -136,11 +128,11 @@ class RatMap:
 
     @property
     def num_coeffs(self):
-        return tuple(_strip(self.N))
+        return tuple(ptrim(self.N, self.p))
 
     @property
     def den_coeffs(self):
-        return tuple(_strip(self.D))
+        return tuple(ptrim(self.D, self.p))
 
     def wronskian_coeffs(self):
         """num'*den - num*den' as integer coefficients mod p.
@@ -150,22 +142,9 @@ class RatMap:
         """
         p = self.p
         num, den = self.num_coeffs, self.den_coeffs
-        dnum = [(i * c) % p for i, c in enumerate(num)][1:]
-        dden = [(i * c) % p for i, c in enumerate(den)][1:]
-
-        def mul(a, b):
-            out = [0] * (len(a) + len(b) - 1) if a and b else []
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = (out[i + j] + x * y) % p
-            return out
-
-        a, b = mul(dnum, list(den)), mul(list(num), dden)
-        n = max(len(a), len(b))
-        w = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-             for i in range(n)]
-        return tuple(_strip(w))
+        dnum = [i * c for i, c in enumerate(num)][1:]
+        minus_dden = [-i * c for i, c in enumerate(den)][1:]
+        return tuple(padd(pmul(dnum, den, p), pmul(num, minus_dden, p), p))
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -299,23 +278,11 @@ class _RatParser:
 
     # -- (num, den) arithmetic over F_p ----------------------------------------
 
-    def _mul(self, a, b):
-        p = self.p
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return _strip(out)
-
     def _add(self, u, v):
         an, ad = u
         bn, bd = v
-        t1, t2 = self._mul(an, bd), self._mul(bn, ad)
-        n = max(len(t1), len(t2))
-        s = [((t1[i] if i < len(t1) else 0) + (t2[i] if i < len(t2) else 0)) % self.p
-             for i in range(n)]
-        return (_strip(s), self._mul(ad, bd))
+        return (padd(pmul(an, bd, self.p), pmul(bn, ad, self.p), self.p),
+                pmul(ad, bd, self.p))
 
     def _neg(self, u):
         return ([(-c) % self.p for c in u[0]], u[1])
@@ -342,11 +309,11 @@ class _RatParser:
             op = self.take()[0]
             rhs = self.unary_rule()
             if op == "*":
-                value = (self._mul(value[0], rhs[0]), self._mul(value[1], rhs[1]))
+                value = (pmul(value[0], rhs[0], self.p), pmul(value[1], rhs[1], self.p))
             else:
                 if not rhs[0]:
                     raise MapSyntaxError(f"division by zero in {self.expr!r}")
-                value = (self._mul(value[0], rhs[1]), self._mul(value[1], rhs[0]))
+                value = (pmul(value[0], rhs[1], self.p), pmul(value[1], rhs[0], self.p))
         return value
 
     def unary_rule(self):
@@ -365,8 +332,8 @@ class _RatParser:
             e = self.take("int")[1]
             num, den = [1], [1]
             for _ in range(e):
-                num = self._mul(num, base[0])
-                den = self._mul(den, base[1])
+                num = pmul(num, base[0], self.p)
+                den = pmul(den, base[1], self.p)
             if not den:
                 raise MapSyntaxError(f"zero denominator in {self.expr!r}")
             return (num, den)
@@ -379,7 +346,7 @@ class _RatParser:
             # implicit product: 3x, 3x^2
             if self.peek()[0] == "var":
                 var = self.var_atom()
-                return (self._mul([val % self.p], var[0]), [1])
+                return (pmul([val % self.p], var[0], self.p), [1])
             return ([val % self.p], [1])
         if kind == "var":
             return self.var_atom()
@@ -536,41 +503,14 @@ def ramification(m: RatMap, ctx: FieldCtx, strict: bool = True):
 # ---------------------------------------------------------------------------
 # Moebius conjugation
 
-def _form_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _form_substitute(form, a_lin, b_lin, p):
-    """F(A, B) for a degree-k form F and linear forms A, B."""
-    k = len(form) - 1
-    a_pows = [[1]]
-    b_pows = [[1]]
-    for _ in range(k):
-        a_pows.append(_form_mul(a_pows[-1], a_lin, p))
-        b_pows.append(_form_mul(b_pows[-1], b_lin, p))
-    out = [0] * (k + 1)
-    for i, c in enumerate(form):
-        if c:
-            term = _form_mul(a_pows[i], b_pows[k - i], p)
-            for j, v in enumerate(term):
-                out[j] = (out[j] + c * v) % p
-    return out
-
-
 def mobius_conjugate(m: RatMap, sigma: Mobius, tau: Mobius) -> RatMap:
     """The composite sigma o m o tau, reduced to canonical degree-d forms."""
     p = m.p
     if sigma.p != p or tau.p != p:
         raise FieldMismatch("conjugating maps over a different characteristic")
-    inner_n = _form_substitute(m.N, tau.N, tau.D, p)
-    inner_d = _form_substitute(m.D, tau.N, tau.D, p)
-    s0, s1 = sigma.N
-    u0, u1 = sigma.D
-    n_out = [(s1 * a + s0 * b) % p for a, b in zip(inner_n, inner_d)]
-    d_out = [(u1 * a + u0 * b) % p for a, b in zip(inner_n, inner_d)]
-    return RatMap(p, n_out, d_out)
+    # a form F(X, Y) composed with the map (A : B) is the form F(A, B)
+    inner = [psubst(form, tau.N, tau.D, p) for form in (m.N, m.D)]
+    outer = [psubst(form, *inner, p) for form in (sigma.N, sigma.D)]
+    # the conjugate has degree d, so padding the forms back to length d + 1
+    # keeps the formal degree
+    return RatMap.from_affine(p, *outer)

@@ -24,15 +24,15 @@ from math import comb
 
 import numpy as np
 
-from .errors import BadPrime
-from .ff import FieldCtx, is_prime, legendre
+from .errors import BadIndex, BadPrime
+from .ff import FieldCtx, is_prime, legendre, pproportional, psubst
 from .upoly import Poly
 
 
 def coeff_a(n: int) -> int:
     """a_n = sum_{k=0}^{n} C(n,k)^2 C(2k,k), exactly."""
     if n < 0:
-        raise ValueError("index must be >= 0")
+        raise BadIndex("index must be >= 0")
     return sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
 
 
@@ -158,7 +158,7 @@ def ode_check(n: int) -> bool:
     """The hypergeometric factor satisfies its second-order equation through
     order n-2 (exact rational arithmetic)."""
     if n < 3:
-        raise ValueError("need order >= 3")
+        raise BadIndex("need order >= 3")
     coeffs = gauss_hypergeom_coeffs(n)
     return all(r == 0 for r in ode_residual(coeffs, n - 2))
 
@@ -167,7 +167,7 @@ def hypergeom_identity_check(n: int) -> bool:
     """Whether the closed form (1-3x)^{-1} F(27x^2(1-x)/(1-3x)^3) expands to
     the series with coefficients a_n, through order n."""
     if n < 1:
-        raise ValueError("need order >= 1")
+        raise BadIndex("need order >= 1")
     inv13 = [Fraction(c) for c in _ser_inv_one_minus_3x(n)]
     inv13_cubed = _ser_mul(_ser_mul(inv13, inv13, n), inv13, n)
     arg = _ser_mul([Fraction(0), Fraction(0), Fraction(27), Fraction(-27)],
@@ -192,7 +192,7 @@ def series_feq_check(n: int) -> bool:
     (x^2+x)/(3x-1) = -(x+x^2) sum 3^k x^k has valuation 1, so the
     composition truncates cleanly."""
     if n < 2:
-        raise ValueError("need order >= 2")
+        raise BadIndex("need order >= 2")
     geom = _ser_inv_one_minus_3x(n)
     inner = _ser_mul([0, -1, -1], geom, n)
     a = [coeff_a(k) for k in range(n + 1)]
@@ -226,59 +226,18 @@ def li_trick_check(p: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # polynomial functional equations mod p
 
-def _int_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _strip(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def compose_cleared(h, num, den, p):
-    """sum_k h_k num^k den^(deg h - k) mod p: the polynomial obtained from
-    h(num/den) after clearing the denominator with den^(deg h)."""
-    h = [c % p for c in h]
-    d = len(h) - 1
-    den_pows = [[1]]
-    for _ in range(d):
-        den_pows.append(_int_poly_mul(den_pows[-1], den, p))
-    out = [h[d] % p] if h else [0]
-    for k in range(d - 1, -1, -1):
-        out = _int_poly_mul(out, num, p)
-        term = [(h[k] * c) % p for c in den_pows[d - k]]
-        size = max(len(out), len(term))
-        out = [((out[i] if i < len(out) else 0) + (term[i] if i < len(term) else 0)) % p
-               for i in range(size)]
-    return _strip(out)
-
-
-def proportional_mod(a, b, p):
-    """The constant c with a = c*b in F_p[x], or None."""
-    a, b = _strip([x % p for x in a]), _strip([x % p for x in b])
-    if not a or not b or len(a) != len(b):
-        return None
-    c = (a[-1] * pow(b[-1], p - 2, p)) % p
-    if all((x - c * y) % p == 0 for x, y in zip(a, b)):
-        return c
-    return None
+# den^(deg h) * h(num/den) and the proportionality test, named for their use
+# here; the arithmetic is ff's F_p[x] helper set
+compose_cleared = psubst
+proportional_mod = pproportional
 
 
 def functional_equation_holds(h, num, den, p):
     """Whether den^(deg h) * h(num/den) is proportional to h(x^2) over F_p;
     returns (holds, constant)."""
-    lhs = compose_cleared(h, num, den, p)
     rhs = [0] * (2 * len(h) - 1)
-    for i, c in enumerate(h):
-        rhs[2 * i] = c % p
-    c = proportional_mod(lhs, _strip(rhs), p)
+    rhs[::2] = h  # h(x^2)
+    c = proportional_mod(compose_cleared(h, num, den, p), rhs, p)
     return c is not None, c
 
 

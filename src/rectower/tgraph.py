@@ -229,10 +229,6 @@ class TowerGraph:
         return sum(c for v, c in enumerate(counts) if self.ram_g[v])
 
 
-def build_graph(f: RatMap, g: RatMap, ctx: FieldCtx) -> TowerGraph:
-    return TowerGraph(f, g, ctx)
-
-
 # ---------------------------------------------------------------------------
 # export
 

@@ -143,6 +143,20 @@ def test_bad_modulus_reports_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("graph", "--p", "5", "--ext", "0"),
+    ("graph", "--p", "5", "--ext", "1", "--modulus", "2,-1,1"),
+    ("series-check", "--order", "2"),
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    # --ext below 1, a modulus for the prime field, and a series order too
+    # small for the ODE check: rejected with exit 2, never run on silently
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_output_is_deterministic(capsys):
     _, first = run(capsys, "chi", "--p", "7")
     _, second = run(capsys, "chi", "--p", "7")

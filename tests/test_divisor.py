@@ -7,7 +7,6 @@ import pytest
 
 from rectower.divisor import (
     Divisor,
-    div_of_set,
     divisor_to_function,
     principal_divisor,
     pullback,
@@ -34,14 +33,14 @@ def S0():
 
 
 def test_div_of_set_examples():
-    d = div_of_set(S0())
+    d = Divisor.of_set(S0())
     assert d.degree == 4 and d.is_effective()
-    assert div_of_set([], ctx=F5).is_zero()
-    assert div_of_set(pts("0", "0")) == Divisor(F5, {pts("0")[0]: 1})
+    assert Divisor.of_set([], ctx=F5).is_zero()
+    assert Divisor.of_set(pts("0", "0")) == Divisor(F5, {pts("0")[0]: 1})
 
 
 def test_pullback_of_fixture_support():
-    lhs = pullback(F, div_of_set(S0()))
+    lhs = pullback(F, Divisor.of_set(S0()))
     expected = Divisor(F5, dict(zip(
         pts("0", "-1", "1", "-1/3", "1/3", "inf"),
         (1, 1, 2, 2, 1, 1))))
@@ -50,7 +49,7 @@ def test_pullback_of_fixture_support():
 
 
 def test_pullback_through_square_map():
-    lhs = pullback(G, div_of_set(S0()))
+    lhs = pullback(G, Divisor.of_set(S0()))
     expected = Divisor(F5, dict(zip(
         pts("0", "1", "-1", "1/3", "-1/3", "inf"),
         (2, 1, 1, 1, 1, 2))))
@@ -63,12 +62,12 @@ def test_pullback_zero_divisor():
 
 def test_pullback_insufficient_field():
     with pytest.raises(InsufficientField):
-        pullback(G, div_of_set(pts("2")))  # nonsquare target
+        pullback(G, Divisor.of_set(pts("2")))  # nonsquare target
 
 
 def test_restricted_differents():
-    assert restricted_different(F, S0()) == div_of_set(pts("-1/3", "1"))
-    assert restricted_different(G, S0()) == div_of_set(pts("0", "inf"))
+    assert restricted_different(F, S0()) == Divisor.of_set(pts("-1/3", "1"))
+    assert restricted_different(G, S0()) == Divisor.of_set(pts("0", "inf"))
 
 
 def test_restricted_different_away_from_ramification():
@@ -115,13 +114,13 @@ def test_principal_divisor_has_degree_zero_random():
 
 def test_divisor_identity_for_both_towers():
     # f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0)
-    d0 = div_of_set(S0())
+    d0 = Divisor.of_set(S0())
     assert pullback(F, d0) - pullback(G, d0) == \
         restricted_different(F, S0()) - restricted_different(G, S0())
 
     f2 = map_parse("(x^2+1)/(2*x)", 5)
     s0 = pts("1", "-1", "0", "inf")
-    d0 = div_of_set(s0)
+    d0 = Divisor.of_set(s0)
     assert pullback(f2, d0) - pullback(G, d0) == \
         restricted_different(f2, s0) - restricted_different(G, s0)
 
@@ -146,7 +145,7 @@ def test_divisor_to_function_splitting_values():
     chi = Poly(F25, [-1, 2, 0, 2, 1])
     t0 = [ProjPoint.affine(x) for x in chi.roots()]
     s0 = pts("0", "1", "1/9", "inf", ctx=F25)
-    phi = divisor_to_function(div_of_set(t0) - div_of_set(s0))
+    phi = divisor_to_function(Divisor.of_set(t0) - Divisor.of_set(s0))
     hp_lifted = Poly(F25, [1, 3, 0, 3, 4])
     reference = RatFun(hp_lifted, Poly(F25, [0, 1]) * Poly(F25, [-1, 1]) * Poly(F25, [-4, 1]))
     assert ratfun_proportional(phi, reference) is not None
@@ -154,7 +153,7 @@ def test_divisor_to_function_splitting_values():
 
 def test_divisor_to_function_requires_degree_zero():
     with pytest.raises(NonzeroDegree):
-        divisor_to_function(div_of_set(S0()))
+        divisor_to_function(Divisor.of_set(S0()))
 
 
 def test_divisor_to_function_roundtrip_random():
@@ -173,5 +172,5 @@ def test_divisor_to_function_roundtrip_random():
 
 
 def test_divisor_json_shape():
-    d = div_of_set(pts("0", "inf"))
+    d = Divisor.of_set(pts("0", "inf"))
     assert d.to_json_obj() == [{"point": "0", "mult": 1}, {"point": "inf", "mult": 1}]

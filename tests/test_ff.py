@@ -12,7 +12,8 @@ from rectower.errors import (
     FieldMismatch,
     ReducibleModulus,
 )
-from rectower.ff import FieldCtx, is_prime, legendre
+from rectower.ff import FieldCtx, is_prime, legendre, padd, pgcd, pmod, pmul, psubst
+from rectower.upoly import Poly
 
 F25_MODULUS = [2, -1, 1]  # a^2 - a + 2
 
@@ -172,3 +173,37 @@ def test_sqrt_table():
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(97)
     assert not is_prime(1) and not is_prime(91)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_int_list_helpers_match_poly_arithmetic(p):
+    # the dense int-list helpers against Poly over F_p as the slow oracle
+    rng = random.Random(p)
+    F = FieldCtx(p)
+
+    def rand(deg):
+        return [rng.randrange(-p, 2 * p) for _ in range(deg + 1)]
+
+    def ints(poly):
+        return [c.coeffs[0] for c in poly.coeffs]
+
+    for _ in range(40):
+        f, g = rand(rng.randrange(-1, 9)), rand(rng.randrange(-1, 9))
+        P, Q = Poly(F, f), Poly(F, g)
+        assert pmul(f, g, p) == ints(P * Q)
+        assert padd(f, g, p) == ints(P + Q)
+        if not Q.is_zero():
+            assert pmod(f, ints(Q), p) == ints(divmod(P, Q)[1])
+
+        common = Poly(F, rand(rng.randrange(0, 4)))
+        P, Q = common * P, common * Q
+        if not (P.is_zero() and Q.is_zero()):
+            assert Poly(F, pgcd(ints(P), ints(Q), p)).monic() == P.gcd(Q)
+
+        h, a, b = rand(rng.randrange(0, 9)), rand(rng.randrange(0, 3)), rand(rng.randrange(0, 3))
+        A, B = Poly(F, a), Poly(F, b)
+        n = len(h) - 1
+        expected = Poly.zero(F)
+        for k, c in enumerate(h):
+            expected = expected + Poly(F, [c]) * A ** k * B ** (n - k)
+        assert psubst(h, a, b, p) == ints(expected)

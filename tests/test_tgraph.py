@@ -8,7 +8,7 @@ import pytest
 from rectower.errors import DegreeMismatch, UnknownFormat
 from rectower.ff import FieldCtx
 from rectower.p1 import ProjPoint, fiber_counts, map_parse, point_parse
-from rectower.tgraph import build_graph, graph_export, graph_json_obj
+from rectower.tgraph import TowerGraph, graph_export, graph_json_obj
 
 F5 = FieldCtx(5)
 F25 = FieldCtx(5, 2, [2, -1, 1])
@@ -22,7 +22,7 @@ def labels(component):
 
 
 def test_prime_field_graph_components():
-    graph = build_graph(F, G, F5)
+    graph = TowerGraph(F, G, F5)
     assert graph.n_vertices == 6
     singular = graph.singular_components()
     assert sorted(labels(c) for c in singular) == [["0", "1", "4"], ["2", "3", "inf"]]
@@ -30,17 +30,17 @@ def test_prime_field_graph_components():
 
 
 def test_extension_graph_size():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     assert graph.n_vertices == 26
 
 
 def test_degree_mismatch_rejected():
     with pytest.raises(DegreeMismatch):
-        build_graph(F, map_parse("y", 5), F5)
+        TowerGraph(F, map_parse("y", 5), F5)
 
 
 def test_splitting_component_is_the_figure():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     regs = graph.regular_components()
     assert len(regs) == 1
     comp = regs[0]
@@ -55,7 +55,7 @@ def test_splitting_component_is_the_figure():
 def test_splitting_component_edge_topology():
     # the full 16-edge structure of the 8-vertex splitting component,
     # in generator-power coordinates with modulus a^2 - a + 2
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     a = F25.gen()
     idx = {k: graph.index(ProjPoint.affine(a ** k))
            for k in (3, 7, 9, 11, 15, 19, 21, 23)}
@@ -70,7 +70,7 @@ def test_splitting_component_edge_topology():
 
 
 def test_two_singular_components_over_extension():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     singular = graph.singular_components()
     assert len(singular) == 2
     assert sorted(c.size for c in singular) == [3, 3]
@@ -83,7 +83,7 @@ def test_two_singular_components_over_extension():
 
 def test_classical_tower_chain():
     f = map_parse("(x^2+1)/(2*x)", 5)
-    graph = build_graph(f, G, F25)
+    graph = TowerGraph(f, G, F25)
     pts = {e: point_parse(e, F25) for e in ("1", "-1", "i", "-i", "0", "inf")}
     comp = next(c for c in graph.singular_components() if pts["1"] in c.vertices)
     assert set(comp.vertices) == set(pts.values())
@@ -95,12 +95,12 @@ def test_classical_tower_chain():
 
 def test_toy_tower_has_no_regular_component():
     f = map_parse("x^2+x", 5)
-    graph = build_graph(f, G, F25)
+    graph = TowerGraph(f, G, F25)
     assert not graph.regular_components()
 
 
 def test_count_paths_on_splitting_component():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     comp = graph.regular_components()[0]
     assert graph.count_paths(3, comp.vertices) == 64  # 8 * 2^3
     assert graph.count_paths(0, comp.vertices) == 8
@@ -109,7 +109,7 @@ def test_count_paths_on_splitting_component():
 
 
 def test_singular_path_counts():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     assert graph.singular_paths(2) == 2   # (1,-1,0) and (-1/3,1/3,inf)
     assert graph.singular_paths(1) == 0
     for m in range(3, 12):
@@ -119,19 +119,19 @@ def test_singular_path_counts():
 
 
 def test_degree_sums_match_edge_count():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     assert sum(graph.out_deg) == sum(graph.in_deg) == graph.n_edges
 
 
 def test_out_degree_matches_fiber_counts():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     for i, v in enumerate(graph.vertices):
         counts, _missing = fiber_counts(G, F.eval(v), F25)
         assert graph.out_deg[i] == len(counts)
 
 
 def test_regular_component_is_complete():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     comp = set(graph.regular_components()[0].vertices)
     forward = set()
     backward = set()
@@ -146,14 +146,14 @@ def test_regular_component_is_complete():
 
 
 def test_build_is_deterministic():
-    g1 = build_graph(F, G, F25)
-    g2 = build_graph(F, G, F25)
+    g1 = TowerGraph(F, G, F25)
+    g2 = TowerGraph(F, G, F25)
     assert g1.out_adj == g2.out_adj
     assert [str(v) for v in g1.vertices] == [str(v) for v in g2.vertices]
 
 
 def test_json_export_schema():
-    graph = build_graph(F, G, F25)
+    graph = TowerGraph(F, G, F25)
     obj = graph_json_obj(graph, include_edges=True)
     assert obj["p"] == 5 and obj["r"] == 2
     assert obj["modulus"] == "2+4*a+1*a^2"
@@ -166,15 +166,15 @@ def test_json_export_schema():
 
 def test_dot_export():
     # tiny characteristic-2 toy still renders valid DOT
-    graph = build_graph(map_parse("x^2+x", 2), map_parse("y^2", 2), FieldCtx(2))
+    graph = TowerGraph(map_parse("x^2+x", 2), map_parse("y^2", 2), FieldCtx(2))
     text = graph_export(graph, "dot")
     assert text.startswith("digraph") and text.endswith("}")
-    full = graph_export(build_graph(F, G, F25), "dot")
-    assert full == graph_export(build_graph(F, G, F25), "dot")
+    full = graph_export(TowerGraph(F, G, F25), "dot")
+    assert full == graph_export(TowerGraph(F, G, F25), "dot")
     assert "box" in full and "diamond" in full
 
 
 def test_unknown_format():
-    graph = build_graph(F, G, F5)
+    graph = TowerGraph(F, G, F5)
     with pytest.raises(UnknownFormat):
         graph_export(graph, "svg")
