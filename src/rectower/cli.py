@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import fixtures, genus, search, series, tgraph
-from .errors import TowerError
+from .errors import BadIndex, TowerError
 from .ff import FieldCtx, legendre
 
 
@@ -34,6 +34,8 @@ def _emit(obj):
 
 
 def cmd_series(args) -> int:
+    if args.n < 1:
+        raise BadIndex(f"--n must be >= 1, got {args.n}")
     values = [series.coeff_a(i) for i in range(args.n)]
     if args.plain:
         print(", ".join(str(v) for v in values))
@@ -100,6 +102,8 @@ def cmd_feq_check(args) -> int:
 
 
 def cmd_genus(args) -> int:
+    if args.n_max < 1:
+        raise BadIndex(f"--n-max must be >= 1, got {args.n_max}")
     if args.p:
         ctx = _graph_ctx(args)
         bound = fixtures.load_fixture("new-tower", args.p, ctx=ctx, check=False)

@@ -80,6 +80,15 @@ class BadIndex(TowerError):
     """The sequence index is outside the defined range."""
 
 
+class FieldTooLarge(TowerError):
+    """The field has too many points for a table over all of them."""
+
+
+class FormulaMismatch(TowerError, AssertionError):
+    """Two routes to the same closed-form quantity disagree.  Also an
+    AssertionError: it reports a failed internal identity."""
+
+
 class NoRegularComponent(TowerError):
     """The graph has no d-regular component."""
 

@@ -11,7 +11,7 @@ pure; contexts and elements can be shared freely between callers.
 
 The module also holds the package's dense polynomial arithmetic over F_p on
 ascending int coefficient lists (``ptrim``, ``padd``, ``pmul``, ``pmod``,
-``pgcd``, ``psubst``, ``pproportional``).
+``pgcd``, ``pinvmod``, ``psubst``, ``pproportional``).
 """
 
 from __future__ import annotations
@@ -99,6 +99,27 @@ def pgcd(f, g, p):
     while g:
         f, g = g, pmod(f, g, p)
     return f
+
+
+def pinvmod(f, m, p):
+    """The inverse of f modulo m, by the extended Euclidean algorithm.
+
+    Keeps s_i*f = r_i mod m for the remainder sequence r_0 = m, r_1 = f; m
+    must have a unit leading coefficient and f must be coprime to it."""
+    r0, s0 = ptrim(m, p), []
+    r1, s1 = ptrim(f, p), [1]
+    while len(r1) > 1:
+        inv_lead = pow(r1[-1], p - 2, p)
+        while len(r0) >= len(r1):
+            c = r0[-1] * inv_lead % p
+            shift = [0] * (len(r0) - len(r1))
+            r0 = padd(r0, shift + [-c * a for a in r1], p)
+            s0 = padd(s0, shift + [-c * a for a in s1], p)
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    if not r1:
+        raise DivisionByZero("not invertible modulo m")
+    inv_c = pow(r1[0], p - 2, p)
+    return ptrim([c * inv_c for c in s1], p)
 
 
 def psubst(h, a, b, p):
@@ -368,7 +389,7 @@ class FieldElem:
             return self, self.ctx.lift(other)
         if not isinstance(other, FieldElem):
             return None
-        if other.ctx.key() == self.ctx.key():
+        if other.ctx is self.ctx or other.ctx.key() == self.ctx.key():
             return self, other
         if other.ctx.p != self.ctx.p:
             raise FieldMismatch("elements of different characteristics")
@@ -426,7 +447,8 @@ class FieldElem:
             raise DivisionByZero("zero has no inverse")
         if self.ctx.r == 1:
             return FieldElem(self.ctx, (pow(self.coeffs[0], self.ctx.p - 2, self.ctx.p),))
-        return self ** (self.ctx.order - 2)
+        inv = pinvmod(self.coeffs, self.ctx.modulus, self.ctx.p)
+        return FieldElem(self.ctx, tuple(inv) + (0,) * (self.ctx.r - len(inv)))
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -464,7 +486,7 @@ class FieldElem:
         if isinstance(other, int):
             return self == self.ctx.lift(other)
         return (isinstance(other, FieldElem)
-                and self.ctx.key() == other.ctx.key()
+                and (self.ctx is other.ctx or self.ctx.key() == other.ctx.key())
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, NoRegularComponent
+from .errors import BadIndex, FormulaMismatch, NoRegularComponent
 from .p1 import map_parse
 from .tgraph import TowerGraph
 
@@ -51,7 +51,7 @@ class GenusReport:
     def __post_init__(self):
         # cross-formula identity: both genus routes must agree
         if self.genus_sum is not None and self.genus_sum != self.genus_closed:
-            raise AssertionError(
+            raise FormulaMismatch(
                 f"genus formulas disagree at n={self.n}: "
                 f"{self.genus_sum} != {self.genus_closed}")
 
@@ -75,6 +75,8 @@ def asymptotic_report(p: int, n_max: int, graph: TowerGraph) -> list[GenusReport
     genus sequence.  The ratio tends to p-1 when the regular component has
     2(p-1) vertices; the graph is expected over the splitting field
     (degree-2 extension, experimentally)."""
+    if n_max < 1:
+        raise BadIndex(f"the table needs n_max >= 1, got {n_max}")
     if graph.ctx.p != p:
         raise ValueError("graph characteristic differs from p")
     if not _is_fixture_tower(graph):
@@ -84,9 +86,8 @@ def asymptotic_report(p: int, n_max: int, graph: TowerGraph) -> list[GenusReport
         raise NoRegularComponent(f"no d-regular component over {graph.ctx!r}")
     support = [v for c in regs for v in c.vertices]
     rows = []
-    for n in range(1, n_max + 1):
+    for n, n_lower in enumerate(graph.path_counts(n_max - 1, support), start=1):
         g = genus_closed(n)
-        n_lower = graph.count_paths(n - 1, support)
         rows.append(GenusReport(
             n=n,
             delta=delta(n) if n >= 2 else None,

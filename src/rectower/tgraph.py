@@ -1,10 +1,18 @@
 """Arithmetic correspondence graphs on P^1(F_{q^r}).
 
 The graph of a correspondence f(P) = g(Q) has the rational points of the
-line as vertices and an oriented edge P -> Q whenever f(P) = g(Q).  Edge
-construction buckets vertices by their f- and g-values and joins equal
-values, so it is linear in the number of vertices.  Weakly connected
-components are classified as
+line as vertices and an oriented edge P -> Q whenever f(P) = g(Q).  The
+build evaluates f, g and their Wronskians over the whole field at once:
+the affine points are held as int64 arrays of base-p digits (element n of
+``FieldCtx.elements()`` has digits (n // p^i) % p), Horner's rule runs on
+those arrays with every product reduced mod p and mod the field modulus,
+so the arithmetic is exact, and each value is encoded as its element index
+(q for infinity).  Only the vertex at infinity goes through scalar
+``RatMap`` evaluation.  Edges come from a sort join of the f-codes against
+the g-codes, linear up to the sort in the number of vertices.  Lines with
+more than ``MAX_VERTICES`` points are refused before any array is built.
+
+Weakly connected components are classified as
 
 * d-regular: every in- and out-degree equals d and no vertex is ramified
   for f or g (these vertices split totally in the tower),
@@ -24,10 +32,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import DegreeMismatch, UnknownFormat
-from .ff import FieldCtx
+import numpy as np
+
+from .errors import DegreeMismatch, FieldTooLarge, UnknownFormat
+from .ff import FieldCtx, FieldElem
 from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber
-from .upoly import Poly
+
+MAX_VERTICES = 2 ** 22  # q + 1 above this is refused before O(q) work
 
 
 class ComponentClass(Enum):
@@ -47,46 +58,111 @@ class ComponentReport:
         return len(self.vertices)
 
 
+class _FieldArrays:
+    """Every element of F_{p^r} at once, as r int64 arrays of base-p digits
+    (ascending powers of the generator), in ``FieldCtx.elements()`` order.
+
+    A value is a list of r arrays with entries in [0, p).  Before each
+    reduction an entry is below 2r*p^2 in absolute value, far inside int64
+    because q < 2^22."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.p, self.r, self.q = ctx.p, ctx.r, ctx.order
+        self.modulus = ctx.modulus
+        n = np.arange(self.q, dtype=np.int64)
+        self.x = [n // self.p ** i % self.p for i in range(self.r)]
+
+    def mul(self, a, b):
+        p, r = self.p, self.r
+        prod = [0] * (2 * r - 1)
+        for i in range(r):
+            for j in range(r):
+                prod[i + j] = prod[i + j] + a[i] * b[j]
+        # reduce x^k for k >= r using x^r = -(m_{r-1}x^{r-1} + ... + m_0)
+        for k in range(2 * r - 2, r - 1, -1):
+            c = prod[k] % p
+            for i in range(r):
+                prod[k - r + i] = prod[k - r + i] - c * self.modulus[i]
+        return [c % p for c in prod[:r]]
+
+    def horner(self, coeffs):
+        """The polynomial with ascending int coefficients at every element."""
+        val = [np.zeros(self.q, dtype=np.int64) for _ in range(self.r)]
+        for c in reversed(coeffs):
+            val = self.mul(val, self.x)
+            val[0] = (val[0] + c) % self.p
+        return val
+
+    def is_zero(self, a):
+        return np.logical_and.reduce([c == 0 for c in a])
+
+    def inverse(self, a):
+        """a^(q-2): the inverse where a is nonzero, 0 where a is zero."""
+        acc = [np.ones(self.q, dtype=np.int64)] + [
+            np.zeros(self.q, dtype=np.int64) for _ in range(self.r - 1)]
+        for bit in bin(self.q - 2)[2:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
+        return acc
+
+    def codes(self, a):
+        """Element indices of the values."""
+        out = np.zeros(self.q, dtype=np.int64)
+        for c in reversed(a):
+            out = out * self.p + c
+        return out
+
+
 class TowerGraph:
     def __init__(self, f: RatMap, g: RatMap, ctx: FieldCtx):
         if f.d != g.d:
             raise DegreeMismatch(f"maps of degree {f.d} and {g.d}")
         if f.p != ctx.p or g.p != ctx.p:
             raise DegreeMismatch("maps and field have different characteristics")
+        if ctx.order + 1 > MAX_VERTICES:
+            raise FieldTooLarge(
+                f"{ctx!r} has {ctx.order + 1} points; graphs are capped at "
+                f"{MAX_VERTICES} vertices")
         self.f = f
         self.g = g
         self.ctx = ctx
         self.d = f.d
-        self.vertices = [ProjPoint.affine(x) for x in ctx.elements()]
+        field = _FieldArrays(ctx)
+        rows = zip(*[c.tolist() for c in field.x])
+        self.vertices = [ProjPoint.affine(FieldElem(ctx, x)) for x in rows]
         self.vertices.append(ProjPoint.infinity(ctx))
-        self._index = {p: i for i, p in enumerate(self.vertices)}
 
-        fval = [f.eval(p) for p in self.vertices]
-        gval = [g.eval(p) for p in self.vertices]
-        buckets: dict = {}
-        for i, v in enumerate(gval):
-            buckets.setdefault(v, []).append(i)
-        self.out_adj = [buckets.get(v, []) for v in fval]
-        self.out_deg = [len(a) for a in self.out_adj]
-        self.in_deg = [0] * len(self.vertices)
-        for adj in self.out_adj:
-            for j in adj:
-                self.in_deg[j] += 1
+        fcode = self._value_codes(f, field)
+        gcode = self._value_codes(g, field)
+        order = np.argsort(gcode, kind="stable")
+        lo = np.searchsorted(gcode[order], fcode, side="left").tolist()
+        hi = np.searchsorted(gcode[order], fcode, side="right").tolist()
+        order = order.tolist()
+        self.out_adj = [order[a:b] for a, b in zip(lo, hi)]
+        self.out_deg = [b - a for a, b in zip(lo, hi)]
+        self.in_deg = np.bincount(fcode, minlength=ctx.order + 1)[gcode].tolist()
 
-        self.ram_f = self._ram_flags(f)
-        self.ram_g = self._ram_flags(g)
+        self.ram_f = self._ram_flags(f, field)
+        self.ram_g = self._ram_flags(g, field)
         self._components = None
 
-    def _ram_flags(self, m: RatMap):
+    def _value_codes(self, m: RatMap, field: _FieldArrays):
+        """Element index of m at every vertex, with q standing for infinity."""
+        q = self.ctx.order
+        num, den = field.horner(m.N), field.horner(m.D)
+        at_pole = field.is_zero(den)
+        codes = np.where(at_pole, q, field.codes(field.mul(num, field.inverse(den))))
+        t = m.eval(self.vertices[-1])
+        at_inf = q if t.is_infinity else self.ctx.element_index(t.x)
+        return np.append(codes, at_inf)
+
+    def _ram_flags(self, m: RatMap, field: _FieldArrays):
         """Vertex flags for ramification of m, via its Wronskian (tame here:
         the map degree is below the characteristic)."""
-        w = Poly(self.ctx, m.wronskian_coeffs())
-        flags = []
-        for p in self.vertices:
-            if p.is_infinity:
-                flags.append(point_multiplicity_in_fiber(m, p) >= 2)
-            else:
-                flags.append(w.eval(p.x).is_zero() and not w.is_zero())
+        w = m.wronskian_coeffs()
+        flags = field.is_zero(field.horner(w)).tolist() if w else [False] * field.q
+        flags.append(point_multiplicity_in_fiber(m, self.vertices[-1]) >= 2)
         return flags
 
     # -- basic accessors -----------------------------------------------------
@@ -100,13 +176,13 @@ class TowerGraph:
         return sum(self.out_deg)
 
     def index(self, point: ProjPoint) -> int:
-        return self._index[point]
+        """Position of a point of this graph's line among the vertices."""
+        if point.ctx.key() != self.ctx.key():
+            raise KeyError(point)
+        return self.ctx.order if point.is_infinity else self.ctx.element_index(point.x)
 
     def _as_indices(self, points):
-        out = []
-        for p in points:
-            out.append(p if isinstance(p, int) else self._index[p])
-        return out
+        return [p if isinstance(p, int) else self.index(p) for p in points]
 
     # -- components ---------------------------------------------------------------
 
@@ -189,6 +265,11 @@ class TowerGraph:
     def count_paths(self, n: int, restrict=None) -> int:
         """Number of directed paths with n edges (n >= 0), optionally with
         every vertex inside ``restrict``; exact big integers."""
+        return self.path_counts(n, restrict)[-1]
+
+    def path_counts(self, n: int, restrict=None) -> list[int]:
+        """``count_paths(k, restrict)`` for every k = 0..n, from one vector
+        iteration."""
         if n < 0:
             raise ValueError("path length must be >= 0")
         if restrict is None:
@@ -201,6 +282,7 @@ class TowerGraph:
                 inside[i] = True
             allowed = sorted(set(idxs))
         counts = [1 if inside[v] else 0 for v in range(self.n_vertices)]
+        totals = [sum(counts[v] for v in allowed)]
         for _ in range(n):
             nxt = [0] * self.n_vertices
             for u in allowed:
@@ -211,7 +293,8 @@ class TowerGraph:
                     if inside[v]:
                         nxt[v] += c
             counts = nxt
-        return sum(counts[v] for v in allowed)
+            totals.append(sum(counts[v] for v in allowed))
+        return totals
 
     def singular_paths(self, n: int) -> int:
         """Number of directed paths with n >= 1 edges starting at a vertex

@@ -147,10 +147,14 @@ def test_bad_modulus_reports_usage_error(capsys):
     ("graph", "--p", "5", "--ext", "0"),
     ("graph", "--p", "5", "--ext", "1", "--modulus", "2,-1,1"),
     ("series-check", "--order", "2"),
+    ("series", "--n", "-3"),
+    ("genus", "--n-max", "0"),
+    ("graph", "--p", "2053"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
-    # --ext below 1, a modulus for the prime field, and a series order too
-    # small for the ODE check: rejected with exit 2, never run on silently
+    # --ext below 1, a modulus for the prime field, a series order too
+    # small for the ODE check, empty series and genus tables, and a field
+    # above the graph size cap: rejected with exit 2, never run on silently
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2

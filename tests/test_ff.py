@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectower.errors import (
     CompositeP,
@@ -12,7 +14,17 @@ from rectower.errors import (
     FieldMismatch,
     ReducibleModulus,
 )
-from rectower.ff import FieldCtx, is_prime, legendre, padd, pgcd, pmod, pmul, psubst
+from rectower.ff import (
+    FieldCtx,
+    is_prime,
+    legendre,
+    padd,
+    pgcd,
+    pinvmod,
+    pmod,
+    pmul,
+    psubst,
+)
 from rectower.upoly import Poly
 
 F25_MODULUS = [2, -1, 1]  # a^2 - a + 2
@@ -207,3 +219,36 @@ def test_int_list_helpers_match_poly_arithmetic(p):
         for k, c in enumerate(h):
             expected = expected + Poly(F, [c]) * A ** k * B ** (n - k)
         assert psubst(h, a, b, p) == ints(expected)
+
+
+# the same examples on every run: no example database, no random seed
+DERANDOMIZED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+F97_2 = FieldCtx(97, 2)
+
+
+def _assert_inverse_matches_power(x):
+    # extended Euclid against Fermat's x^(q-2) as the slow oracle
+    y = x.inverse()
+    assert y == x ** (x.ctx.order - 2)
+    assert x * y == x.ctx.one()
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (5, 2), (5, 3), (5, 4), (3, 5)])
+def test_inverse_matches_fermat_on_every_element(p, r):
+    ctx = FieldCtx(p, r)
+    for x in ctx.elements():
+        if not x.is_zero():
+            _assert_inverse_matches_power(x)
+
+
+@DERANDOMIZED
+@given(st.tuples(st.integers(0, 96), st.integers(0, 96)).filter(any))
+def test_inverse_matches_fermat_in_f97_squared(coeffs):
+    _assert_inverse_matches_power(F97_2.elem(coeffs))
+
+
+def test_pinvmod_rejects_common_factor():
+    # x and x^2 + x share the factor x
+    with pytest.raises(DivisionByZero):
+        pinvmod([0, 1], [0, 1, 1], 5)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from rectower.errors import BadIndex, NoRegularComponent
+from rectower.errors import BadIndex, FormulaMismatch, NoRegularComponent, TowerError
 from rectower.ff import FieldCtx
-from rectower.genus import asymptotic_report, delta, genus_closed, genus_sum
+from rectower.genus import GenusReport, asymptotic_report, delta, genus_closed, genus_sum
 from rectower.p1 import map_parse
 from rectower.tgraph import TowerGraph
 
@@ -83,3 +83,24 @@ def test_report_requires_regular_component():
                        FieldCtx(5))
     with pytest.raises(NoRegularComponent):
         asymptotic_report(5, 5, graph)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_report_rows_match_per_row_path_counts(p):
+    graph = _graph(p)
+    support = [v for c in graph.regular_components() for v in c.vertices]
+    rows = asymptotic_report(p, 12, graph)
+    assert [r.n for r in rows] == list(range(1, 13))
+    assert [r.n_lower for r in rows] == [graph.count_paths(n - 1, support)
+                                        for n in range(1, 13)]
+
+
+def test_report_needs_a_row():
+    with pytest.raises(BadIndex):
+        asymptotic_report(5, 0, _graph(5))
+
+
+def test_disagreeing_genus_routes_raise_a_tower_error():
+    with pytest.raises(FormulaMismatch) as err:
+        GenusReport(n=5, delta=12, genus_closed=21, genus_sum=20, n_lower=0, ratio=None)
+    assert isinstance(err.value, TowerError)

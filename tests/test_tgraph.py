@@ -5,10 +5,17 @@ import json
 
 import pytest
 
-from rectower.errors import DegreeMismatch, UnknownFormat
+from rectower.errors import DegreeMismatch, FieldTooLarge, TowerError, UnknownFormat
 from rectower.ff import FieldCtx
-from rectower.p1 import ProjPoint, fiber_counts, map_parse, point_parse
-from rectower.tgraph import TowerGraph, graph_export, graph_json_obj
+from rectower.p1 import (
+    ProjPoint,
+    fiber_counts,
+    map_parse,
+    point_multiplicity_in_fiber,
+    point_parse,
+)
+from rectower.tgraph import MAX_VERTICES, TowerGraph, graph_export, graph_json_obj
+from rectower.upoly import Poly
 
 F5 = FieldCtx(5)
 F25 = FieldCtx(5, 2, [2, -1, 1])
@@ -178,3 +185,94 @@ def test_unknown_format():
     graph = TowerGraph(F, G, F5)
     with pytest.raises(UnknownFormat):
         graph_export(graph, "svg")
+
+
+def test_size_cap_is_checked_before_any_work():
+    ctx = FieldCtx(2053, 2)
+    assert ctx.order + 1 > MAX_VERTICES
+    f, g = map_parse("(x^2+x)/(3*x-1)", 2053), map_parse("y^2", 2053)
+    with pytest.raises(FieldTooLarge) as err:
+        TowerGraph(f, g, ctx)
+    assert isinstance(err.value, TowerError)
+
+
+# -- the array build against a scalar oracle ----------------------------------
+
+def _oracle(f, g, ctx):
+    """Edges, degrees, ramification flags and classified components from
+    per-vertex RatMap.eval buckets and Poly evaluation of the Wronskian."""
+    verts = [ProjPoint.affine(x) for x in ctx.elements()] + [ProjPoint.infinity(ctx)]
+    n = len(verts)
+    buckets = {}
+    for j, v in enumerate(verts):
+        buckets.setdefault(g.eval(v), []).append(j)
+    out_adj = [buckets.get(f.eval(v), []) for v in verts]
+    in_deg = [0] * n
+    for adj in out_adj:
+        for j in adj:
+            in_deg[j] += 1
+
+    def flags(m):
+        w = Poly(ctx, m.wronskian_coeffs())
+        return [point_multiplicity_in_fiber(m, v) >= 2 if v.is_infinity
+                else not w.is_zero() and w.eval(v.x).is_zero() for v in verts]
+
+    ram_f, ram_g = flags(f), flags(g)
+
+    root = list(range(n))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for u, adj in enumerate(out_adj):
+        for v in adj:
+            root[find(u)] = find(v)
+    comps = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    classes = []
+    for comp in comps.values():
+        if all(len(out_adj[v]) == f.d and in_deg[v] == f.d
+               and not ram_f[v] and not ram_g[v] for v in comp):
+            cls = "d-regular"
+        else:
+            # directed paths with >= 1 edge out of the ram_f vertices
+            reached = set()
+            todo = [w for v in comp if ram_f[v] for w in out_adj[v]]
+            while todo:
+                v = todo.pop()
+                if v not in reached:
+                    reached.add(v)
+                    todo.extend(out_adj[v])
+            cls = "singular" if any(ram_g[v] for v in reached) else "other"
+        classes.append((cls, sorted(verts[v].label() for v in comp)))
+    return {"vertices": [str(v) for v in verts], "out_adj": out_adj,
+            "out_deg": [len(a) for a in out_adj], "in_deg": in_deg,
+            "ram_f": ram_f, "ram_g": ram_g, "components": sorted(classes)}
+
+
+MAP_PAIRS = [
+    ("(x^2+x)/(3*x-1)", "y^2"),   # new-tower
+    ("(x^2+1)/(2*x)", "y^2"),     # gs-tower
+    ("x^2+x", "y^2"),             # type-a-toy
+    ("(x^3+2*x)/(x^2+1)", "(y^3+1)/y"),
+    ("(2*x^2+1)/(x^2+x+3)", "(y^2+3)/(y^2+1)"),  # infinity maps to affine points
+]
+ORACLE_CASES = [(f, g, p, r) for f, g in MAP_PAIRS for p, r in [(7, 1), (7, 2), (5, 3)]]
+ORACLE_CASES.append(("x^2+x", "y^2", 2, 1))  # the characteristic-2 toy
+
+
+@pytest.mark.parametrize("f_expr,g_expr,p,r", ORACLE_CASES)
+def test_array_build_matches_scalar_oracle(f_expr, g_expr, p, r):
+    ctx = FieldCtx(p, r)
+    f, g = map_parse(f_expr, p), map_parse(g_expr, p)
+    graph = TowerGraph(f, g, ctx)
+    built = {"vertices": [str(v) for v in graph.vertices], "out_adj": graph.out_adj,
+             "out_deg": graph.out_deg, "in_deg": graph.in_deg,
+             "ram_f": graph.ram_f, "ram_g": graph.ram_g,
+             "components": sorted((c.cls.value, sorted(v.label() for v in c.vertices))
+                                  for c in graph.components())}
+    assert built == _oracle(f, g, ctx)
+    assert [graph.index(v) for v in graph.vertices] == list(range(graph.n_vertices))
