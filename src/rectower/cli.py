@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import fixtures, genus, search, series, tgraph
-from .errors import BadIndex, TowerError
+from .errors import BadIndex, NoRegularComponent, TowerError
 from .ff import FieldCtx, legendre
 
 
@@ -53,7 +53,12 @@ def cmd_chi(args) -> int:
     ctx = _graph_ctx(args)
     bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
     graph = tgraph.TowerGraph(bound.f, bound.g, ctx)
-    chi = fixtures.chi_from_graph(graph)
+    try:
+        chi = fixtures.chi_from_graph(graph)
+    except NoRegularComponent as exc:
+        # a valid call whose graph has nothing to split: a failed check, not misuse
+        _emit({"p": args.p, "fixture": args.fixture, "ok": False, "error": str(exc)})
+        return 1
     coeffs = [c.coeffs[0] for c in chi.coeffs]
     out = {
         "p": args.p,
@@ -166,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dot", action="store_true", help="DOT output instead of JSON")
     s.add_argument("--edges", action="store_true", help="include the edge list in JSON")
 
-    s = add("search", cmd_search, help="scan P^5(F_p) for towers with the prescribed singular graph")
+    s = add("search", cmd_search,
+            help="solve for the towers over F_p with the prescribed singular graph")
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     s = add("feq-check", cmd_feq_check, help="polynomial functional equation check")
     s.add_argument("--p", type=int, required=True)

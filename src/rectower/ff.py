@@ -16,7 +16,7 @@ ascending int coefficient lists (``ptrim``, ``padd``, ``pmul``, ``pmod``,
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from .errors import (
     CompositeP,
@@ -158,6 +158,11 @@ def _pow_mod(f, e: int, m, p):
     return out
 
 
+def _has_root(m, p: int) -> bool:
+    """Whether the polynomial m (ascending coefficients) vanishes somewhere on F_p."""
+    return any(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p == 0 for x in range(p))
+
+
 def _is_irreducible(m, p: int) -> bool:
     """Irreducibility of a monic polynomial m over F_p.
 
@@ -166,7 +171,7 @@ def _is_irreducible(m, p: int) -> bool:
     """
     r = len(m) - 1
     if r <= 3:
-        return all(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p for x in range(p))
+        return not _has_root(m, p)
     frob = [[0, 1]]  # frob[k] = x^(p^k) mod m
     for _ in range(r):
         frob.append(_pow_mod(frob[-1], p, m, p))
@@ -223,11 +228,13 @@ class FieldCtx:
 
     @staticmethod
     def _default_modulus(p, r):
-        import itertools
-        for low in itertools.product(range(p), repeat=r):
-            cand = list(low) + [1]
-            if _is_irreducible(cand, p):
-                return cand
+        # c0 varies slowest, so skipping c0 = 0 keeps the order; a root in F_p
+        # is a linear factor, found far more cheaply than by the Rabin test
+        for c0 in range(1, p):
+            for mid in product(range(p), repeat=r - 1):
+                cand = [c0, *mid, 1]
+                if not _has_root(cand, p) and _is_irreducible(cand, p):
+                    return cand
         raise ReducibleModulus(f"no irreducible of degree {r} over F_{p}")  # unreachable
 
     @property

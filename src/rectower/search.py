@@ -1,5 +1,4 @@
-"""Brute-force production of degree-2 tower equations with a prescribed
-singular graph.
+"""Production of degree-2 tower equations with a prescribed singular graph.
 
 Normalizing by the automorphisms of the line pins g(y) = y^2 and leaves a
 six-coefficient candidate f = (a2 x^2 + a1 x + a0)/(b2 x^2 + b1 x + b0),
@@ -18,8 +17,18 @@ conditions on the coefficients:
   live in the quadratic extension without ever computing there);
 * the four ramification points pairwise distinct.
 
-The scan is exhaustive over the canonical representatives, deterministic,
-and cheap enough at this scale (about 1.5 million candidates at p = 17).
+Four of the seven conditions are linear and are solved instead of
+scanned.  The loops at 0 and infinity force a0 = 0 and b2 = 0.  The loop at
+1 gives N(1) = D(1), and ramification at 1 then reads
+D(1)·(2 a2 + a1 - b1) = 0.  D(1) = 0 would make N(1) = 0 as well, so N and
+D would share the root 1 and the resultant would vanish; such candidates
+are not maps of degree 2.  Hence b1 = 2 a2 + a1 and b0 = -a2: a line in
+P^5, whose canonical points are (1, a1, 0, 0, 2 + a1, -1) for a1 in F_p
+and (0, 1, 0, 0, 1, 0), which has zero resultant.  ``search`` runs the
+resultant filter and the full ``constraint_check`` on the p points with
+a2 = 1, in ascending a1, which is the order of ``candidate_stream``.
+``candidate_stream`` is the exhaustive enumeration of P^5(F_p), kept as
+the oracle the tests compare ``search`` against.
 """
 
 from __future__ import annotations
@@ -157,11 +166,15 @@ def _certify(params: SearchParams, p: int, r2_proj) -> SearchSolution:
 
 
 def search(p: int) -> list[SearchSolution]:
-    """Exhaustive scan of the candidate stream; deterministic order."""
+    """All solutions, in ``candidate_stream`` order: the candidates on the
+    line cut out by the linear conditions (module docstring), each checked
+    against all seven."""
     _check_p(p)
     out = []
-    for params in candidate_stream(p):
-        sol = constraint_check(params, p)
-        if sol is not None:
-            out.append(sol)
+    for a1 in range(p):
+        params = SearchParams(1, a1, 0, 0, (2 + a1) % p, p - 1)
+        if _res2(*params, p):
+            sol = constraint_check(params, p)
+            if sol is not None:
+                out.append(sol)
     return out

@@ -59,10 +59,21 @@ def test_graph_ext_flag(capsys):
 
 
 def test_search_command(capsys):
-    code, out = run(capsys, "search", "--p", "5", "--json")
+    code, out = run(capsys, "search", "--p", "5")
     assert code == 0
     data = json.loads(out)
     assert [s["params"] for s in data["solutions"]] == [[1, 1, 0, 0, 3, 4]]
+
+
+def test_chi_without_regular_component_is_a_failed_check(capsys):
+    # the graph of type-a-toy over F_{13^2} has no d-regular component: a
+    # mathematical outcome of a valid call, so exit 1 with a JSON report
+    code = main(["chi", "--p", "13", "--fixture", "type-a-toy"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    data = json.loads(captured.out)
+    assert (data["p"], data["fixture"], data["ok"]) == (13, "type-a-toy", False)
+    assert "no d-regular component" in data["error"]
 
 
 def test_feq_check_both_fixtures(capsys):

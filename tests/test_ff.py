@@ -1,5 +1,6 @@
 """Field context construction, exact arithmetic, and the Legendre symbol."""
 
+import itertools
 import random
 
 import pytest
@@ -76,6 +77,34 @@ def test_default_modulus_is_deterministic_and_irreducible():
     assert first.modulus == second.modulus
     # sanity: quartic default works too (exercises the gcd-based test)
     assert FieldCtx(5, 4).order == 625
+
+
+def _rabin_irreducible(m, p):
+    """Rabin's test for monic m of degree r >= 2 over F_p, on its own: no
+    root or constant-term shortcut.  gcd(x^(p^(r/l)) - x, m) = 1 for every
+    prime l | r, and x^(p^r) = x mod m."""
+    r = len(m) - 1
+    gcd_steps = {r // l for l in range(2, r + 1) if r % l == 0 and is_prime(l)}
+    power = [0, 1]  # x^(p^k) mod m after step k
+    for k in range(1, r + 1):
+        base, power = power, [1]
+        for bit in bin(p)[2:]:
+            power = pmod(pmul(power, power, p), m, p)
+            if bit == "1":
+                power = pmod(pmul(power, base, p), m, p)
+        if k in gcd_steps and len(pgcd(m, padd(power, [0, -1], p), p)) > 1:
+            return False
+    return not padd(power, [0, -1], p)
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5, 7) for r in (2, 3, 4)]
+                         + [(5, 6), (7, 6)])
+def test_default_modulus_is_first_irreducible_in_order(p, r):
+    # every monic x^r + c_{r-1} x^{r-1} + ... + c0 in the order of the
+    # FieldCtx docstring, c0 slowest, each judged by Rabin's test alone
+    first = next(list(low) + [1] for low in itertools.product(range(p), repeat=r)
+                 if _rabin_irreducible(list(low) + [1], p))
+    assert list(FieldCtx(p, r).modulus) == first
 
 
 def test_prime_field_division():

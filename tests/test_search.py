@@ -1,4 +1,4 @@
-"""The constrained scan over P^5(F_p) for tower equations."""
+"""The search for tower equations: the solved line against the scan of P^5(F_p)."""
 
 import random
 
@@ -67,6 +67,35 @@ def test_search_small_primes_unique():
         sols = search(p)
         assert len(sols) == 1
         assert sols[0].params == SOLUTION(p)
+
+
+def test_search_larger_primes_unique():
+    for p in (101, 1009):
+        assert [s.params for s in search(p)] == [SOLUTION(p)]
+
+
+def _line(p):
+    """The canonical points of the line b1 = 2 a2 + a1, b0 = -a2, a0 = b2 = 0."""
+    points = [SearchParams(1, a1, 0, 0, (2 + a1) % p, p - 1) for a1 in range(p)]
+    return points + [SearchParams(0, 1, 0, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_linear_conditions_cut_out_the_line(p):
+    def linear(a2, a1, a0, b2, b1, b0):
+        n1, d1 = a2 + a1 + a0, b2 + b1 + b0
+        return (a0 % p == 0 and b2 % p == 0 and (n1 - d1) % p == 0
+                and ((2 * a2 + a1) * d1 - n1 * (2 * b2 + b1)) % p == 0)
+
+    survivors = [v for v in candidate_stream(p) if linear(*v)]
+    assert survivors == [v for v in _line(p) if _res2(*v, p)]
+    assert len(survivors) == p - 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_search_matches_brute_force_scan(p):
+    brute = [constraint_check(v, p) for v in candidate_stream(p)]
+    assert [s.to_json_obj() for s in search(p)] == [s.to_json_obj() for s in brute if s]
 
 
 def test_search_rejects_bad_prime():
