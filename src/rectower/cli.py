@@ -36,7 +36,16 @@ def _emit(obj):
 def cmd_series(args) -> int:
     if args.n < 1:
         raise BadIndex(f"--n must be >= 1, got {args.n}")
-    values = [series.coeff_a(i) for i in range(args.n)]
+    # checked as the values come, so a huge --n fails at the first value that
+    # could not be printed instead of after computing them all
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = 10 ** limit if limit else None
+    values = []
+    for i, a in enumerate(series._a_exact(args.n - 1)):
+        if too_long is not None and a >= too_long:
+            raise BadIndex(f"--n {args.n}: a_{i} has more than {limit} digits, "
+                           f"the interpreter's int-to-str limit")
+        values.append(a)
     if args.plain:
         print(", ".join(str(v) for v in values))
         return 0

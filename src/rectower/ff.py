@@ -24,8 +24,12 @@ from .errors import (
     DivisionByZero,
     EvenOrCompositeP,
     FieldMismatch,
+    FieldTooLarge,
     ReducibleModulus,
 )
+
+
+MAX_TABLE_ENTRIES = 2 ** 22  # tables over the whole field (graph, sqrt, dlog) are capped
 
 
 def is_prime(n: int) -> bool:
@@ -337,6 +341,7 @@ class FieldCtx:
         the first one in element order, so results are reproducible.
         Table-based: building the table costs one pass over the field."""
         if self._sqrt is None:
+            self._check_table_size("square-root")
             table = {}
             for e in self.elements():
                 sq = (e * e).coeffs
@@ -345,13 +350,20 @@ class FieldCtx:
             self._sqrt = table
         return self._sqrt.get(self.elem(x).coeffs)
 
+    def _check_table_size(self, what):
+        if self.order > MAX_TABLE_ENTRIES:
+            raise FieldTooLarge(f"{self!r} has {self.order} elements; {what} tables "
+                                f"are capped at {MAX_TABLE_ENTRIES} entries")
+
     def _dlog_table(self):
         """Discrete logs base the generator x, or None if x does not generate."""
         if self._gen_checked:
             return self._dlog
-        self._gen_checked = True
         if self.r == 1:
+            self._gen_checked = True
             return None
+        self._check_table_size("discrete-log")
+        self._gen_checked = True
         q1 = self.order - 1
         g = self.gen()
         acc = self.one()

@@ -13,8 +13,9 @@ polynomials recovered from the correspondence graphs, up to the sign
 
 Everything is exact: big integers for the series, fractions for the
 hypergeometric factor, and residues for the mod-p identities.  The bulk
-a_n mod p tables are built from Pascal rows and valuation-tracked central
-binomials, independent of the digit identity they are used to test.
+a_n mod p tables reduce the exact values from the three-term recurrence
+(n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} (OEIS A002893), so they
+do not depend on the digit identity they are used to test.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
-from .errors import BadIndex, BadPrime
+from .errors import BadIndex, BadPrime, FormulaMismatch
 from .ff import FieldCtx, is_prime, legendre, pproportional, psubst
 from .upoly import Poly
 
@@ -48,40 +47,31 @@ def _check_prime(p: int) -> int:
 _A_MOD_CACHE: dict = {}
 
 
-def _a_mod_table(p: int, n_max: int) -> np.ndarray:
-    """a_n mod p for all n <= n_max.
+def _a_exact(n_max: int):
+    """Yield the exact a_0, ..., a_{n_max} from the recurrence
+    (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1}.
 
-    C(n,k) mod p comes from the additive Pascal recurrence (numpy rows);
-    C(2k,k) mod p from a multiplicative recurrence tracking the exact
-    p-adic valuation, so no Lucas-type shortcut is involved anywhere.
-    """
+    Only the last two values are kept alive.  Every division is checked:
+    a nonzero remainder raises FormulaMismatch."""
+    prev, cur = 0, 1
+    yield cur
+    for n in range(n_max):
+        cur_next, r = divmod((10 * n * n + 10 * n + 3) * cur - 9 * n * n * prev, (n + 1) ** 2)
+        if r:
+            raise FormulaMismatch(f"the A002893 recurrence is not exact at n = {n + 1}")
+        prev, cur = cur, cur_next
+        yield cur
+
+
+def _a_mod_table(p: int, n_max: int) -> list:
+    """a_n mod p for all n <= n_max, reduced from the exact values of the
+    A002893 recurrence, so no digit identity is involved anywhere."""
     _check_prime(p)
     cached = _A_MOD_CACHE.get(p)
     if cached is not None and len(cached) > n_max:
         return cached
     size = max(n_max + 1, 2 * len(cached) if cached is not None else 0)
-
-    central = np.zeros(size, dtype=np.int64)
-    val, unit = 0, 1  # C(2k,k) = unit * p^val with unit known mod p
-    for k in range(size):
-        central[k] = unit if val == 0 else 0
-        num, den = 2 * (2 * k + 1), k + 1
-        while num % p == 0:
-            num //= p
-            val += 1
-        while den % p == 0:
-            den //= p
-            val -= 1
-        unit = (unit * num * pow(den, p - 2, p)) % p
-
-    out = np.zeros(size, dtype=np.int64)
-    row = np.zeros(size, dtype=np.int64)
-    row[0] = 1
-    for n in range(size):
-        t = row[: n + 1]
-        out[n] = int((t * t % p * central[: n + 1]).sum() % p)
-        if n + 1 < size:
-            row[1: n + 2] = (row[1: n + 2] + row[: n + 1]) % p
+    out = [a % p for a in _a_exact(size - 1)]
     _A_MOD_CACHE[p] = out
     return out
 
@@ -90,21 +80,21 @@ def truncate_H_mod_p(p: int) -> Poly:
     """H_p(x): the mod-p truncation of the series at degree p-1."""
     _check_prime(p)
     table = _a_mod_table(p, p - 1)
-    return Poly(FieldCtx(p), [int(c) for c in table[:p]])
+    return Poly(FieldCtx(p), table[:p])
 
 
 def lucas_check(n: int, p: int) -> bool:
     """Whether a_n = prod a_{n_i} mod p over the base-p digits n_i of n.
-    Both sides come from the definition-level mod-p table."""
+    Both sides come from the bulk mod-p table."""
     table = _a_mod_table(p, n)
     prod = 1
     m = n
     while True:
-        prod = (prod * int(table[m % p])) % p
+        prod = (prod * table[m % p]) % p
         m //= p
         if m == 0:
             break
-    return int(table[n]) == prod
+    return table[n] == prod
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def li_trick_check(p: int, n: int) -> bool:
     product form of the truncation congruence; factors stop once p^k > n)."""
     _check_prime(p)
     table = _a_mod_table(p, max(n, p - 1))
-    hp = [int(c) for c in table[:p]]
+    hp = table[:p]
     prod = [1] + [0] * n
     step = 1
     while step <= n:
@@ -220,7 +210,7 @@ def li_trick_check(p: int, n: int) -> bool:
             spread[i * step] = c
         prod = [c % p for c in _ser_mul(prod, spread, n)]
         step *= p
-    return all(prod[k] == int(table[k]) for k in range(n + 1))
+    return all(prod[k] == table[k] for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +237,7 @@ def poly_feq_check(p: int):
     as a field element)."""
     _check_prime(p)
     table = _a_mod_table(p, p - 1)
-    hp = [int(c) for c in table[:p]]
+    hp = table[:p]
     holds, c = functional_equation_holds(hp, [0, 1, 1], [-1, 3], p)
     ctx = FieldCtx(p)
     return holds, (ctx.lift(c) if c is not None else None)
@@ -256,4 +246,4 @@ def poly_feq_check(p: int):
 def h_leading_is_legendre(p: int) -> bool:
     """Leading coefficient of H_p equals the Legendre symbol (-3/p)."""
     table = _a_mod_table(p, p - 1)
-    return int(table[p - 1]) == legendre(-3, p) % p
+    return table[p - 1] == legendre(-3, p) % p

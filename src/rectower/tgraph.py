@@ -35,10 +35,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegreeMismatch, FieldTooLarge, UnknownFormat
-from .ff import FieldCtx, FieldElem
+from .ff import MAX_TABLE_ENTRIES, FieldCtx, FieldElem
 from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber
 
-MAX_VERTICES = 2 ** 22  # q + 1 above this is refused before O(q) work
+MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
 
 
 class ComponentClass(Enum):

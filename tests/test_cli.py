@@ -161,11 +161,15 @@ def test_bad_modulus_reports_usage_error(capsys):
     ("series", "--n", "-3"),
     ("genus", "--n-max", "0"),
     ("graph", "--p", "2053"),
+    ("series", "--n", "5000"),
+    ("series", "--n", "5000", "--plain"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     # --ext below 1, a modulus for the prime field, a series order too
-    # small for the ODE check, empty series and genus tables, and a field
-    # above the graph size cap: rejected with exit 2, never run on silently
+    # small for the ODE check, empty series and genus tables, a field
+    # above the graph size cap, and a_4511 onward, which have more digits
+    # than the default int-to-str limit of 4300: rejected with exit 2,
+    # never run on silently and never a traceback
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2

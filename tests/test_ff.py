@@ -13,9 +13,11 @@ from rectower.errors import (
     DivisionByZero,
     EvenOrCompositeP,
     FieldMismatch,
+    FieldTooLarge,
     ReducibleModulus,
 )
 from rectower.ff import (
+    MAX_TABLE_ENTRIES,
     FieldCtx,
     is_prime,
     legendre,
@@ -209,6 +211,18 @@ def test_sqrt_table():
             assert root is not None and root * root == x
         else:
             assert root is None
+
+
+def test_whole_field_tables_are_capped():
+    # q = 2053^2 is above the cap: both tables refuse before any work, and
+    # keep refusing on a second call instead of answering from a stale flag
+    ctx = FieldCtx(2053, 2)
+    assert ctx.order > MAX_TABLE_ENTRIES
+    for _ in range(2):
+        with pytest.raises(FieldTooLarge):
+            ctx.sqrt(ctx.one())
+        with pytest.raises(FieldTooLarge):
+            ctx.gen().gen_label()
 
 
 def test_is_prime_basics():

@@ -3,9 +3,10 @@ hypergeometric identities."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rectower import fixtures
+from rectower import fixtures, series
 from rectower.errors import BadPrime
 from rectower.ff import FieldCtx, legendre
 from rectower.series import (
@@ -155,3 +156,61 @@ def test_bulk_table_matches_exact_values():
     table = _a_mod_table(7, 300)
     for n in range(0, 301, 13):
         assert int(table[n]) == coeff_a(n) % 7
+
+
+# -- the bulk table from the A002893 recurrence --------------------------------
+
+def pascal_a_mod_table(p, n_max):
+    """Independent oracle for the bulk table: C(n,k) mod p from numpy Pascal
+    rows, C(2k,k) mod p from a multiplicative recurrence that tracks the
+    exact p-adic valuation.  O(n^2), and no digit identity involved."""
+    size = n_max + 1
+    central = np.zeros(size, dtype=np.int64)
+    val, unit = 0, 1  # C(2k,k) = unit * p^val with unit known mod p
+    for k in range(size):
+        central[k] = unit if val == 0 else 0
+        num, den = 2 * (2 * k + 1), k + 1
+        while num % p == 0:
+            num //= p
+            val += 1
+        while den % p == 0:
+            den //= p
+            val -= 1
+        unit = (unit * num * pow(den, p - 2, p)) % p
+    out = np.zeros(size, dtype=np.int64)
+    row = np.zeros(size, dtype=np.int64)
+    row[0] = 1
+    for n in range(size):
+        t = row[: n + 1]
+        out[n] = int((t * t % p * central[: n + 1]).sum() % p)
+        if n + 1 < size:
+            row[1: n + 2] = (row[1: n + 2] + row[: n + 1]) % p
+    return [int(c) for c in out]
+
+
+def test_recurrence_matches_definition():
+    assert list(series._a_exact(200)) == [coeff_a(n) for n in range(201)]
+    assert list(series._a_exact(0)) == [1]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
+def test_bulk_table_matches_every_exact_value(p):
+    table = series._a_mod_table(p, 300)
+    assert table[:301] == [coeff_a(n) % p for n in range(301)]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_bulk_table_matches_pascal_rows(p):
+    assert series._a_mod_table(p, 2000)[:2001] == pascal_a_mod_table(p, 2000)
+
+
+def test_bulk_table_cache_growth(monkeypatch):
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    small = series._a_mod_table(7, 10)
+    assert len(small) == 11
+    grown = series._a_mod_table(7, 500)
+    assert len(grown) == 501
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    assert grown == series._a_mod_table(7, 500)
+    # a request just past the cache doubles it
+    assert len(series._a_mod_table(7, 501)) == 1002
