@@ -25,8 +25,11 @@ def _parse_modulus(text):
                          f"(ascending), got {text!r}") from exc
 
 
-def _graph_ctx(args):
-    return FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
+def _fixture_graph(args):
+    """The fixture bound over F_{p^ext} from --p/--ext/--modulus, and its graph."""
+    ctx = FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
+    bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
+    return bound, tgraph.TowerGraph(bound.f, bound.g, ctx)
 
 
 def _emit(obj):
@@ -59,34 +62,23 @@ def cmd_series(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    ctx = _graph_ctx(args)
-    bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
-    graph = tgraph.TowerGraph(bound.f, bound.g, ctx)
-    try:
-        chi = fixtures.chi_from_graph(graph)
-    except NoRegularComponent as exc:
-        # a valid call whose graph has nothing to split: a failed check, not misuse
-        _emit({"p": args.p, "fixture": args.fixture, "ok": False, "error": str(exc)})
-        return 1
-    coeffs = [c.coeffs[0] for c in chi.coeffs]
+    bound, graph = _fixture_graph(args)
+    chi = fixtures.chi_from_graph(graph)
     out = {
         "p": args.p,
         "fixture": args.fixture,
-        "chi": coeffs,
+        "chi": [c.coeffs[0] for c in chi.coeffs],
         "degree": chi.degree,
         "legendre_minus3": legendre(-3, args.p),
     }
-    if args.fixture == "new-tower":
-        hp = series.truncate_H_mod_p(args.p)
-        out["series_bridge"] = (chi * out["legendre_minus3"]) == hp
+    if bound.fixture.series_bridge:
+        out["series_bridge"] = chi * out["legendre_minus3"] == series.truncate_H_mod_p(args.p)
     _emit(out)
     return 0
 
 
 def cmd_graph(args) -> int:
-    ctx = _graph_ctx(args)
-    bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
-    graph = tgraph.TowerGraph(bound.f, bound.g, ctx)
+    _, graph = _fixture_graph(args)
     if args.dot:
         print(tgraph.graph_export(graph, "dot"))
     else:
@@ -101,15 +93,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_feq_check(args) -> int:
-    if args.fixture == "new-tower":
-        holds, constant = series.poly_feq_check(args.p)
+    if fixtures.FIXTURES[args.fixture].series_bridge:
+        # (-3/p) H_p stands in for chi: no field of --ext and no graph needed
+        bound, chi = fixtures.load_fixture(args.fixture, args.p, check=False), None
     else:
-        ctx = _graph_ctx(args)
-        bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
-        graph = tgraph.TowerGraph(bound.f, bound.g, ctx)
+        bound, graph = _fixture_graph(args)
         chi = fixtures.chi_from_graph(graph)
-        holds, constant = series.functional_equation_holds(
-            [c.coeffs[0] for c in chi.coeffs], bound.f.num_coeffs, bound.f.den_coeffs, args.p)
+    holds, constant = fixtures.functional_equation(bound, chi)
     _emit({"fixture": args.fixture, "p": args.p, "holds": holds,
            "constant": None if constant is None else str(constant)})
     return 0 if holds else 1
@@ -119,11 +109,9 @@ def cmd_genus(args) -> int:
     if args.n_max < 1:
         raise BadIndex(f"--n-max must be >= 1, got {args.n_max}")
     if args.p:
-        ctx = _graph_ctx(args)
-        bound = fixtures.load_fixture("new-tower", args.p, ctx=ctx, check=False)
-        graph = tgraph.TowerGraph(bound.f, bound.g, ctx)
+        _, graph = _fixture_graph(args)
         rows = genus.asymptotic_report(args.p, args.n_max, graph)
-        _emit({"p": args.p, "ext": ctx.r,
+        _emit({"p": args.p, "ext": graph.ctx.r,
                "note": "splitting over this extension degree is experimental",
                "rows": [r.to_json_obj() for r in rows]})
     else:
@@ -186,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add("feq-check", cmd_feq_check, help="polynomial functional equation check")
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--fixture", default="new-tower", choices=["new-tower", "gs-tower"])
+    s.add_argument("--fixture", default="new-tower",
+                   choices=[n for n, fx in fixtures.FIXTURES.items() if fx.rho_expr is not None])
     s.add_argument("--ext", type=int, default=2)
     s.add_argument("--modulus", default=None)
 
@@ -195,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=int, default=5)
 
     s = add("genus", cmd_genus, help="genus table, optionally with point-count ratios")
+    s.set_defaults(fixture="new-tower")  # the genus formulas are this tower's
     s.add_argument("--n-max", type=int, required=True)
     s.add_argument("--p", type=int, default=None)
     s.add_argument("--ext", type=int, default=2)
@@ -231,10 +221,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except NoRegularComponent as exc:
+        # a valid call whose graph has nothing to split: a failed check, not misuse
+        _emit({"p": args.p, "fixture": args.fixture, "ok": False, "error": str(exc)})
+        return 1
+    except (TowerError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

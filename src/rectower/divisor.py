@@ -10,7 +10,7 @@ which is what makes the functional splitting criterion effective here.
 
 from __future__ import annotations
 
-from .errors import InsufficientField, NonzeroDegree, ZeroFunction
+from .errors import BadPrime, InsufficientField, NonzeroDegree, ZeroFunction
 from .ff import FieldCtx
 from .p1 import ProjPoint, RatMap, fiber_counts
 from .upoly import Poly, RatFun
@@ -127,7 +127,9 @@ def pullback(m: RatMap, d: Divisor) -> Divisor:
 
 
 def restricted_different(m: RatMap, s0, ctx: FieldCtx = None) -> Divisor:
-    """Sum of (e_m(P) - 1) P over the preimage of the point set s0."""
+    """Sum of (e_m(P) - 1) P over the preimage of the point set s0 (tame: p > d)."""
+    if m.p <= m.d:
+        raise BadPrime(f"the different of a degree-{m.d} map needs p > {m.d}, got {m.p}")
     s0 = sorted(set(s0), key=lambda q: q.sort_key())
     if ctx is None:
         if not s0:

@@ -1,15 +1,17 @@
 """Named tower fixtures and the end-to-end verification pipeline.
 
-Three towers are wired in:
+Three towers are wired in.  Each ``Fixture`` holds the facts that set its
+tower apart, and ``verify_fixture`` and the command line read those facts,
+never the tower's name:
 
 * ``new-tower``:  y^2 = (x^2+x)/(3x-1), the search's unique output; its
-  splitting polynomial is the mod-p truncation of the integer series of
-  a_n = sum C(n,k)^2 C(2k,k).
+  splitting polynomial is (-3/p) H_p, the mod-p truncation of the integer
+  series of a_n = sum C(n,k)^2 C(2k,k) (``series_bridge``).
 * ``gs-tower``:   y^2 = (x^2+1)/(2x), the classical optimal tower; its
-  splitting polynomial satisfies the same kind of functional equation with
-  x^{p-1} as the clearing factor.
+  splitting polynomial satisfies the same kind of functional equation, and
+  its singular component is a fixed chain of edges (``chain``).
 * ``type-a-toy``: y^2 = x^2+x, a complete loop at infinity with equal
-  restricted differents, so no splitting set can exist at all.
+  restricted differents, so no splitting set can exist (``rho_expr`` None).
 
 Loading a fixture re-checks its completeness and divisorial invariants on
 the spot, so a broken fixture table cannot silently poison a pipeline.
@@ -45,6 +47,8 @@ class Fixture:
     s_exprs: tuple
     s0_exprs: tuple
     rho_expr: Optional[str]
+    series_bridge: bool = False
+    chain: tuple = ()
 
 
 FIXTURES = {
@@ -55,6 +59,7 @@ FIXTURES = {
         s_exprs=("0", "1", "-1", "1/3", "-1/3", "inf"),
         s0_exprs=("0", "1", "1/9", "inf"),
         rho_expr="(x-1)*(x+1/3)/x",
+        series_bridge=True,
     ),
     "gs-tower": Fixture(
         name="gs-tower",
@@ -63,6 +68,8 @@ FIXTURES = {
         s_exprs=("1", "-1", "i", "-i", "0", "inf"),
         s0_exprs=("1", "-1", "0", "inf"),
         rho_expr="(x-1)*(x+1)/x",
+        chain=(("1", "1"), ("1", "-1"), ("-1", "i"), ("-1", "-i"),
+               ("i", "0"), ("-i", "0"), ("0", "inf"), ("inf", "inf")),
     ),
     "type-a-toy": Fixture(
         name="type-a-toy",
@@ -128,13 +135,9 @@ def chi_from_graph(graph: TowerGraph) -> Poly:
         raise TowerError("splitting values contain the point at infinity")
     ctx = graph.ctx
     chi = Poly.from_roots(ctx, sorted((v.x for v in values), key=ctx.element_index))
-    prime = FieldCtx(graph.ctx.p)
-    down = []
-    for c in chi.coeffs:
-        if any(c.coeffs[1:]):
-            raise TowerError("splitting polynomial has coefficients outside F_p")
-        down.append(c.coeffs[0])
-    return Poly(prime, down)
+    if any(any(c.coeffs[1:]) for c in chi.coeffs):
+        raise TowerError("splitting polynomial has coefficients outside F_p")
+    return Poly(FieldCtx(ctx.p), [c.coeffs[0] for c in chi.coeffs])
 
 
 def splitting_points(p: int, ctx: FieldCtx) -> list:
@@ -143,6 +146,16 @@ def splitting_points(p: int, ctx: FieldCtx) -> list:
     lifted = Poly(ctx, [c.coeffs[0] for c in hp.coeffs])
     return sorted((ProjPoint.affine(x) for x in set(lifted.roots())),
                   key=lambda q: q.sort_key())
+
+
+def functional_equation(bound: BoundFixture, chi: Optional[Poly]):
+    """Whether den^(p-1) h(num/den) ~ h(x^2) over F_p for f = num/den, with h
+    = (-3/p) H_p given the series bridge (chi may then be None), else chi.
+    Returns (holds, constant); both sides are linear in h."""
+    p = bound.ctx.p
+    h = series.truncate_H_mod_p(p) * legendre(-3, p) if bound.fixture.series_bridge else chi
+    return series.functional_equation_holds(
+        [c.coeffs[0] for c in h.coeffs], bound.f.num_coeffs, bound.f.den_coeffs, p)
 
 
 def map_preimage(m: RatMap, targets, ctx: FieldCtx):
@@ -191,12 +204,12 @@ def _check(checks: list, name: str, ok: bool, detail: str = ""):
 
 
 def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
-    """Run every end-to-end consistency check a fixture supports and report
-    one pass/fail entry per check."""
+    """Run every end-to-end consistency check the fixture's facts call for
+    and report one pass/fail entry per check."""
     checks: list = []
     ctx = FieldCtx(p, ext, modulus)
     bound = load_fixture(name, p, ctx=ctx, check=False)
-    f, g = bound.f, bound.g
+    fx, f, g = bound.fixture, bound.f, bound.g
 
     fwd, bwd = feq.is_complete(f, g, bound.s, ctx)
     _check(checks, "singular-support-complete", fwd and bwd,
@@ -204,12 +217,12 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     _check(checks, "divisorial-identity", feq.divisorial_check(f, g, bound.s0, ctx))
 
     graph = TowerGraph(f, g, ctx)
+    verdict = feq.lenstra_check(f, g, bound.s, ctx)
+    verdict_detail = f"{verdict.value} (conditional on irreducibility)"
 
-    if name == "type-a-toy":
-        verdict = feq.lenstra_check(f, g, bound.s, ctx)
+    if fx.rho_expr is None:  # no splitting set can exist
         _check(checks, "lenstra-verdict",
-               verdict is feq.LenstraVerdict.NO_SPLITTING_SET_POSSIBLE,
-               f"{verdict.value} (conditional on irreducibility)")
+               verdict is feq.LenstraVerdict.NO_SPLITTING_SET_POSSIBLE, verdict_detail)
         for r in range(1, ext + 1):
             graph_r = graph if r == ext else TowerGraph(f, g, FieldCtx(p, r))
             regs = graph_r.regular_components()
@@ -217,17 +230,15 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
                    f"{len(regs)} regular components")
         return _finish(name, p, ext, checks)
 
-    # both genuine towers: unique regular component of the right size
+    # a tower that can split: unique regular component of the right size
     regs = graph.regular_components()
     _check(checks, "regular-component-unique", len(regs) == 1,
            f"found {len(regs)}")
     size_ok = bool(regs) and regs[0].size == 2 * (p - 1)
     _check(checks, "regular-component-size", size_ok,
            f"{regs[0].size if regs else 0} vs {2 * (p - 1)}")
-
-    verdict = feq.lenstra_check(f, g, bound.s, ctx)
     _check(checks, "lenstra-verdict", verdict is feq.LenstraVerdict.INCONCLUSIVE,
-           f"{verdict.value} (conditional on irreducibility)")
+           verdict_detail)
 
     try:
         chi = chi_from_graph(graph)
@@ -236,67 +247,53 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
         _check(checks, "chi-degree", False, str(exc))
         return _finish(name, p, ext, checks)
 
-    if name == "new-tower":
-        hp = series.truncate_H_mod_p(p)
+    if fx.series_bridge:
         eps = legendre(-3, p)
-        _check(checks, "chi-series-bridge", chi * eps == hp,
+        _check(checks, "chi-series-bridge", chi * eps == series.truncate_H_mod_p(p),
                f"(-3/p) = {eps}")
-        holds, const = series.poly_feq_check(p)
-        _check(checks, "functional-equation", holds,
-               f"constant {const}")
-        t0 = splitting_points(p, ctx)
-        _check(checks, "splitting-values-rational", len(t0) == p - 1,
-               f"{len(t0)} of {p - 1}")
-        report = feq.regularness_check(f, g, bound.s0, t0, ctx)
-        _check(checks, "regularness-criterion", report.holds,
-               f"s={report.s} t={report.t} constant={report.constant}")
-        pre, missing = map_preimage(f, t0, ctx)
-        reg_vertices = set(regs[0].vertices) if regs else set()
-        _check(checks, "splitting-set-is-regular-component",
-               missing == 0 and pre == reg_vertices,
-               f"preimage size {len(pre)}")
-        genus_ok = all(genus.genus_sum(n) == genus.genus_closed(n) for n in range(2, 25))
-        _check(checks, "genus-formulas-agree", genus_ok)
-        counts_ok = bool(regs) and all(
-            graph.count_paths(n - 1, regs[0].vertices) == (p - 1) * 2 ** n
-            for n in range(2, 11))
-        _check(checks, "splitting-path-counts", counts_ok)
-        sing_ok = all(graph.singular_paths(n - 1) == 2 * (n - 2) for n in range(3, 11))
-        _check(checks, "singular-path-counts", sing_ok)
-    else:  # gs-tower
-        sing = graph.singular_components()
-        chain = _gs_chain_ok(graph, ctx)
-        _check(checks, "singular-chain-shape", chain,
-               f"{len(sing)} singular components")
-        holds, const = series.functional_equation_holds(
-            [c.coeffs[0] for c in chi.coeffs], f.num_coeffs, f.den_coeffs, p)
-        _check(checks, "functional-equation", holds, f"constant {const}")
+    if fx.chain:
+        _check(checks, "singular-chain-shape", _gs_chain_ok(graph, ctx, fx.chain),
+               f"{len(graph.singular_components())} singular components")
+    holds, const = functional_equation(bound, chi)
+    _check(checks, "functional-equation", holds, f"constant {const}")
+    if not fx.series_bridge:
+        return _finish(name, p, ext, checks)
 
+    # the series bridge makes the roots of H_p the splitting values T0
+    t0 = splitting_points(p, ctx)
+    _check(checks, "splitting-values-rational", len(t0) == p - 1,
+           f"{len(t0)} of {p - 1}")
+    report = feq.regularness_check(f, g, bound.s0, t0, ctx)
+    _check(checks, "regularness-criterion", report.holds,
+           f"s={report.s} t={report.t} constant={report.constant}")
+    pre, missing = map_preimage(f, t0, ctx)  # chi exists, so regs is not empty
+    _check(checks, "splitting-set-is-regular-component",
+           missing == 0 and pre == set(regs[0].vertices), f"preimage size {len(pre)}")
+    genus_ok = all(genus.genus_sum(n) == genus.genus_closed(n) for n in range(2, 25))
+    _check(checks, "genus-formulas-agree", genus_ok)
+    counts_ok = all(graph.count_paths(n - 1, regs[0].vertices) == (p - 1) * 2 ** n
+                    for n in range(2, 11))
+    _check(checks, "splitting-path-counts", counts_ok)
+    sing_ok = all(graph.singular_paths(n - 1) == 2 * (n - 2) for n in range(3, 11))
+    _check(checks, "singular-path-counts", sing_ok)
     return _finish(name, p, ext, checks)
 
 
-def _gs_chain_ok(graph: TowerGraph, ctx: FieldCtx) -> bool:
-    """The singular component of the classical tower is the chain
-    loop(1) -> -1 -> {i, -i} -> 0 -> inf(loop)."""
-    pts = {e: point_parse(e, ctx) for e in ("1", "-1", "i", "-i", "0", "inf")}
-    comps = graph.singular_components()
-    comp = None
-    for c in comps:
-        if pts["1"] in c.vertices:
-            comp = c
-            break
+def _gs_chain_ok(graph: TowerGraph, ctx: FieldCtx,
+                 chain: tuple = FIXTURES["gs-tower"].chain) -> bool:
+    """Whether the singular component through the chain's first point has
+    exactly the chain's vertices and edges (default: the classical tower's
+    loop(1) -> -1 -> {i, -i} -> 0 -> inf(loop))."""
+    pts = {e: point_parse(e, ctx) for edge in chain for e in edge}
+    first = pts[chain[0][0]]
+    comp = next((c for c in graph.singular_components() if first in c.vertices), None)
     if comp is None or set(comp.vertices) != set(pts.values()):
         return False
-    idx = {e: graph.index(p) for e, p in pts.items()}
-    edges = {("1", "1"), ("1", "-1"), ("-1", "i"), ("-1", "-i"),
-             ("i", "0"), ("-i", "0"), ("0", "inf"), ("inf", "inf")}
-    for a, b in edges:
-        if idx[b] not in graph.out_adj[idx[a]]:
-            return False
-    # and nothing else: the chain is the whole edge set of the component
-    within = sum(1 for i in idx.values() for j in graph.out_adj[i]
-                 if j in set(idx.values()))
-    return within == len(edges)
+    idx = {e: graph.index(pt) for e, pt in pts.items()}
+    inside = set(idx.values())
+    # each edge of the chain once, and no other edge: the chain is the component
+    within = sorted((i, j) for i in inside for j in graph.out_adj[i] if j in inside)
+    return within == sorted((idx[a], idx[b]) for a, b in chain)
 
 
 def _finish(name, p, ext, checks):

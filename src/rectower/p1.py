@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import (
+    BadPrime,
     DegreeMismatch,
     DegreeZero,
     FieldMismatch,
@@ -478,8 +479,10 @@ def ramification(m: RatMap, ctx: FieldCtx, strict: bool = True):
     if that polynomial does not split over ctx, some ramification point is
     missing and InsufficientField is raised (with strict=False the rational
     part is returned instead, which is enough to test disjointness from a
-    set of rational points).
+    set of rational points).  Needs p > d, so that no index is divisible by p.
     """
+    if m.p <= m.d:
+        raise BadPrime(f"ramification of a degree-{m.d} map needs p > {m.d}, got {m.p}")
     w = Poly(ctx, m.wronskian_coeffs())
     out = {}
     if not w.is_zero() and w.degree >= 1:

@@ -12,7 +12,7 @@ polynomials recovered from the correspondence graphs, up to the sign
 (-3/p).
 
 Everything is exact: big integers for the series, fractions for the
-hypergeometric factor, and residues for the mod-p identities.  The bulk
+hypergeometric coefficients, and residues for the mod-p identities.  The bulk
 a_n mod p tables reduce the exact values from the three-term recurrence
 (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} (OEIS A002893), so they
 do not depend on the digit identity they are used to test.
@@ -155,22 +155,25 @@ def ode_check(n: int) -> bool:
 
 def hypergeom_identity_check(n: int) -> bool:
     """Whether the closed form (1-3x)^{-1} F(27x^2(1-x)/(1-3x)^3) expands to
-    the series with coefficients a_n, through order n."""
+    the series with coefficients a_n, through order n.  The series arithmetic
+    runs on integers: F's c_k enter as 27^k c_k = (3k)!/(k!)^3 against powers
+    of x^2(1-x)/(1-3x)^3, and a 27^k c_k that is no integer raises
+    FormulaMismatch."""
     if n < 1:
         raise BadIndex("need order >= 1")
-    inv13 = [Fraction(c) for c in _ser_inv_one_minus_3x(n)]
+    weights = [ck * 27 ** k for k, ck in enumerate(gauss_hypergeom_coeffs(n // 2))]
+    if any(w.denominator != 1 for w in weights):
+        raise FormulaMismatch("27^k c_k is not an integer for some k")
+    inv13 = _ser_inv_one_minus_3x(n)
     inv13_cubed = _ser_mul(_ser_mul(inv13, inv13, n), inv13, n)
-    arg = _ser_mul([Fraction(0), Fraction(0), Fraction(27), Fraction(-27)],
-                   inv13_cubed, n)  # 27x^2(1-x)/(1-3x)^3, valuation 2
-    c = gauss_hypergeom_coeffs(n // 2)
-    total = [Fraction(0)] * (n + 1)
-    power = [Fraction(1)] + [Fraction(0)] * n
-    for k, ck in enumerate(c):
+    arg = _ser_mul([0, 0, 1, -1], inv13_cubed, n)  # x^2(1-x)/(1-3x)^3, valuation 2
+    total = [0] * (n + 1)
+    power = [1] + [0] * n
+    for k, w in enumerate(weights):
         if k:
             power = _ser_mul(power, arg, n)
         for i, v in enumerate(power):
-            if v:
-                total[i] += ck * v
+            total[i] += w.numerator * v
     rhs = _ser_mul(inv13, total, n)
     return all(rhs[i] == coeff_a(i) for i in range(n + 1))
 

@@ -400,18 +400,18 @@ def compose_rational(phi: RatFun, m: "RatMap") -> RatFun:
     n = Poly(ctx, m.num_coeffs)
     d = Poly(ctx, m.den_coeffs)
     top = max(phi.num.degree, phi.den.degree)
-    n_pows = [Poly.one(ctx)]
     d_pows = [Poly.one(ctx)]
     for _ in range(top):
-        n_pows.append(n_pows[-1] * n)
         d_pows.append(d_pows[-1] * d)
 
     def substituted(f: Poly) -> Poly:
+        # sum_i c_i n^i d^(top-i) by Horner's rule in n, as ff.psubst does
         out = Poly.zero(ctx)
-        for i in range(f.degree + 1):
+        for i in range(f.degree, -1, -1):
+            out = out * n
             c = f.coeff(i)
             if not c.is_zero():
-                out = out + n_pows[i] * d_pows[top - i] * c
+                out = out + d_pows[top - i] * c
         return out
 
     return RatFun(substituted(phi.num), substituted(phi.den))

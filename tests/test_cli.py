@@ -65,14 +65,20 @@ def test_search_command(capsys):
     assert [s["params"] for s in data["solutions"]] == [[1, 1, 0, 0, 3, 4]]
 
 
-def test_chi_without_regular_component_is_a_failed_check(capsys):
-    # the graph of type-a-toy over F_{13^2} has no d-regular component: a
-    # mathematical outcome of a valid call, so exit 1 with a JSON report
-    code = main(["chi", "--p", "13", "--fixture", "type-a-toy"])
+@pytest.mark.parametrize("argv, p, fixture", [
+    (("chi", "--p", "13", "--fixture", "type-a-toy"), 13, "type-a-toy"),
+    (("feq-check", "--fixture", "gs-tower", "--p", "5", "--ext", "1"), 5, "gs-tower"),
+    (("genus", "--p", "5", "--ext", "1", "--n-max", "3"), 5, "new-tower"),
+], ids=["chi", "feq-check", "genus"])
+def test_chi_without_regular_component_is_a_failed_check(capsys, argv, p, fixture):
+    # the graph of type-a-toy over F_{13^2}, and those of the towers over F_5
+    # itself, have no d-regular component: a mathematical outcome of a valid
+    # call, so exit 1 with a JSON report
+    code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     data = json.loads(captured.out)
-    assert (data["p"], data["fixture"], data["ok"]) == (13, "type-a-toy", False)
+    assert (data["p"], data["fixture"], data["ok"]) == (p, fixture, False)
     assert "no d-regular component" in data["error"]
 
 

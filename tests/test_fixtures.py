@@ -95,8 +95,68 @@ def test_verify_gs_tower():
     assert report["ok"], [c for c in report["checks"] if not c["ok"]]
 
 
+def test_chain_check_is_exact():
+    # the component must carry the chain's edges and no other
+    ctx = FieldCtx(5, 2)
+    chain = fixtures.FIXTURES["gs-tower"].chain
+    gs = TowerGraph(map_parse("(x^2+1)/(2*x)", 5), map_parse("y^2", 5), ctx)
+    assert fixtures._gs_chain_ok(gs, ctx)
+    assert not fixtures._gs_chain_ok(gs, ctx, chain[:-1])  # inf's loop is left over
+    assert not fixtures._gs_chain_ok(gs, ctx, chain + (("0", "1"),))
+    new = TowerGraph(map_parse("(x^2+x)/(3*x-1)", 5), map_parse("y^2", 5), ctx)
+    assert not fixtures._gs_chain_ok(new, ctx)
+
+
 def test_verify_toy():
     report = fixtures.verify_fixture("type-a-toy", 5)
     assert report["ok"]
     names = {c["name"] for c in report["checks"]}
     assert "lenstra-verdict" in names and "no-regular-component-r2" in names
+
+
+_COMMON = [
+    ("singular-support-complete", True, "forward=True backward=True"),
+    ("divisorial-identity", True, ""),
+]
+_TOWER = _COMMON + [
+    ("regular-component-unique", True, "found 1"),
+    ("regular-component-size", True, "12 vs 12"),
+    ("lenstra-verdict", True, "inconclusive (conditional on irreducibility)"),
+    ("chi-degree", True, "deg 6"),
+]
+_TOY = _COMMON + [
+    ("lenstra-verdict", True, "no-splitting-set-possible (conditional on irreducibility)"),
+] + [(f"no-regular-component-r{r}", True, "0 regular components") for r in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, p, ext, expected", [
+    ("new-tower", 7, 2, _TOWER + [
+        ("chi-series-bridge", True, "(-3/p) = 1"),
+        ("functional-equation", True, "constant 1"),
+        ("splitting-values-rational", True, "6 of 6"),
+        ("regularness-criterion", True, "s=2 t=3 constant=6"),
+        ("splitting-set-is-regular-component", True, "preimage size 12"),
+        ("genus-formulas-agree", True, ""),
+        ("splitting-path-counts", True, ""),
+        ("singular-path-counts", True, ""),
+    ]),
+    ("gs-tower", 7, 2, _TOWER + [
+        ("singular-chain-shape", True, "1 singular components"),
+        ("functional-equation", True, "constant 1"),
+    ]),
+    ("type-a-toy", 7, 2, _TOY[:-1]),
+    ("type-a-toy", 7, 3, _TOY),
+    # over F_5 itself the towers do not split: the report stops at chi
+    ("new-tower", 5, 1, _COMMON + [
+        ("regular-component-unique", False, "found 0"),
+        ("regular-component-size", False, "0 vs 8"),
+        ("lenstra-verdict", True, "inconclusive (conditional on irreducibility)"),
+        ("chi-degree", False, "no d-regular component over F_5"),
+    ]),
+])
+def test_verify_full_report(name, p, ext, expected):
+    # every check, in order, with its verdict and detail string
+    report = fixtures.verify_fixture(name, p, ext=ext)
+    assert [(c["name"], c["ok"], c["detail"]) for c in report["checks"]] == expected
+    assert (report["fixture"], report["p"], report["ext"]) == (name, p, ext)
+    assert report["ok"] is all(ok for _, ok, _ in expected)

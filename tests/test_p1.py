@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from rectower.divisor import Divisor
+from rectower.divisor import Divisor, restricted_different
 from rectower.errors import (
+    BadPrime,
     DegreeZero,
     InsufficientField,
     MapSyntaxError,
@@ -122,6 +123,19 @@ def test_ramification_insufficient_field():
         ramification(m, F5)
     assert len(ramification(m, FieldCtx(5, 2))) == 2
     assert ramification(m, F5, strict=False) == {}
+
+
+def test_ramification_needs_tame_characteristic():
+    # with p <= d an index e can be divisible by p: over F_4 the Wronskian
+    # of y^2 vanishes identically, and the ramification at 0 went unreported
+    f9 = FieldCtx(3, 2)
+    for expr, p, ctx in [("y^2", 2, FieldCtx(2, 2)), ("x^3+x", 3, f9)]:
+        m = map_parse(expr, p)
+        with pytest.raises(BadPrime):
+            ramification(m, ctx)
+        with pytest.raises(BadPrime):
+            restricted_different(m, [pt("inf", ctx)], ctx)
+    assert ramification(map_parse("y^2", 3), f9) == {pt("0", f9): 2, pt("inf", f9): 2}
 
 
 def test_riemann_hurwitz_totals():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rectower import fixtures, series
-from rectower.errors import BadPrime
+from rectower.errors import BadPrime, FormulaMismatch
 from rectower.ff import FieldCtx, legendre
 from rectower.series import (
     coeff_a,
@@ -96,6 +96,24 @@ def test_lucas_sample_ranges():
 def test_hypergeometric_identity():
     assert hypergeom_identity_check(8)
     assert hypergeom_identity_check(1)
+
+
+def test_hypergeometric_identity_on_integer_weights(monkeypatch):
+    # the check scales c_k by 27^k and runs on integers: a wrong weight must
+    # change the verdict, and a non-integral one must raise
+    assert hypergeom_identity_check(60)
+    exact = gauss_hypergeom_coeffs
+
+    def wrong(n_terms):
+        c = exact(n_terms)
+        return c[:3] + [c[3] + 1] + c[4:]
+
+    monkeypatch.setattr(series, "gauss_hypergeom_coeffs", wrong)
+    assert not hypergeom_identity_check(12)
+    monkeypatch.setattr(series, "gauss_hypergeom_coeffs",
+                        lambda n_terms: exact(n_terms)[:1] + [Fraction(1, 2)])
+    with pytest.raises(FormulaMismatch):
+        hypergeom_identity_check(12)
 
 
 def test_hypergeometric_inner_coefficients():
