@@ -25,11 +25,16 @@ def _parse_modulus(text):
                          f"(ascending), got {text!r}") from exc
 
 
+def _fixture(args):
+    """The fixture bound over F_{p^ext}, from --p/--ext/--modulus."""
+    ctx = FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
+    return fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
+
+
 def _fixture_graph(args):
     """The fixture bound over F_{p^ext} from --p/--ext/--modulus, and its graph."""
-    ctx = FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
-    bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
-    return bound, tgraph.TowerGraph(bound.f, bound.g, ctx)
+    bound = _fixture(args)
+    return bound, tgraph.TowerGraph(bound.f, bound.g, bound.ctx)
 
 
 def _emit(obj):
@@ -93,12 +98,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_feq_check(args) -> int:
-    if fixtures.FIXTURES[args.fixture].series_bridge:
-        # (-3/p) H_p stands in for chi: no field of --ext and no graph needed
-        bound, chi = fixtures.load_fixture(args.fixture, args.p, check=False), None
+    bound = _fixture(args)  # validates --ext and --modulus even when no graph is built
+    if bound.fixture.series_bridge:
+        chi = None  # (-3/p) H_p stands in for chi: no graph needed
     else:
-        bound, graph = _fixture_graph(args)
-        chi = fixtures.chi_from_graph(graph)
+        chi = fixtures.chi_from_graph(tgraph.TowerGraph(bound.f, bound.g, bound.ctx))
     holds, constant = fixtures.functional_equation(bound, chi)
     _emit({"fixture": args.fixture, "p": args.p, "holds": holds,
            "constant": None if constant is None else str(constant)})

@@ -104,14 +104,13 @@ class FunctionalReport:
         }
 
 
-def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> FunctionalReport:
-    """The functional criterion: holds iff f^{-1}(T0) is d-regular.
+def criterion_data(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None):
+    """The checked preconditions and the data of the functional criterion.
 
-    Preconditions checked here: f^{-1}(S0) complete (else NotComplete) and
-    T0 disjoint from the ramification locus of g (else RamifiedT0).  The
-    exponents are the minimal positive s, t with t*#S0 = s*#T0, and the
-    proportionality test is exact polynomial arithmetic after clearing
-    denominators.
+    Raises NotComplete unless f^{-1}(S0) is complete, and RamifiedT0 when T0
+    meets the ramification locus of g.  Returns S0 and T0 as sorted lists of
+    distinct points, rho with div(rho) = D_f(S0) - D_g(S0), and the minimal
+    positive s, t with t*#S0 = s*#T0.
     """
     s0_points, ctx = _working_ctx(s0, ctx)
     t0_points, _ = _working_ctx(t0, ctx)
@@ -129,10 +128,19 @@ def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> Fun
     d_f = restricted_different(f, s0_points, ctx)
     d_g = restricted_different(g, s0_points, ctx)
     rho = divisor_to_function(d_f - d_g)
+    common = gcd(len(s0_points), len(t0_points))
+    return s0_points, t0_points, rho, len(s0_points) // common, len(t0_points) // common
 
-    n_s0, n_t0 = len(s0_points), len(t0_points)
-    common = gcd(n_s0, n_t0)
-    s, t = n_s0 // common, n_t0 // common
+
+def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> FunctionalReport:
+    """The functional criterion: holds iff f^{-1}(T0) is d-regular.
+
+    The preconditions and exponents are those of ``criterion_data``; the
+    proportionality test is exact polynomial arithmetic after clearing
+    denominators.
+    """
+    s0_points, t0_points, rho, s, t = criterion_data(f, g, s0, t0, ctx)
+    ctx = rho.ctx  # the working field, resolved by criterion_data
     phi = divisor_to_function(
         s * Divisor.of_set(t0_points, ctx) - t * Divisor.of_set(s0_points, ctx))
 

@@ -15,6 +15,13 @@ never the tower's name:
 
 Loading a fixture re-checks its completeness and divisorial invariants on
 the spot, so a broken fixture table cannot silently poison a pipeline.
+
+Given the series bridge, ``verify`` certifies the splitting set over F_p and
+finds no root of H_p: it counts the roots as deg gcd(H_p, x^q - x), reads
+T0 from the graph, and runs the regularness criterion on int lists.  When a
+certificate fails it falls back to the roots over F_{p^r}
+(``splitting_points``) and ``feq.regularness_check``, so a failed report is
+the one that path gives.
 """
 
 from __future__ import annotations
@@ -24,7 +31,17 @@ from typing import Optional
 
 from . import feq, genus, series
 from .errors import BadPrime, NoRegularComponent, TowerError
-from .ff import FieldCtx, is_prime, legendre
+from .ff import (
+    FieldCtx,
+    _pow_mod,
+    is_prime,
+    legendre,
+    padd,
+    pgcd,
+    pmul,
+    pproportional,
+    psubst,
+)
 from .p1 import (
     Mobius,
     ProjPoint,
@@ -122,22 +139,37 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
 # ---------------------------------------------------------------------------
 # splitting polynomials from graphs
 
-def chi_from_graph(graph: TowerGraph) -> Poly:
-    """Characteristic polynomial of the set of f-values on the d-regular
-    component's vertices.  The value set is stable under the Frobenius, so
-    the coefficients land in the prime field; that is asserted, not assumed.
-    """
+def _prime_field_ints(elems):
+    """The field elements as ints when all of them lie in F_p, else None."""
+    elems = list(elems)
+    if any(any(e.coeffs[1:]) for e in elems):
+        return None
+    return [e.coeffs[0] for e in elems]
+
+
+def _splitting_values(graph: TowerGraph) -> set:
+    """The f-values on the d-regular components' vertices, all affine."""
     regs = graph.regular_components()
     if not regs:
         raise NoRegularComponent(f"no d-regular component over {graph.ctx!r}")
     values = {graph.f.eval(v) for c in regs for v in c.vertices}
     if any(v.is_infinity for v in values):
         raise TowerError("splitting values contain the point at infinity")
+    return values
+
+
+def chi_from_graph(graph: TowerGraph) -> Poly:
+    """Characteristic polynomial of the set of f-values on the d-regular
+    component's vertices.  The value set is stable under the Frobenius, so
+    the coefficients land in the prime field; that is asserted, not assumed.
+    """
     ctx = graph.ctx
+    values = _splitting_values(graph)
     chi = Poly.from_roots(ctx, sorted((v.x for v in values), key=ctx.element_index))
-    if any(any(c.coeffs[1:]) for c in chi.coeffs):
+    coeffs = _prime_field_ints(chi.coeffs)
+    if coeffs is None:
         raise TowerError("splitting polynomial has coefficients outside F_p")
-    return Poly(FieldCtx(ctx.p), [c.coeffs[0] for c in chi.coeffs])
+    return Poly(FieldCtx(ctx.p), coeffs)
 
 
 def splitting_points(p: int, ctx: FieldCtx) -> list:
@@ -168,6 +200,59 @@ def map_preimage(m: RatMap, targets, ctx: FieldCtx):
         out.update(counts)
         missing += miss
     return out, missing
+
+
+def _root_count(h, q: int, p: int) -> int:
+    """The number of distinct roots in F_q of h in F_p[x] (ascending ints,
+    nonzero): deg gcd(h, x^q - x), since x^q - x is the product of x - a
+    over F_q."""
+    xq = _pow_mod([0, 1], q, h, p)
+    return len(pgcd(h, padd(xq, [0, -1], p), p)) - 1
+
+
+def _power(f, e: int, p: int):
+    out = [1]
+    for _ in range(e):
+        out = pmul(out, f, p)
+    return out
+
+
+def _fp_certificate(bound: BoundFixture, graph: TowerGraph, hp: Poly):
+    """verify's splitting-value checks over F_p, for a fixture whose series
+    bridge chi (-3/p) = H_p holds, with no root of H_p found.
+
+    The root count k is deg gcd(H_p, x^q - x).  When k = deg H_p, the bridge
+    makes T0, the roots of H_p, exactly the f-values on the d-regular
+    component.  phi = H_p^s / prod (x - sigma)^t over the affine points of
+    S0 then has divisor s T0 - t S0 up to a constant factor, which cancels
+    in rho^t (phi o f) ~ phi o g; rho and S0 are asserted to lie over F_p,
+    so both sides are int lists.  Returns (k, T0, s, t, constant) as
+    ``feq.regularness_check`` would find them, or None when a certificate
+    fails, which leaves the F_{p^r} oracle path to report the failure.
+    """
+    f, g, ctx = bound.f, bound.g, bound.ctx
+    p = ctx.p
+    h = _prime_field_ints(hp.coeffs)
+    k = _root_count(h, ctx.order, p)
+    if k != len(h) - 1:
+        return None
+    s0, t0, rho, s, t = feq.criterion_data(f, g, bound.s0, _splitting_values(graph), ctx)
+    sigmas = _prime_field_ints(q.x for q in s0 if not q.is_infinity)
+    rho_num, rho_den = _prime_field_ints(rho.num.coeffs), _prime_field_ints(rho.den.coeffs)
+    if sigmas is None or rho_num is None or rho_den is None:
+        return None
+    num = _power(h, s, p)
+    den = [1]
+    for sigma in sigmas:
+        den = pmul(den, _power([-sigma, 1], t, p), p)
+    top = max(len(num), len(den))  # one formal degree, so m's denominator cancels
+    num, den = num + [0] * (top - len(num)), den + [0] * (top - len(den))
+    num_f, den_f, num_g, den_g = (psubst(part, m.num_coeffs, m.den_coeffs, p)
+                                  for m in (f, g) for part in (num, den))
+    lhs_num = pmul(_power(rho_num, t, p), num_f, p)
+    lhs_den = pmul(_power(rho_den, t, p), den_f, p)
+    constant = pproportional(pmul(lhs_num, den_g, p), pmul(num_g, lhs_den, p), p)
+    return None if constant is None else (k, t0, s, t, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +333,9 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
         return _finish(name, p, ext, checks)
 
     if fx.series_bridge:
-        eps = legendre(-3, p)
-        _check(checks, "chi-series-bridge", chi * eps == series.truncate_H_mod_p(p),
-               f"(-3/p) = {eps}")
+        eps, hp = legendre(-3, p), series.truncate_H_mod_p(p)
+        bridge = chi * eps == hp
+        _check(checks, "chi-series-bridge", bridge, f"(-3/p) = {eps}")
     if fx.chain:
         _check(checks, "singular-chain-shape", _gs_chain_ok(graph, ctx, fx.chain),
                f"{len(graph.singular_components())} singular components")
@@ -260,12 +345,16 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
         return _finish(name, p, ext, checks)
 
     # the series bridge makes the roots of H_p the splitting values T0
-    t0 = splitting_points(p, ctx)
-    _check(checks, "splitting-values-rational", len(t0) == p - 1,
-           f"{len(t0)} of {p - 1}")
-    report = feq.regularness_check(f, g, bound.s0, t0, ctx)
-    _check(checks, "regularness-criterion", report.holds,
-           f"s={report.s} t={report.t} constant={report.constant}")
+    cert = _fp_certificate(bound, graph, hp) if bridge else None
+    if cert is None:  # only a failed certificate pays for the roots over F_{p^r}
+        t0 = splitting_points(p, ctx)
+        report = feq.regularness_check(f, g, bound.s0, t0, ctx)
+        k, regular, s, t, const = len(t0), report.holds, report.s, report.t, report.constant
+    else:
+        k, t0, s, t, const = cert
+        regular = True
+    _check(checks, "splitting-values-rational", k == p - 1, f"{k} of {p - 1}")
+    _check(checks, "regularness-criterion", regular, f"s={s} t={t} constant={const}")
     pre, missing = map_preimage(f, t0, ctx)  # chi exists, so regs is not empty
     _check(checks, "splitting-set-is-regular-component",
            missing == 0 and pre == set(regs[0].vertices), f"preimage size {len(pre)}")

@@ -1,11 +1,15 @@
 """Fixture loading, splitting polynomials from graphs, and the verify
 pipeline."""
 
+import dataclasses
+import random
+import re
+
 import pytest
 
-from rectower import fixtures
-from rectower.errors import BadPrime, NoRegularComponent
-from rectower.ff import FieldCtx
+from rectower import feq, fixtures, series
+from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0
+from rectower.ff import FieldCtx, is_prime, legendre, pmul
 from rectower.p1 import map_parse
 from rectower.tgraph import TowerGraph
 from rectower.upoly import Poly
@@ -160,3 +164,149 @@ def test_verify_full_report(name, p, ext, expected):
     assert [(c["name"], c["ok"], c["detail"]) for c in report["checks"]] == expected
     assert (report["fixture"], report["p"], report["ext"]) == (name, p, ext)
     assert report["ok"] is all(ok for _, ok, _ in expected)
+
+
+# ---------------------------------------------------------------------------
+# the F_p certificate of verify against the F_{p^r} oracle path
+
+def _new_tower(p, ext):
+    ctx = FieldCtx(p, ext)
+    bound = fixtures.load_fixture("new-tower", p, ctx=ctx, check=False)
+    return bound, TowerGraph(bound.f, bound.g, ctx)
+
+
+@pytest.mark.parametrize("p, ext", [(p, 2) for p in range(5, 48) if is_prime(p)]
+                         + [(5, 4), (7, 4)])
+def test_fp_certificate_matches_oracle(p, ext):
+    bound, graph = _new_tower(p, ext)
+    ctx, hp = bound.ctx, series.truncate_H_mod_p(p)
+    assert fixtures.chi_from_graph(graph) * legendre(-3, p) == hp  # the bridge it needs
+    k, t0, s, t, constant = fixtures._fp_certificate(bound, graph, hp)
+
+    oracle_t0 = fixtures.splitting_points(p, ctx)
+    report = feq.regularness_check(bound.f, bound.g, bound.s0, oracle_t0, ctx)
+    assert k == len(oracle_t0) == p - 1
+    assert t0 == oracle_t0
+    assert report.holds
+    assert (s, t, str(constant)) == (report.s, report.t, str(report.constant))
+    pre, missing = fixtures.map_preimage(bound.f, t0, ctx)
+    assert missing == 0 and pre == set(graph.regular_components()[0].vertices)
+
+
+def _forbid(*_args, **_kwargs):
+    raise AssertionError("the F_{p^r} oracle path ran")
+
+
+@pytest.mark.parametrize("p, ext", [(7, 2), (23, 2), (5, 4)])
+def test_verify_success_path_finds_no_roots(monkeypatch, p, ext):
+    roots = Poly.roots
+
+    def fiber_roots_only(poly):
+        # fibers and ramification of the degree-2 maps are quadratics; the
+        # field scan for the roots of H_p would be the only larger call
+        if poly.degree > 2:
+            _forbid()
+        return roots(poly)
+
+    monkeypatch.setattr(fixtures, "splitting_points", _forbid)
+    monkeypatch.setattr(feq, "regularness_check", _forbid)
+    monkeypatch.setattr(Poly, "roots", fiber_roots_only)
+    report = fixtures.verify_fixture("new-tower", p, ext=ext)
+    assert report["ok"], [c for c in report["checks"] if not c["ok"]]
+
+
+def _splitting_checks(report):
+    names = ("splitting-values-rational", "regularness-criterion",
+             "splitting-set-is-regular-component")
+    return [(c["name"], c["ok"], c["detail"]) for c in report["checks"] if c["name"] in names]
+
+
+def test_failed_bridge_reports_from_the_oracle(monkeypatch):
+    # gs-tower's maps with a series bridge they do not have: the report's
+    # splitting checks are those of the roots of H_p over F_{p^2}
+    fake = dataclasses.replace(fixtures.FIXTURES["gs-tower"], name="bridged-gs",
+                               series_bridge=True, chain=())
+    monkeypatch.setitem(fixtures.FIXTURES, "bridged-gs", fake)
+    p, ctx = 13, FieldCtx(13, 2)
+    bound = fixtures.load_fixture("bridged-gs", p, ctx=ctx, check=False)
+    t0 = fixtures.splitting_points(p, ctx)
+    oracle = feq.regularness_check(bound.f, bound.g, bound.s0, t0, ctx)
+    pre, _ = fixtures.map_preimage(bound.f, t0, ctx)
+    report = fixtures.verify_fixture("bridged-gs", p)
+    assert ("chi-series-bridge", False) in [(c["name"], c["ok"]) for c in report["checks"]]
+    assert _splitting_checks(report) == [
+        ("splitting-values-rational", True, f"{len(t0)} of {p - 1}"),
+        ("regularness-criterion", False,
+         f"s={oracle.s} t={oracle.t} constant={oracle.constant}"),
+        ("splitting-set-is-regular-component", False, f"preimage size {len(pre)}"),
+    ]
+
+
+def _spy_on_oracle(monkeypatch):
+    ran = []
+    oracle = fixtures.splitting_points
+    monkeypatch.setattr(fixtures, "splitting_points",
+                        lambda p, ctx: ran.append(p) or oracle(p, ctx))
+    return ran
+
+
+def test_failed_bridge_is_never_certified(monkeypatch):
+    # only the bridge makes the graph's values the roots of H_p, so without
+    # it the oracle runs even where the F_p criterion would hold
+    ran = _spy_on_oracle(monkeypatch)
+    monkeypatch.setattr(fixtures, "legendre", lambda a, p: -legendre(a, p))
+    report = fixtures.verify_fixture("new-tower", 11)
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["chi-series-bridge"]
+    assert ran == [11]
+
+
+def test_failed_certificate_reports_from_the_oracle(monkeypatch):
+    # a root count that misses a root sends verify to the oracle path, whose
+    # report is the one the certificate gives
+    expected = fixtures.verify_fixture("new-tower", 11)
+    ran = _spy_on_oracle(monkeypatch)
+    monkeypatch.setattr(fixtures, "_root_count", lambda h, q, p: len(h) - 2)
+    assert fixtures.verify_fixture("new-tower", 11) == expected
+    assert ran == [11]
+
+
+def test_certificate_keeps_the_criterion_preconditions(monkeypatch):
+    p = 7
+    t0 = fixtures.splitting_points(p, FieldCtx(p, 2))
+    monkeypatch.setattr(fixtures, "splitting_points", _forbid)
+    monkeypatch.setattr(feq, "regularness_check", _forbid)
+    with monkeypatch.context() as m:
+        m.setattr(feq, "ramification", lambda g, ctx, strict=True: {t0[0]: 2})
+        with pytest.raises(RamifiedT0, match=re.escape(f"['{t0[0]}']")):
+            fixtures.verify_fixture("new-tower", p)
+    monkeypatch.setattr(feq, "divisorial_check", lambda *args: False)
+    with pytest.raises(NotComplete):
+        fixtures.verify_fixture("new-tower", p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_root_count_is_the_number_of_distinct_roots(p, r):
+    # deg gcd(h, x^q - x) against the roots that Poly.roots finds over F_q
+    rng = random.Random(f"{p}:{r}")
+    ctx = FieldCtx(p, r)
+
+    def rand(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    def linear(*roots):
+        out = [1]
+        for a in roots:
+            out = pmul(out, [-a, 1], p)
+        return out
+
+    quadratic, cubic = list(FieldCtx(p, 2).modulus), list(FieldCtx(p, 3).modulus)
+    cases = [rand(rng.randrange(1, 9)) for _ in range(6)]
+    cases += [linear(*rng.sample(range(p), 4)),                        # squarefree, split
+              pmul(linear(0, 1), quadratic, p),                        # squarefree
+              linear(2, 2, 3, 3, 3),                                   # repeated roots
+              pmul(linear(1, 1), rand(3), p),
+              quadratic, cubic, pmul(quadratic, quadratic, p)]         # irreducible
+    for h in cases:
+        want = len(set(Poly(ctx, h).roots()))
+        assert fixtures._root_count(h, ctx.order, p) == want, h
