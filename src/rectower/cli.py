@@ -44,6 +44,7 @@ def _emit(obj):
 def cmd_series(args) -> int:
     if args.n < 1:
         raise BadIndex(f"--n must be >= 1, got {args.n}")
+    hp = None if args.p is None else series.truncate_H_mod_p(args.p)
     # checked as the values come, so a huge --n fails at the first value that
     # could not be printed instead of after computing them all
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -58,8 +59,7 @@ def cmd_series(args) -> int:
         print(", ".join(str(v) for v in values))
         return 0
     out = {"n": args.n, "a": values}
-    if args.p:
-        hp = series.truncate_H_mod_p(args.p)
+    if hp is not None:
         out["p"] = args.p
         out["H_p"] = [c.coeffs[0] for c in hp.coeffs]
     _emit(out)
@@ -112,7 +112,7 @@ def cmd_feq_check(args) -> int:
 def cmd_genus(args) -> int:
     if args.n_max < 1:
         raise BadIndex(f"--n-max must be >= 1, got {args.n_max}")
-    if args.p:
+    if args.p is not None:
         _, graph = _fixture_graph(args)
         rows = genus.asymptotic_report(args.p, args.n_max, graph)
         _emit({"p": args.p, "ext": graph.ctx.r,

@@ -6,13 +6,17 @@ that field raise InsufficientField instead of silently dropping mass.
 Because the line has trivial divisor class group, every degree-zero
 divisor is principal and can be turned back into a rational function,
 which is what makes the functional splitting criterion effective here.
+
+The layer is built on the definitions: the pullback m* D is the sum of the
+fibers m*[t] weighted by the multiplicities of D, and the restricted
+different D_m(S0) is the pullback m* div(S0) less its reduced support.
 """
 
 from __future__ import annotations
 
 from .errors import BadPrime, InsufficientField, NonzeroDegree, ZeroFunction
 from .ff import FieldCtx
-from .p1 import ProjPoint, RatMap, fiber_counts
+from .p1 import ProjPoint, RatMap, fiber
 from .upoly import Poly, RatFun
 
 
@@ -36,10 +40,6 @@ class Divisor:
                 raise ValueError("empty set needs an explicit field context")
             ctx = points[0].ctx
         return cls(ctx, {p: 1 for p in points})
-
-    @classmethod
-    def single(cls, point: ProjPoint, mult: int = 1) -> "Divisor":
-        return cls(point.ctx, {point: mult})
 
     # -- queries ------------------------------------------------------------
 
@@ -114,36 +114,17 @@ class Divisor:
 # pullback, restricted different, principal divisors
 
 def pullback(m: RatMap, d: Divisor) -> Divisor:
-    """m* D, extended linearly over fibers (with multiplicity)."""
-    out = Divisor.zero(d.ctx)
-    for t, k in d.items():
-        counts, missing = fiber_counts(m, t, d.ctx)
-        if missing:
-            raise InsufficientField(
-                f"pullback through {m}: fiber of {t} not rational over {d.ctx!r}",
-                missing=missing)
-        out = out + Divisor(d.ctx, {p: k * e for p, e in counts.items()})
-    return out
+    """m* D: the sum of k m*[t] over the terms k[t] of D."""
+    return sum((k * fiber(m, t, d.ctx) for t, k in d.items()), Divisor.zero(d.ctx))
 
 
 def restricted_different(m: RatMap, s0, ctx: FieldCtx = None) -> Divisor:
-    """Sum of (e_m(P) - 1) P over the preimage of the point set s0 (tame: p > d)."""
+    """D_m(S0): the pullback m* div(S0) less its support, that is the sum of
+    (e_m(P) - 1) P over m^{-1}(S0) (tame: p > d)."""
     if m.p <= m.d:
         raise BadPrime(f"the different of a degree-{m.d} map needs p > {m.d}, got {m.p}")
-    s0 = sorted(set(s0), key=lambda q: q.sort_key())
-    if ctx is None:
-        if not s0:
-            raise ValueError("empty set needs an explicit field context")
-        ctx = s0[0].ctx
-    out = Divisor.zero(ctx)
-    for t in s0:
-        counts, missing = fiber_counts(m, t, ctx)
-        if missing:
-            raise InsufficientField(
-                f"different of {m}: fiber of {t} not rational over {ctx!r}",
-                missing=missing)
-        out = out + Divisor(ctx, {p: e - 1 for p, e in counts.items() if e >= 2})
-    return out
+    pulled = pullback(m, Divisor.of_set(s0, ctx))
+    return Divisor(pulled.ctx, {q: e - 1 for q, e in pulled.mults.items()})
 
 
 def principal_divisor(phi: RatFun, ctx: FieldCtx = None) -> Divisor:
@@ -180,14 +161,8 @@ def divisor_to_function(d: Divisor) -> RatFun:
     and denominator, making the result reproducible."""
     if d.degree != 0:
         raise NonzeroDegree(f"divisor has degree {d.degree}, expected 0")
-    num = Poly.one(d.ctx)
-    den = Poly.one(d.ctx)
-    for p, m in d.items():
-        if p.is_infinity:
-            continue  # accounted for by the degree gap
-        lin = Poly(d.ctx, (-p.x, d.ctx.one()))
-        if m > 0:
-            num = num * lin ** m
-        else:
-            den = den * lin ** (-m)
-    return RatFun(num, den)
+
+    def roots(sign: int):  # zeros for sign 1, poles for -1; infinity is the degree gap
+        return [p.x for p, m in d.items() if not p.is_infinity for _ in range(sign * m)]
+
+    return RatFun(Poly.from_roots(d.ctx, roots(1)), Poly.from_roots(d.ctx, roots(-1)))

@@ -413,6 +413,14 @@ def point_parse(expr: str, ctx: FieldCtx) -> ProjPoint:
 # ---------------------------------------------------------------------------
 # fibers and ramification
 
+def _fiber_form(m: RatMap, t: ProjPoint, ctx: FieldCtx) -> Poly:
+    """The fiber form N - t*D of m over t, affinely (D for t = inf): its
+    roots are the affine points of m^{-1}(t), and the gap between m.d and
+    its degree is the multiplicity of infinity there."""
+    den = Poly(ctx, m.den_coeffs)
+    return den if t.is_infinity else Poly(ctx, m.num_coeffs) - den * t.x
+
+
 def fiber_counts(m: RatMap, t: ProjPoint, ctx: FieldCtx):
     """Rational part of the fiber m^{-1}(t) over ctx.
 
@@ -422,22 +430,15 @@ def fiber_counts(m: RatMap, t: ProjPoint, ctx: FieldCtx):
     """
     if ctx.p != m.p or t.ctx.key() != ctx.key():
         raise FieldMismatch("fiber target must live over the working field")
-    num = Poly(ctx, m.num_coeffs)
-    den = Poly(ctx, m.den_coeffs)
-    if t.is_infinity:
-        f = den
-    else:
-        f = num - den * t.x
+    f = _fiber_form(m, t, ctx)
     counts = {}
-    inf_mult = m.d - f.degree
-    if inf_mult > 0:
-        counts[ProjPoint.infinity(ctx)] = inf_mult
-    found = inf_mult
-    for root in f.roots():
+    if f.degree < m.d:
+        counts[ProjPoint.infinity(ctx)] = m.d - f.degree
+    roots = f.roots()
+    for root in roots:
         pt = ProjPoint.affine(root)
         counts[pt] = counts.get(pt, 0) + 1
-        found += 1
-    return counts, m.d - found
+    return counts, f.degree - len(roots)
 
 
 def fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
@@ -455,21 +456,8 @@ def fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
 def point_multiplicity_in_fiber(m: RatMap, point: ProjPoint) -> int:
     """Ramification index e_m(point): multiplicity of the point inside the
     fiber over its own image."""
-    ctx = point.ctx
-    t = m.eval(point)
-    num = Poly(ctx, m.num_coeffs)
-    den = Poly(ctx, m.den_coeffs)
-    f = den if t.is_infinity else num - den * t.x
-    if point.is_infinity:
-        return m.d - f.degree
-    lin = Poly(ctx, (-point.x, ctx.one()))
-    e = 0
-    while True:
-        q, r = divmod(f, lin)
-        if not r.is_zero():
-            return e
-        e += 1
-        f = q
+    f = _fiber_form(m, m.eval(point), point.ctx)
+    return m.d - f.degree if point.is_infinity else f.multiplicity(point.x)
 
 
 def ramification(m: RatMap, ctx: FieldCtx, strict: bool = True):

@@ -22,7 +22,7 @@ from .errors import (
     ZeroFunction,
     ZeroPolynomial,
 )
-from .ff import FieldCtx, FieldElem
+from .ff import FieldCtx, FieldElem, pmul
 
 if TYPE_CHECKING:  # pragma: no cover
     from .p1 import RatMap
@@ -210,17 +210,23 @@ class Poly:
         if radical.degree >= 1:
             for x in self.ctx.elements():
                 if radical.eval(x).is_zero():
-                    rem = self
-                    lin = Poly(self.ctx, (-x, self.ctx.one()))
-                    while True:
-                        qq, rr = divmod(rem, lin)
-                        if not rr.is_zero():
-                            break
-                        found.append(x)
-                        rem = qq
+                    found += [x] * self.multiplicity(x)
                     if len(found) == self.degree:
                         break
         return found
+
+    def multiplicity(self, x) -> int:
+        """The multiplicity of x as a root (0 when it is none): how many
+        times the linear factor (X - x) divides self."""
+        if self.is_zero():
+            raise ZeroPolynomial("root multiplicity in the zero polynomial")
+        lin = Poly(self.ctx, (-self.ctx.elem(x), self.ctx.one()))
+        f, e = self, 0
+        while True:
+            f, r = divmod(f, lin)
+            if not r.is_zero():
+                return e
+            e += 1
 
     # -- identity and display -----------------------------------------------------
 
@@ -328,10 +334,6 @@ class RatFun:
         self.den = den * inv
 
     @classmethod
-    def from_poly(cls, f: Poly) -> "RatFun":
-        return cls(f, Poly.one(f.ctx))
-
-    @classmethod
     def constant(cls, ctx, c) -> "RatFun":
         return cls(Poly(ctx, (c,)), Poly.one(ctx))
 
@@ -397,21 +399,19 @@ def compose_rational(phi: RatFun, m: "RatMap") -> RatFun:
         raise FieldMismatch("map and function over different characteristics")
     if m.d < 1:
         raise ConstantMap("composition requires a nonconstant map")
-    n = Poly(ctx, m.num_coeffs)
-    d = Poly(ctx, m.den_coeffs)
+    # the basis n^i d^(top-i) lies over F_p, so it is built on int lists
     top = max(phi.num.degree, phi.den.degree)
-    d_pows = [Poly.one(ctx)]
+    n_pows, d_pows = [[1]], [[1]]
     for _ in range(top):
-        d_pows.append(d_pows[-1] * d)
+        n_pows.append(pmul(n_pows[-1], m.num_coeffs, m.p))
+        d_pows.append(pmul(d_pows[-1], m.den_coeffs, m.p))
+    basis = [Poly(ctx, pmul(n_pows[i], d_pows[top - i], m.p)) for i in range(top + 1)]
 
     def substituted(f: Poly) -> Poly:
-        # sum_i c_i n^i d^(top-i) by Horner's rule in n, as ff.psubst does
+        # sum_i c_i n^i d^(top-i), the cleared f(n/d) as in ff.psubst
         out = Poly.zero(ctx)
-        for i in range(f.degree, -1, -1):
-            out = out * n
-            c = f.coeff(i)
-            if not c.is_zero():
-                out = out + d_pows[top - i] * c
+        for c, b in zip(f.coeffs, basis):
+            out = out + b * c
         return out
 
     return RatFun(substituted(phi.num), substituted(phi.den))

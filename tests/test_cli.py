@@ -171,13 +171,16 @@ def test_bad_modulus_reports_usage_error(capsys):
     ("series", "--n", "5000", "--plain"),
     ("feq-check", "--p", "13", "--ext", "0"),
     ("feq-check", "--p", "13", "--modulus", "x"),
+    ("series", "--n", "3", "--p", "0"),
+    ("genus", "--n-max", "3", "--p", "0"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     # --ext below 1, a modulus for the prime field, a series order too
     # small for the ODE check, empty series and genus tables, a field
     # above the graph size cap, a_4511 onward, which have more digits
     # than the default int-to-str limit of 4300, and a bad --ext or
-    # --modulus where feq-check builds no graph: rejected with exit 2,
+    # --modulus where feq-check builds no graph, and --p 0, which is no
+    # prime rather than no --p: rejected with exit 2,
     # never run on silently and never a traceback
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -14,7 +14,8 @@ from rectower.divisor import (
 )
 from rectower.errors import InsufficientField, NonzeroDegree, ZeroFunction
 from rectower.ff import FieldCtx
-from rectower.p1 import ProjPoint, map_parse, point_parse, ratfun_parse
+from rectower.fixtures import FIXTURES
+from rectower.p1 import ProjPoint, fiber_counts, map_parse, point_parse, ramification, ratfun_parse
 from rectower.upoly import Poly, RatFun, ratfun_proportional
 
 F5 = FieldCtx(5)
@@ -75,6 +76,25 @@ def test_restricted_different_away_from_ramification():
     chi = Poly(F25, [-1, 2, 0, 2, 1])
     t0 = [ProjPoint.affine(x) for x in chi.roots()]
     assert restricted_different(G, t0, F25).is_zero()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_restricted_different_is_ramification_over_s0(p):
+    # D_m(S0) = sum (e - 1) P over the ramification points P with m(P) in
+    # S0, for the fixtures' f and y^2 over F_{p^2}, on sets S0 of branch
+    # points and of seeded points whose fibers are rational
+    ctx = FieldCtx(p, 2)
+    rng = random.Random(p)
+    line = [ProjPoint.affine(x) for x in ctx.elements()] + [ProjPoint.infinity(ctx)]
+    maps = [map_parse(FIXTURES[name].f_expr, p) for name in sorted(FIXTURES)]
+    for m in maps + [map_parse("y^2", p)]:
+        ram = ramification(m, ctx, strict=False)
+        branch = {m.eval(q) for q in ram}
+        split = [t for t in rng.sample(line, 12) if not fiber_counts(m, t, ctx)[1]]
+        assert branch and split
+        for s0 in (branch, set(split), branch | set(split[:3])):
+            expected = Divisor(ctx, {q: e - 1 for q, e in ram.items() if m.eval(q) in s0})
+            assert restricted_different(m, s0, ctx) == expected
 
 
 def test_principal_divisor_rho():

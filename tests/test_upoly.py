@@ -6,7 +6,8 @@ import pytest
 
 from rectower.errors import DegreeMismatch, DivisionByZero, ZeroFunction, ZeroPolynomial
 from rectower.ff import FieldCtx
-from rectower.p1 import map_parse, ratfun_parse
+from rectower.fixtures import FIXTURES
+from rectower.p1 import ProjPoint, map_parse, ratfun_parse
 from rectower.upoly import Poly, RatFun, compose_rational, ratfun_proportional, resultant
 
 F5 = FieldCtx(5)
@@ -209,6 +210,51 @@ def test_compose_degree_divides():
         deg_comp = max(comp.num.degree, comp.den.degree)
         if deg_comp:
             assert (deg_phi * m.d) % deg_comp == 0
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_compose_matches_pointwise_evaluation_over_F25(name):
+    # phi over F_25 composed with a fixture's f: phi(m(x)) at every x of
+    # F_25 where both sides are defined
+    rng = random.Random(17)
+    m = map_parse(FIXTURES[name].f_expr, 5)
+    elems = list(F25.elements())
+    checked = 0
+    for _ in range(10):
+        num = Poly(F25, [rng.choice(elems) for _ in range(rng.randint(1, 4))])
+        den = Poly(F25, [rng.choice(elems) for _ in range(rng.randint(1, 4))])
+        if num.is_zero() or den.is_zero():
+            continue
+        phi = RatFun(num, den)
+        comp = compose_rational(phi, m)
+        for x in elems:
+            y = m.eval(ProjPoint.affine(x))
+            if y.is_infinity or phi.den.eval(y.x).is_zero() or comp.den.eval(x).is_zero():
+                continue
+            assert comp.num.eval(x) / comp.den.eval(x) == phi.num.eval(y.x) / phi.den.eval(y.x)
+            checked += 1
+    assert checked >= 100
+
+
+def test_multiplicity_of_seeded_products():
+    # prod (x - a_i)^e_i * u with u(a_i) != 0: the multiplicity at a_i is
+    # e_i, and 0 at a point that is no root
+    rng = random.Random(19)
+    checked = 0
+    for ctx in (FieldCtx(7), F25):
+        elems = list(ctx.elements())
+        for _ in range(40):
+            probes = rng.sample(elems, 4)
+            exps = [rng.randint(0, 4) for _ in range(3)]
+            u = Poly(ctx, [rng.choice(elems) for _ in range(rng.randint(1, 4))])
+            if u.is_zero() or any(u.eval(a).is_zero() for a in probes):
+                continue
+            f = u * Poly.from_roots(ctx, [a for a, e in zip(probes, exps) for _ in range(e)])
+            assert [f.multiplicity(a) for a in probes] == exps + [0]
+            checked += 1
+    assert checked >= 20
+    with pytest.raises(ZeroPolynomial):
+        Poly.zero(F5).multiplicity(F5.one())
 
 
 def test_pow_mod_large_exponent():
