@@ -44,7 +44,7 @@ def _emit(obj):
 def cmd_series(args) -> int:
     if args.n < 1:
         raise BadIndex(f"--n must be >= 1, got {args.n}")
-    hp = None if args.p is None else series.truncate_H_mod_p(args.p)
+    hp = None if args.p is None else [c.coeffs[0] for c in series.truncate_H_mod_p(args.p).coeffs]
     # checked as the values come, so a huge --n fails at the first value that
     # could not be printed instead of after computing them all
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -55,13 +55,13 @@ def cmd_series(args) -> int:
             raise BadIndex(f"--n {args.n}: a_{i} has more than {limit} digits, "
                            f"the interpreter's int-to-str limit")
         values.append(a)
-    if args.plain:
-        print(", ".join(str(v) for v in values))
+    if args.plain:  # a_n on one line, then H_p's ascending coefficients
+        print("\n".join(", ".join(map(str, row)) for row in (values, hp) if row is not None))
         return 0
     out = {"n": args.n, "a": values}
     if hp is not None:
         out["p"] = args.p
-        out["H_p"] = [c.coeffs[0] for c in hp.coeffs]
+        out["H_p"] = hp
     _emit(out)
     return 0
 

@@ -14,9 +14,9 @@ different D_m(S0) is the pullback m* div(S0) less its reduced support.
 
 from __future__ import annotations
 
-from .errors import BadPrime, InsufficientField, NonzeroDegree, ZeroFunction
+from .errors import InsufficientField, NonzeroDegree, ZeroFunction
 from .ff import FieldCtx
-from .p1 import ProjPoint, RatMap, fiber
+from .p1 import ProjPoint, RatMap, fiber, require_tame
 from .upoly import Poly, RatFun
 
 
@@ -118,13 +118,16 @@ def pullback(m: RatMap, d: Divisor) -> Divisor:
     return sum((k * fiber(m, t, d.ctx) for t, k in d.items()), Divisor.zero(d.ctx))
 
 
+def _less_support(pulled: Divisor) -> Divisor:
+    """A pullback m* div(S0) less its support: the restricted different."""
+    return Divisor(pulled.ctx, {q: e - 1 for q, e in pulled.mults.items()})
+
+
 def restricted_different(m: RatMap, s0, ctx: FieldCtx = None) -> Divisor:
     """D_m(S0): the pullback m* div(S0) less its support, that is the sum of
     (e_m(P) - 1) P over m^{-1}(S0) (tame: p > d)."""
-    if m.p <= m.d:
-        raise BadPrime(f"the different of a degree-{m.d} map needs p > {m.d}, got {m.p}")
-    pulled = pullback(m, Divisor.of_set(s0, ctx))
-    return Divisor(pulled.ctx, {q: e - 1 for q, e in pulled.mults.items()})
+    require_tame(m, "the different")
+    return _less_support(pullback(m, Divisor.of_set(s0, ctx)))
 
 
 def principal_divisor(phi: RatFun, ctx: FieldCtx = None) -> Divisor:

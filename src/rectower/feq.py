@@ -28,10 +28,10 @@ from enum import Enum
 from math import gcd
 from typing import Optional
 
-from .divisor import Divisor, divisor_to_function, pullback, restricted_different
+from .divisor import Divisor, _less_support, divisor_to_function, pullback, restricted_different
 from .errors import NotComplete, RamifiedT0
 from .ff import FieldCtx, FieldElem
-from .p1 import RatMap, fiber_counts, ramification
+from .p1 import RatMap, map_preimage, ramification, require_tame
 from .upoly import RatFun, compose_rational, ratfun_proportional
 
 
@@ -58,14 +58,8 @@ def is_complete(f: RatMap, g: RatMap, s, ctx: FieldCtx = None):
     sset = set(points)
 
     def direction(src: RatMap, back: RatMap) -> bool:
-        images = {src.eval(p) for p in sset}
-        for t in images:
-            counts, missing = fiber_counts(back, t, ctx)
-            if missing:
-                return False
-            if any(q not in sset for q in counts):
-                return False
-        return True
+        pre, missing = map_preimage(back, {src.eval(p) for p in sset}, ctx)
+        return not missing and pre <= sset
 
     return direction(f, g), direction(g, f)
 
@@ -74,10 +68,11 @@ def divisorial_check(f: RatMap, g: RatMap, s0, ctx: FieldCtx = None) -> bool:
     """Whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0); equivalent to
     completeness of f^{-1}(S0)."""
     points, ctx = _working_ctx(s0, ctx)
+    for m in (f, g):
+        require_tame(m, "the different")
     d0 = Divisor.of_set(points, ctx)
-    lhs = pullback(f, d0) - pullback(g, d0)
-    rhs = restricted_different(f, points, ctx) - restricted_different(g, points, ctx)
-    return lhs == rhs
+    pull_f, pull_g = pullback(f, d0), pullback(g, d0)
+    return pull_f - pull_g == _less_support(pull_f) - _less_support(pull_g)
 
 
 @dataclass

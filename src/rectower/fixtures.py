@@ -18,8 +18,9 @@ the spot, so a broken fixture table cannot silently poison a pipeline.
 
 Given the series bridge, ``verify`` certifies the splitting set over F_p and
 finds no root of H_p: it counts the roots as deg gcd(H_p, x^q - x), reads
-T0 from the graph, and runs the regularness criterion on int lists.  When a
-certificate fails it falls back to the roots over F_{p^r}
+T0 from the f-value codes that the graph build keeps, runs the regularness
+criterion on int lists, and checks f^{-1}(T0) with ``p1.map_preimage``.
+When a certificate fails it falls back to the roots over F_{p^r}
 (``splitting_points``) and ``feq.regularness_check``, so a failed report is
 the one that path gives.
 """
@@ -46,8 +47,8 @@ from .p1 import (
     Mobius,
     ProjPoint,
     RatMap,
-    fiber_counts,
     map_parse,
+    map_preimage,
     mobius_conjugate,
     point_parse,
     ratfun_parse,
@@ -147,15 +148,16 @@ def _prime_field_ints(elems):
     return [e.coeffs[0] for e in elems]
 
 
-def _splitting_values(graph: TowerGraph) -> set:
-    """The f-values on the d-regular components' vertices, all affine."""
+def _splitting_values(graph: TowerGraph) -> list:
+    """The f-values on the d-regular components' vertices, all affine, in
+    element order, read from the graph's f-codes (vertex c has code c)."""
     regs = graph.regular_components()
     if not regs:
         raise NoRegularComponent(f"no d-regular component over {graph.ctx!r}")
-    values = {graph.f.eval(v) for c in regs for v in c.vertices}
-    if any(v.is_infinity for v in values):
+    codes = sorted(set(graph.f_codes[[graph.index(v) for c in regs for v in c.vertices]].tolist()))
+    if codes[-1] == graph.ctx.order:
         raise TowerError("splitting values contain the point at infinity")
-    return values
+    return [graph.vertices[c] for c in codes]
 
 
 def chi_from_graph(graph: TowerGraph) -> Poly:
@@ -164,8 +166,7 @@ def chi_from_graph(graph: TowerGraph) -> Poly:
     the coefficients land in the prime field; that is asserted, not assumed.
     """
     ctx = graph.ctx
-    values = _splitting_values(graph)
-    chi = Poly.from_roots(ctx, sorted((v.x for v in values), key=ctx.element_index))
+    chi = Poly.from_roots(ctx, [v.x for v in _splitting_values(graph)])
     coeffs = _prime_field_ints(chi.coeffs)
     if coeffs is None:
         raise TowerError("splitting polynomial has coefficients outside F_p")
@@ -188,18 +189,6 @@ def functional_equation(bound: BoundFixture, chi: Optional[Poly]):
     h = series.truncate_H_mod_p(p) * legendre(-3, p) if bound.fixture.series_bridge else chi
     return series.functional_equation_holds(
         [c.coeffs[0] for c in h.coeffs], bound.f.num_coeffs, bound.f.den_coeffs, p)
-
-
-def map_preimage(m: RatMap, targets, ctx: FieldCtx):
-    """The rational points of m^{-1}(targets); second value is the fiber
-    mass missing from ctx (0 means the preimage is complete)."""
-    out = set()
-    missing = 0
-    for t in targets:
-        counts, miss = fiber_counts(m, t, ctx)
-        out.update(counts)
-        missing += miss
-    return out, missing
 
 
 def _root_count(h, q: int, p: int) -> int:

@@ -8,7 +8,9 @@ degree exactly d and that it is defined everywhere, covering both ways a
 written fraction can degenerate (proportional rows and common roots).
 
 Points carry their field context; maps carry only the characteristic, so
-one map can be evaluated over every extension of its prime field.
+one map can be evaluated over every extension of its prime field.  A fiber
+is rational over the working field or reports the mass it misses there:
+``fiber_counts`` for one target, ``map_preimage`` for a set of targets.
 """
 
 from __future__ import annotations
@@ -413,6 +415,12 @@ def point_parse(expr: str, ctx: FieldCtx) -> ProjPoint:
 # ---------------------------------------------------------------------------
 # fibers and ramification
 
+def require_tame(m: RatMap, what: str):
+    """Raise BadPrime unless p > d, so that no ramification index is divisible by p."""
+    if m.p <= m.d:
+        raise BadPrime(f"{what} of a degree-{m.d} map needs p > {m.d}, got {m.p}")
+
+
 def _fiber_form(m: RatMap, t: ProjPoint, ctx: FieldCtx) -> Poly:
     """The fiber form N - t*D of m over t, affinely (D for t = inf): its
     roots are the affine points of m^{-1}(t), and the gap between m.d and
@@ -439,6 +447,18 @@ def fiber_counts(m: RatMap, t: ProjPoint, ctx: FieldCtx):
         pt = ProjPoint.affine(root)
         counts[pt] = counts.get(pt, 0) + 1
     return counts, f.degree - len(roots)
+
+
+def map_preimage(m: RatMap, targets, ctx: FieldCtx):
+    """The rational points of m^{-1}(targets); second value is the fiber
+    mass missing from ctx (0 means the preimage is complete)."""
+    out = set()
+    missing = 0
+    for t in targets:
+        counts, miss = fiber_counts(m, t, ctx)
+        out.update(counts)
+        missing += miss
+    return out, missing
 
 
 def fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
@@ -469,8 +489,7 @@ def ramification(m: RatMap, ctx: FieldCtx, strict: bool = True):
     part is returned instead, which is enough to test disjointness from a
     set of rational points).  Needs p > d, so that no index is divisible by p.
     """
-    if m.p <= m.d:
-        raise BadPrime(f"ramification of a degree-{m.d} map needs p > {m.d}, got {m.p}")
+    require_tame(m, "ramification")
     w = Poly(ctx, m.wronskian_coeffs())
     out = {}
     if not w.is_zero() and w.degree >= 1:

@@ -12,7 +12,9 @@ so the arithmetic is exact, and each value is encoded as its element index
 the g-codes, linear up to the sort in the number of vertices.  Lines with
 more than ``MAX_VERTICES`` points are refused before any array is built.
 
-Weakly connected components are classified as
+Weakly connected components are found by union-find over the out-edges
+(Tarjan, JACM 1975), each root the least vertex of its set, with no
+undirected copy of the edges.  They are classified as
 
 * d-regular: every in- and out-degree equals d and no vertex is ramified
   for f or g (these vertices split totally in the tower),
@@ -133,7 +135,7 @@ class TowerGraph:
         self.vertices = [ProjPoint.affine(FieldElem(ctx, x)) for x in rows]
         self.vertices.append(ProjPoint.infinity(ctx))
 
-        fcode = self._value_codes(f, field)
+        self.f_codes = fcode = self._value_codes(f, field)
         gcode = self._value_codes(g, field)
         order = np.argsort(gcode, kind="stable")
         lo = np.searchsorted(gcode[order], fcode, side="left").tolist()
@@ -187,33 +189,24 @@ class TowerGraph:
     # -- components ---------------------------------------------------------------
 
     def components(self) -> list[ComponentReport]:
+        """Weak components in order of their least vertex, each one sorted."""
         if self._components is not None:
             return self._components
-        n = self.n_vertices
-        und = [[] for _ in range(n)]
+        root = list(range(self.n_vertices))
         for u, adj in enumerate(self.out_adj):
-            for v in adj:
-                und[u].append(v)
-                und[v].append(u)
-        seen = [False] * n
-        reports = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = []
-            stack = [start]
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in und[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comp.sort()
-            reports.append(self._classify(comp))
-        self._components = reports
-        return reports
+            for v in adj:  # u and v step up to their roots, halving the paths
+                while root[u] != u:
+                    root[u] = u = root[root[u]]
+                while root[v] != v:
+                    root[v] = v = root[root[v]]
+                if u != v:
+                    root[max(u, v)] = min(u, v)
+        groups = {}
+        for v in range(self.n_vertices):  # a parent is below its child: one step
+            root[v] = r = root[root[v]]
+            groups.setdefault(r, []).append(v)
+        self._components = [self._classify(comp) for comp in groups.values()]
+        return self._components
 
     def _classify(self, comp: list[int]) -> ComponentReport:
         regular = all(

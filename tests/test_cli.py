@@ -25,6 +25,9 @@ def test_series_command(capsys):
 def test_series_plain(capsys):
     code, out = run(capsys, "series", "--n", "4", "--plain")
     assert code == 0 and out.strip() == "1, 3, 15, 93"
+    # --p adds H_p as a second line, coefficients ascending: a_0..a_6 mod 7
+    code, out = run(capsys, "series", "--n", "3", "--p", "7", "--plain")
+    assert code == 0 and out.splitlines() == ["1, 3, 15", "1, 3, 1, 2, 2, 5, 1"]
 
 
 def test_chi_against_reference_row(capsys):

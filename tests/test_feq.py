@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rectower import fixtures
+from rectower import fixtures, p1
 from rectower.errors import NotComplete, RamifiedT0
 from rectower.feq import (
     LenstraVerdict,
@@ -49,6 +49,17 @@ def test_divisorial_fixture_sets():
     f_gs = map_parse("(x^2+1)/(2*x)", 5)
     assert divisorial_check(f_gs, G, pts("1", "-1", "0", "inf"))
     assert not divisorial_check(F, G, pts("1"))
+
+
+def test_divisorial_check_finds_each_fiber_once(monkeypatch):
+    # one pullback per map gives both sides: a fiber per (map, point of S0)
+    calls = []
+    real = p1.fiber_counts
+    monkeypatch.setattr(p1, "fiber_counts",
+                        lambda m, t, ctx: calls.append((m, t)) or real(m, t, ctx))
+    s0 = pts("0", "1", "1/9", "inf")
+    assert divisorial_check(F, G, s0)
+    assert len(calls) == 8 and set(calls) == {(m, t) for m in (F, G) for t in s0}
 
 
 def test_regularness_holds_for_splitting_values():

@@ -275,4 +275,7 @@ def test_array_build_matches_scalar_oracle(f_expr, g_expr, p, r):
              "components": sorted((c.cls.value, sorted(v.label() for v in c.vertices))
                                   for c in graph.components())}
     assert built == _oracle(f, g, ctx)
+    # components in order of their least vertex, each one sorted
+    comps = [[graph.index(v) for v in c.vertices] for c in graph.components()]
+    assert comps == sorted(sorted(c) for c in comps)
     assert [graph.index(v) for v in graph.vertices] == list(range(graph.n_vertices))
