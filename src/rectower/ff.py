@@ -301,12 +301,15 @@ class FieldCtx:
     def elements(self):
         """All p^r elements, in the deterministic index order n -> digits of n base p."""
         for n in range(self.order):
-            coeffs = []
-            m = n
-            for _ in range(self.r):
-                coeffs.append(m % self.p)
-                m //= self.p
-            yield FieldElem(self, tuple(coeffs))
+            yield self.element(n)
+
+    def element(self, n: int) -> "FieldElem":
+        """The element at position n of the elements() order."""
+        coeffs = []
+        for _ in range(self.r):
+            coeffs.append(n % self.p)
+            n //= self.p
+        return FieldElem(self, tuple(coeffs))
 
     def element_index(self, x: "FieldElem") -> int:
         """Position of x in the elements() order."""

@@ -53,7 +53,7 @@ from .p1 import (
     point_parse,
     ratfun_parse,
 )
-from .tgraph import TowerGraph
+from .tgraph import FieldArrays, TowerGraph
 from .upoly import Poly, RatFun
 
 
@@ -148,29 +148,52 @@ def _prime_field_ints(elems):
     return [e.coeffs[0] for e in elems]
 
 
-def _splitting_values(graph: TowerGraph) -> list:
-    """The f-values on the d-regular components' vertices, all affine, in
-    element order, read from the graph's f-codes (vertex c has code c)."""
-    regs = graph.regular_components()
-    if not regs:
+def _splitting_codes(graph: TowerGraph):
+    """The element codes of the f-values on the d-regular components'
+    vertices, ascending and distinct, all affine."""
+    if not graph.regular_components():
         raise NoRegularComponent(f"no d-regular component over {graph.ctx!r}")
-    codes = sorted(set(graph.f_codes[[graph.index(v) for c in regs for v in c.vertices]].tolist()))
+    codes = graph.regular_values()
     if codes[-1] == graph.ctx.order:
         raise TowerError("splitting values contain the point at infinity")
-    return [graph.vertices[c] for c in codes]
+    return codes
+
+
+def _splitting_values(graph: TowerGraph) -> list:
+    """The f-values on the d-regular components' vertices, all affine, in
+    element order."""
+    ctx = graph.ctx
+    return [ProjPoint.affine(ctx.element(c)) for c in _splitting_codes(graph).tolist()]
 
 
 def chi_from_graph(graph: TowerGraph) -> Poly:
-    """Characteristic polynomial of the set of f-values on the d-regular
-    component's vertices.  The value set is stable under the Frobenius, so
-    the coefficients land in the prime field; that is asserted, not assumed.
+    """Characteristic polynomial over F_p of the set of f-values on the
+    d-regular component's vertices.
+
+    The Frobenius v -> v^p is applied to all the values' codes at once, on
+    their digit arrays, and the orbits are walked from it.  The value set
+    must be stable under the Frobenius, and each orbit's product of (x - v),
+    of at most r factors, must lie over F_p; both are asserted, not assumed.
+    The orbit products are multiplied as int lists over F_p.
     """
     ctx = graph.ctx
-    chi = Poly.from_roots(ctx, [v.x for v in _splitting_values(graph)])
-    coeffs = _prime_field_ints(chi.coeffs)
-    if coeffs is None:
-        raise TowerError("splitting polynomial has coefficients outside F_p")
-    return Poly(FieldCtx(ctx.p), coeffs)
+    codes = _splitting_codes(graph)
+    field = FieldArrays(ctx)
+    conjugates = dict(zip(codes.tolist(),
+                          field.codes(field.frobenius(field.digits(codes))).tolist()))
+    chi = [1]
+    while conjugates:
+        first, v = conjugates.popitem()
+        orbit = [ctx.element(first)]
+        while v in conjugates:
+            orbit.append(ctx.element(v))
+            v = conjugates.pop(v)
+        # an orbit that does not close has a conjugate missing from the set
+        factor = _prime_field_ints(Poly.from_roots(ctx, orbit).coeffs) if v == first else None
+        if factor is None:
+            raise TowerError("splitting polynomial has coefficients outside F_p")
+        chi = pmul(chi, factor, ctx.p)
+    return Poly(FieldCtx(ctx.p), chi)
 
 
 def splitting_points(p: int, ctx: FieldCtx) -> list:
@@ -349,7 +372,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
            missing == 0 and pre == set(regs[0].vertices), f"preimage size {len(pre)}")
     genus_ok = all(genus.genus_sum(n) == genus.genus_closed(n) for n in range(2, 25))
     _check(checks, "genus-formulas-agree", genus_ok)
-    paths = graph.path_counts(9, regs[0].vertices)
+    paths = graph.path_counts(9, regs[0].indices)
     counts_ok = all(paths[n - 1] == (p - 1) * 2 ** n for n in range(2, 11))
     _check(checks, "splitting-path-counts", counts_ok)
     sing_ok = all(graph.singular_paths(n - 1) == 2 * (n - 2) for n in range(3, 11))
@@ -370,7 +393,7 @@ def _gs_chain_ok(graph: TowerGraph, ctx: FieldCtx,
     idx = {e: graph.index(pt) for e, pt in pts.items()}
     inside = set(idx.values())
     # each edge of the chain once, and no other edge: the chain is the component
-    within = sorted((i, j) for i in inside for j in graph.out_adj[i] if j in inside)
+    within = sorted((i, j) for i in inside for j in graph.successors(i) if j in inside)
     return within == sorted((idx[a], idx[b]) for a, b in chain)
 
 

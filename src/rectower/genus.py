@@ -84,7 +84,7 @@ def asymptotic_report(p: int, n_max: int, graph: TowerGraph) -> list[GenusReport
     regs = graph.regular_components()
     if not regs:
         raise NoRegularComponent(f"no d-regular component over {graph.ctx!r}")
-    support = [v for c in regs for v in c.vertices]
+    support = [v for c in regs for v in c.indices]
     rows = []
     for n, n_lower in enumerate(graph.path_counts(n_max - 1, support), start=1):
         g = genus_closed(n)

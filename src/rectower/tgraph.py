@@ -1,26 +1,44 @@
 """Arithmetic correspondence graphs on P^1(F_{q^r}).
 
 The graph of a correspondence f(P) = g(Q) has the rational points of the
-line as vertices and an oriented edge P -> Q whenever f(P) = g(Q).  The
-build evaluates f, g and their Wronskians over the whole field at once:
-the affine points are held as int64 arrays of base-p digits (element n of
-``FieldCtx.elements()`` has digits (n // p^i) % p), Horner's rule runs on
-those arrays with every product reduced mod p and mod the field modulus,
-so the arithmetic is exact, and each value is encoded as its element index
-(q for infinity).  Only the vertex at infinity goes through scalar
-``RatMap`` evaluation.  Edges come from a sort join of the f-codes against
-the g-codes, linear up to the sort in the number of vertices.  Lines with
-more than ``MAX_VERTICES`` points are refused before any array is built.
+line as vertices and an oriented edge P -> Q whenever f(P) = g(Q).  Vertex
+n < q is element n of ``FieldCtx.elements()``, whose digits base p are its
+coefficients; vertex q is infinity.  The build evaluates f, g and their
+Wronskians over the whole field at once: the affine points are held as
+int64 arrays of base-p digits, Horner's rule runs on those arrays with
+every product reduced mod p and mod the field modulus, so the arithmetic is
+exact, and each value is encoded as its element index (q for infinity).
+Division goes through the norm: a^-1 is the product c of a's other
+conjugates a^p, ..., a^(p^(r-1)) over a*c, which lies in F_p, and the
+Frobenius is a linear map of the digits.  Only the vertex at infinity goes
+through scalar ``RatMap`` evaluation.  Edges come from a join of the
+f-codes against the g-codes (a stable sort of the vertices by g-code, and
+a count of each code), linear up to the sort in the number of vertices,
+and are kept as arrays: the out-edges of u are
+``dst[offsets[u]:offsets[u + 1]]``, in ascending order.  Lines with more
+than ``MAX_VERTICES`` points are refused before any array is built.
 
-Weakly connected components are found by union-find over the out-edges
-(Tarjan, JACM 1975), each root the least vertex of its set, with no
-undirected copy of the edges.  They are classified as
+The graph holds index arrays only.  The Python views of them (the
+``ProjPoint`` vertices, the ``out_adj`` lists, the degree and ramification
+lists, and each component's points and witness) are built on first access,
+so a caller that asks for none of them makes O(1) points.
+
+Weakly connected components are found over the edge arrays by min-label
+hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982):
+each round hooks every root to the least label across its edges, then
+jumps pointers until each label is a root, so every vertex ends labelled
+with the least vertex of its component.  They are classified as
 
 * d-regular: every in- and out-degree equals d and no vertex is ramified
   for f or g (these vertices split totally in the tower),
 * singular: the component contains a directed path, with at least one
   edge, from a point ramified for f to a point ramified for g,
 * other: everything else (typically fibers truncated by non-rationality).
+
+A component is d-regular when none of its vertices is flagged bad (a degree
+other than d, or ramified), which one array reduction decides for all of
+them; the witness search runs only in the other components that hold a
+point ramified for f.
 
 Path counting uses exact big-integer vector iteration, never matrix
 powers, so memory stays linear in the vertex count.
@@ -30,14 +48,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegreeMismatch, FieldTooLarge, UnknownFormat
-from .ff import MAX_TABLE_ENTRIES, FieldCtx, FieldElem
+from .ff import MAX_TABLE_ENTRIES, FieldCtx
 from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber
 
 MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
@@ -49,20 +68,53 @@ class ComponentClass(Enum):
     OTHER = "other"
 
 
-@dataclass
+def _point(ctx: FieldCtx, n: int) -> ProjPoint:
+    """Vertex n of the graph over ctx as a point."""
+    return ProjPoint.infinity(ctx) if n == ctx.order else ProjPoint.affine(ctx.element(n))
+
+
 class ComponentReport:
-    vertices: list
-    cls: ComponentClass
-    witness: Optional[list]  # a ram_f -> ram_g directed path, for singular
+    """One weak component: its class, its vertices in ascending order, and
+    for a singular component a shortest ram_f -> ram_g directed path (the
+    witness).  The points are built from the index data on first access; a
+    report holds no reference to its graph."""
+
+    __slots__ = ("cls", "_ctx", "_members", "_start", "_stop", "_path", "_vertices")
+
+    def __init__(self, ctx: FieldCtx, members, start: int, stop: int,
+                 cls: ComponentClass, path: Optional[list]):
+        self.cls = cls
+        self._ctx = ctx
+        self._members = members  # every component's vertices; this one's at [start:stop]
+        self._start, self._stop = start, stop
+        self._path = path
+        self._vertices = None
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return self._stop - self._start
+
+    @property
+    def indices(self) -> list[int]:
+        """The vertex indices, ascending."""
+        return self._members[self._start:self._stop].tolist()
+
+    @property
+    def vertices(self) -> list:
+        if self._vertices is None:
+            self._vertices = [_point(self._ctx, v) for v in self.indices]
+        return self._vertices
+
+    @property
+    def witness(self) -> Optional[list]:
+        """A ram_f -> ram_g directed path as points, for a singular component."""
+        return None if self._path is None else [_point(self._ctx, v) for v in self._path]
 
 
-class _FieldArrays:
-    """Every element of F_{p^r} at once, as r int64 arrays of base-p digits
-    (ascending powers of the generator), in ``FieldCtx.elements()`` order.
+class FieldArrays:
+    """Elements of F_{p^r} as r int64 arrays of base-p digits (ascending
+    powers of the generator), one entry per element, for arrays of any
+    length.  Element n of ``FieldCtx.elements()`` has digits (n // p^i) % p.
 
     A value is a list of r arrays with entries in [0, p).  Before each
     reduction an entry is below 2r*p^2 in absolute value, far inside int64
@@ -71,8 +123,19 @@ class _FieldArrays:
     def __init__(self, ctx: FieldCtx):
         self.p, self.r, self.q = ctx.p, ctx.r, ctx.order
         self.modulus = ctx.modulus
-        n = np.arange(self.q, dtype=np.int64)
-        self.x = [n // self.p ** i % self.p for i in range(self.r)]
+        # the Frobenius is F_p-linear: the digits of (x^i)^p for each i
+        self._frobenius = [ctx.element(self.p ** i).frobenius().coeffs for i in range(self.r)]
+
+    def digits(self, codes):
+        """The elements with the given indices."""
+        return [codes // self.p ** i % self.p for i in range(self.r)]
+
+    def codes(self, a):
+        """Element indices of the values."""
+        out = a[-1]
+        for c in reversed(a[:-1]):
+            out = out * self.p + c
+        return out
 
     def mul(self, a, b):
         p, r = self.p, self.r
@@ -87,11 +150,20 @@ class _FieldArrays:
                 prod[k - r + i] = prod[k - r + i] - c * self.modulus[i]
         return [c % p for c in prod[:r]]
 
-    def horner(self, coeffs):
-        """The polynomial with ascending int coefficients at every element."""
-        val = [np.zeros(self.q, dtype=np.int64) for _ in range(self.r)]
-        for c in reversed(coeffs):
-            val = self.mul(val, self.x)
+    def frobenius(self, a):
+        """a^p, as a linear map of the digits."""
+        out = [np.zeros_like(a[0]) for _ in range(self.r)]
+        for i, image in enumerate(self._frobenius):
+            for j, c in enumerate(image):
+                out[j] = out[j] + a[i] * c
+        return [c % self.p for c in out]
+
+    def horner(self, coeffs, x):
+        """The polynomial with ascending int coefficients (at least one) at
+        every x."""
+        val = [np.full_like(x[0], coeffs[-1] % self.p)] + [np.zeros_like(x[0])] * (self.r - 1)
+        for c in reversed(coeffs[:-1]):
+            val = self.mul(val, x)
             val[0] = (val[0] + c) % self.p
         return val
 
@@ -99,21 +171,36 @@ class _FieldArrays:
         return np.logical_and.reduce([c == 0 for c in a])
 
     def inverse(self, a):
-        """a^(q-2): the inverse where a is nonzero, 0 where a is zero."""
-        acc = [np.ones(self.q, dtype=np.int64)] + [
-            np.zeros(self.q, dtype=np.int64) for _ in range(self.r - 1)]
-        for bit in bin(self.q - 2)[2:]:
-            acc = self.mul(acc, acc)
-            if bit == "1":
-                acc = self.mul(acc, a)
-        return acc
+        """The inverse where a is nonzero, 0 where a is zero: the product c
+        of a's other conjugates a^p, ..., a^(p^(r-1)), over the norm a*c,
+        which lies in F_p."""
+        p = self.p
+        c = [np.ones_like(a[0])] + [np.zeros_like(a[0])] * (self.r - 1)
+        conjugate = a
+        for _ in range(self.r - 1):
+            conjugate = self.frobenius(conjugate)
+            c = self.mul(c, conjugate)
+        inv = np.array([0] + [pow(k, -1, p) for k in range(1, p)], dtype=np.int64)
+        scale = inv[self.mul(a, c)[0]]
+        return [d * scale % p for d in c]
 
-    def codes(self, a):
-        """Element indices of the values."""
-        out = np.zeros(self.q, dtype=np.int64)
-        for c in reversed(a):
-            out = out * self.p + c
-        return out
+
+def _component_labels(n: int, src, dst):
+    """Each vertex's least weakly connected vertex, over the edges
+    src[i] -> dst[i]: min-label hooking and pointer jumping."""
+    label = np.arange(n)
+    while len(src):
+        ls, ld = label[src], label[dst]
+        unsettled = ls != ld  # an edge whose ends share a root stays so
+        src, dst, ls, ld = src[unsettled], dst[unsettled], ls[unsettled], ld[unsettled]
+        np.minimum.at(label, ls, ld)  # every label is a root: hook roots
+        np.minimum.at(label, ld, ls)
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+    return label
 
 
 class TowerGraph:
@@ -130,52 +217,87 @@ class TowerGraph:
         self.g = g
         self.ctx = ctx
         self.d = f.d
-        field = _FieldArrays(ctx)
-        rows = zip(*[c.tolist() for c in field.x])
-        self.vertices = [ProjPoint.affine(FieldElem(ctx, x)) for x in rows]
-        self.vertices.append(ProjPoint.infinity(ctx))
+        n = ctx.order + 1
+        field = FieldArrays(ctx)
+        x = field.digits(np.arange(ctx.order, dtype=np.int64))
+        inf = ProjPoint.infinity(ctx)
 
-        self.f_codes = fcode = self._value_codes(f, field)
-        gcode = self._value_codes(g, field)
-        order = np.argsort(gcode, kind="stable")
-        lo = np.searchsorted(gcode[order], fcode, side="left").tolist()
-        hi = np.searchsorted(gcode[order], fcode, side="right").tolist()
-        order = order.tolist()
-        self.out_adj = [order[a:b] for a, b in zip(lo, hi)]
-        self.out_deg = [b - a for a, b in zip(lo, hi)]
-        self.in_deg = np.bincount(fcode, minlength=ctx.order + 1)[gcode].tolist()
+        self.f_codes = fcode = self._value_codes(f, field, x, inf)
+        gcode = self._value_codes(g, field, x, inf)
+        # the out-neighbours of u: the vertices whose g-code is u's f-code,
+        # ascending, at [lo[u], lo[u] + out_deg[u]) of the vertices sorted
+        # by g-code
+        by_g = np.argsort(gcode, kind="stable")
+        g_count = np.bincount(gcode, minlength=n)
+        lo = (np.cumsum(g_count) - g_count)[fcode]
+        self._out_deg = g_count[fcode]
+        self._in_deg = np.bincount(fcode, minlength=n)[gcode]
+        self._offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._out_deg, out=self._offsets[1:])
+        self._src = np.repeat(np.arange(n), self._out_deg)
+        self._dst = by_g[np.arange(len(self._src)) + (lo - self._offsets[:-1])[self._src]]
 
-        self.ram_f = self._ram_flags(f, field)
-        self.ram_g = self._ram_flags(g, field)
+        self._ram_f = self._ram_flags(f, field, x, inf)
+        self._ram_g = self._ram_flags(g, field, x, inf)
         self._components = None
 
-    def _value_codes(self, m: RatMap, field: _FieldArrays):
+    def _value_codes(self, m: RatMap, field: FieldArrays, x, inf: ProjPoint):
         """Element index of m at every vertex, with q standing for infinity."""
         q = self.ctx.order
-        num, den = field.horner(m.N), field.horner(m.D)
+        num, den = field.horner(m.N, x), field.horner(m.D, x)
         at_pole = field.is_zero(den)
         codes = np.where(at_pole, q, field.codes(field.mul(num, field.inverse(den))))
-        t = m.eval(self.vertices[-1])
+        t = m.eval(inf)
         at_inf = q if t.is_infinity else self.ctx.element_index(t.x)
         return np.append(codes, at_inf)
 
-    def _ram_flags(self, m: RatMap, field: _FieldArrays):
+    def _ram_flags(self, m: RatMap, field: FieldArrays, x, inf: ProjPoint):
         """Vertex flags for ramification of m, via its Wronskian (tame here:
         the map degree is below the characteristic)."""
         w = m.wronskian_coeffs()
-        flags = field.is_zero(field.horner(w)).tolist() if w else [False] * field.q
-        flags.append(point_multiplicity_in_fiber(m, self.vertices[-1]) >= 2)
-        return flags
+        flags = field.is_zero(field.horner(w, x)) if w else np.zeros(field.q, dtype=bool)
+        return np.append(flags, point_multiplicity_in_fiber(m, inf) >= 2)
 
     # -- basic accessors -----------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return self.ctx.order + 1
 
     @property
     def n_edges(self) -> int:
-        return sum(self.out_deg)
+        return len(self._dst)
+
+    @cached_property
+    def vertices(self) -> list:
+        """The vertices as points, in index order."""
+        return [_point(self.ctx, v) for v in range(self.n_vertices)]
+
+    @cached_property
+    def out_adj(self) -> list:
+        """The out-neighbours of each vertex, ascending."""
+        dst, offsets = self._dst.tolist(), self._offsets.tolist()
+        return [dst[a:b] for a, b in zip(offsets, offsets[1:])]
+
+    @cached_property
+    def out_deg(self) -> list:
+        return self._out_deg.tolist()
+
+    @cached_property
+    def in_deg(self) -> list:
+        return self._in_deg.tolist()
+
+    @cached_property
+    def ram_f(self) -> list:
+        return self._ram_f.tolist()
+
+    @cached_property
+    def ram_g(self) -> list:
+        return self._ram_g.tolist()
+
+    def successors(self, u: int) -> list[int]:
+        """``out_adj[u]``, without building the lists of the other vertices."""
+        return self._dst[self._offsets[u]:self._offsets[u + 1]].tolist()
 
     def index(self, point: ProjPoint) -> int:
         """Position of a point of this graph's line among the vertices."""
@@ -192,57 +314,54 @@ class TowerGraph:
         """Weak components in order of their least vertex, each one sorted."""
         if self._components is not None:
             return self._components
-        root = list(range(self.n_vertices))
-        for u, adj in enumerate(self.out_adj):
-            for v in adj:  # u and v step up to their roots, halving the paths
-                while root[u] != u:
-                    root[u] = u = root[root[u]]
-                while root[v] != v:
-                    root[v] = v = root[root[v]]
-                if u != v:
-                    root[max(u, v)] = min(u, v)
-        groups = {}
-        for v in range(self.n_vertices):  # a parent is below its child: one step
-            root[v] = r = root[root[v]]
-            groups.setdefault(r, []).append(v)
-        self._components = [self._classify(comp) for comp in groups.values()]
+        n, ctx = self.n_vertices, self.ctx
+        label = _component_labels(n, self._src, self._dst)
+        bad = ((self._out_deg != self.d) | (self._in_deg != self.d)
+               | self._ram_f | self._ram_g)
+        irregular = np.zeros(n, dtype=bool)
+        irregular[label[bad]] = True
+        has_ram_f = np.zeros(n, dtype=bool)
+        has_ram_f[label[self._ram_f]] = True
+        # by component, then by vertex: each component starts at its root
+        members = np.argsort(label, kind="stable")
+        starts = np.flatnonzero(label[members] == members)
+        roots = members[starts]
+        stops = np.append(starts[1:], n)
+        starts, stops = starts.tolist(), stops.tolist()
+        classes = [ComponentClass.OTHER if b else ComponentClass.D_REGULAR
+                   for b in irregular[roots].tolist()]
+        paths = [None] * len(classes)
+        for k in np.flatnonzero(irregular[roots] & has_ram_f[roots]).tolist():
+            paths[k] = self._singular_witness(members[starts[k]:stops[k]].tolist())
+            if paths[k]:
+                classes[k] = ComponentClass.SINGULAR
+        self._components = list(map(ComponentReport, repeat(ctx), repeat(members),
+                                    starts, stops, classes, paths))
         return self._components
 
-    def _classify(self, comp: list[int]) -> ComponentReport:
-        regular = all(
-            self.out_deg[v] == self.d and self.in_deg[v] == self.d
-            and not self.ram_f[v] and not self.ram_g[v]
-            for v in comp)
-        if regular:
-            return ComponentReport([self.vertices[v] for v in comp],
-                                   ComponentClass.D_REGULAR, None)
-        witness = self._singular_witness(comp)
-        cls = ComponentClass.SINGULAR if witness else ComponentClass.OTHER
-        return ComponentReport([self.vertices[v] for v in comp], cls, witness)
 
     def _singular_witness(self, comp: list[int]):
-        """Shortest directed path (>= 1 edge) from a ram_f to a ram_g vertex."""
-        comp_set = set(comp)
+        """Shortest directed path (>= 1 edge) from a ram_f to a ram_g vertex
+        of a component, as indices (out-edges never leave a component)."""
+        sources = [s for s in comp if self._ram_f[s]]
         parent = {}
         queue = deque()
-        for s in comp:
-            if not self.ram_f[s]:
-                continue
-            for w in self.out_adj[s]:
-                if w in comp_set and w not in parent:
+        for s in sources:
+            for w in self.successors(s):
+                if w not in parent:
                     parent[w] = s
                     queue.append(w)
-        sources = {v for v in comp if self.ram_f[v]}
+        sources = set(sources)
         while queue:
             u = queue.popleft()
-            if self.ram_g[u]:
+            if self._ram_g[u]:
                 path = [u]
                 while path[-1] not in sources or len(path) < 2:
                     path.append(parent[path[-1]])
                 path.reverse()
-                return [self.vertices[v] for v in path]
-            for w in self.out_adj[u]:
-                if w in comp_set and w not in parent:
+                return path
+            for w in self.successors(u):
+                if w not in parent:
                     parent[w] = u
                     queue.append(w)
         return None
@@ -252,6 +371,13 @@ class TowerGraph:
 
     def singular_components(self) -> list[ComponentReport]:
         return [c for c in self.components() if c.cls is ComponentClass.SINGULAR]
+
+    def regular_values(self):
+        """The codes of f's values on the d-regular components' vertices,
+        ascending and distinct, read from the f-codes of the build."""
+        values = np.zeros(self.n_vertices, dtype=bool)
+        values[self.f_codes[[v for c in self.regular_components() for v in c.indices]]] = True
+        return np.flatnonzero(values)
 
     # -- path counting -----------------------------------------------------------
 
@@ -265,44 +391,33 @@ class TowerGraph:
         iteration."""
         if n < 0:
             raise ValueError("path length must be >= 0")
-        if restrict is None:
-            allowed = range(self.n_vertices)
-            inside = [True] * self.n_vertices
-        else:
-            idxs = self._as_indices(restrict)
-            inside = [False] * self.n_vertices
-            for i in idxs:
-                inside[i] = True
-            allowed = sorted(set(idxs))
-        counts = [1 if inside[v] else 0 for v in range(self.n_vertices)]
-        totals = [sum(counts[v] for v in allowed)]
-        for _ in range(n):
-            nxt = [0] * self.n_vertices
-            for u in allowed:
-                c = counts[u]
-                if not c:
-                    continue
-                for v in self.out_adj[u]:
-                    if inside[v]:
-                        nxt[v] += c
-            counts = nxt
-            totals.append(sum(counts[v] for v in allowed))
-        return totals
+        inside = None if restrict is None else set(self._as_indices(restrict))
+        start = range(self.n_vertices) if inside is None else inside
+        return [sum(counts.values())
+                for counts in self._walk(dict.fromkeys(start, 1), n, inside)]
 
     def singular_paths(self, n: int) -> int:
         """Number of directed paths with n >= 1 edges starting at a vertex
         ramified for f and ending at a vertex ramified for g."""
         if n < 1:
             raise ValueError("singular paths need at least one edge")
-        counts = [1 if self.ram_f[v] else 0 for v in range(self.n_vertices)]
+        *_, counts = self._walk(dict.fromkeys(np.flatnonzero(self._ram_f).tolist(), 1), n)
+        return sum(c for v, c in counts.items() if self._ram_g[v])
+
+    def _walk(self, counts: dict, n: int, inside=None):
+        """From counts {vertex: paths ending there}, yield the counts after
+        0, 1, ..., n more steps, each step along an edge into ``inside``
+        (every edge when it is None)."""
+        dst, offsets = self._dst.tolist(), self._offsets.tolist()
+        yield counts
         for _ in range(n):
-            nxt = [0] * self.n_vertices
-            for u, c in enumerate(counts):
-                if c:
-                    for v in self.out_adj[u]:
-                        nxt[v] += c
+            nxt = {}
+            for u, c in counts.items():
+                for v in dst[offsets[u]:offsets[u + 1]]:
+                    if inside is None or v in inside:
+                        nxt[v] = nxt.get(v, 0) + c
             counts = nxt
-        return sum(c for v, c in enumerate(counts) if self.ram_g[v])
+            yield counts
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +472,8 @@ def _export_dot(graph: TowerGraph) -> str:
     lines = ["digraph tower {", "  rankdir=LR;"]
     comp_of = {}
     for c in graph.components():
-        for v in c.vertices:
-            comp_of[graph.index(v)] = c.cls
+        for v in c.indices:
+            comp_of[v] = c.cls
     for i, p in enumerate(graph.vertices):
         shape = "ellipse"
         if graph.ram_f[i] and graph.ram_g[i]:

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from rectower import feq, fixtures, series
-from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0
+from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
 from rectower.ff import FieldCtx, is_prime, legendre, pmul
 from rectower.p1 import RatMap, map_parse
 from rectower.tgraph import TowerGraph
@@ -315,3 +315,54 @@ def test_root_count_is_the_number_of_distinct_roots(p, r):
     for h in cases:
         want = len(set(Poly(ctx, h).roots()))
         assert fixtures._root_count(h, ctx.order, p) == want, h
+
+
+# ---------------------------------------------------------------------------
+# chi from Frobenius orbits against the product of linear factors over F_{p^r}
+
+def _fixture_graph(name, p, ext):
+    ctx = FieldCtx(p, ext)
+    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    return bound, TowerGraph(bound.f, bound.g, ctx)
+
+
+def _chi_oracle(bound, graph):
+    """prod (x - v) over F_{p^r}, v over the f-values on the d-regular
+    components, evaluated point by point, and brought down to F_p."""
+    ctx = graph.ctx
+    values = {bound.f.eval(v) for c in graph.regular_components() for v in c.vertices}
+    chi = Poly.one(ctx)
+    for v in values:
+        chi = chi * Poly(ctx, (-v.x, ctx.one()))
+    assert all(not any(c.coeffs[1:]) for c in chi.coeffs)
+    return Poly(FieldCtx(ctx.p), [c.coeffs[0] for c in chi.coeffs])
+
+
+@pytest.mark.parametrize("name, p, ext",
+                         [(name, p, 2) for p in range(5, 48) if is_prime(p)
+                          for name in ("new-tower", "gs-tower")]
+                         + [("new-tower", 5, 4), ("gs-tower", 5, 4)])  # orbits of up to 4
+def test_chi_from_orbits_matches_linear_factors(name, p, ext):
+    bound, graph = _fixture_graph(name, p, ext)
+    chi = fixtures.chi_from_graph(graph)
+    assert chi == _chi_oracle(bound, graph)
+    assert chi.degree == p - 1
+
+
+def test_chi_over_the_prime_field_has_no_regular_component():
+    _, graph = _fixture_graph("gs-tower", 13, 1)
+    with pytest.raises(NoRegularComponent):
+        fixtures.chi_from_graph(graph)
+
+
+def test_chi_rejects_a_value_set_missing_a_conjugate():
+    _, graph = _fixture_graph("new-tower", 7, 2)
+    ctx, codes = graph.ctx, graph.f_codes.copy()
+    regular = graph.regular_components()[0].indices
+    value = next(ctx.element(c) for c in codes[regular].tolist() if ctx.element(c).coeffs[1])
+    conjugate = ctx.element_index(value.frobenius())
+    assert conjugate in codes[regular]
+    codes[codes == conjugate] = ctx.element_index(value)  # drop the conjugate
+    graph.f_codes = codes
+    with pytest.raises(TowerError, match="coefficients outside F_p"):
+        fixtures.chi_from_graph(graph)

@@ -1,10 +1,13 @@
 """Correspondence graph construction, component classification, path
 counting, and export."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from rectower import cli, fixtures
 from rectower.errors import DegreeMismatch, FieldTooLarge, TowerError, UnknownFormat
 from rectower.ff import FieldCtx
 from rectower.p1 import (
@@ -14,7 +17,13 @@ from rectower.p1 import (
     point_multiplicity_in_fiber,
     point_parse,
 )
-from rectower.tgraph import MAX_VERTICES, TowerGraph, graph_export, graph_json_obj
+from rectower.tgraph import (
+    MAX_VERTICES,
+    ComponentClass,
+    TowerGraph,
+    graph_export,
+    graph_json_obj,
+)
 from rectower.upoly import Poly
 
 F5 = FieldCtx(5)
@@ -279,3 +288,77 @@ def test_array_build_matches_scalar_oracle(f_expr, g_expr, p, r):
     comps = [[graph.index(v) for v in c.vertices] for c in graph.components()]
     assert comps == sorted(sorted(c) for c in comps)
     assert [graph.index(v) for v in graph.vertices] == list(range(graph.n_vertices))
+
+
+def _shortest_singular_path(oracle, comp):
+    """The number of edges on a shortest directed path (>= 1 edge) from a
+    ram_f to a ram_g vertex of the component, over the oracle's edges; None
+    without one."""
+    out_adj, ram_g = oracle["out_adj"], oracle["ram_g"]
+    frontier = {w for v in comp if oracle["ram_f"][v] for w in out_adj[v]}
+    seen, length = set(), 1
+    while frontier:
+        if any(ram_g[v] for v in frontier):
+            return length
+        seen |= frontier
+        frontier = {w for v in frontier for w in out_adj[v]} - seen
+        length += 1
+    return None
+
+
+@pytest.mark.parametrize("p", [89, 97])
+def test_components_at_scale_match_scalar_oracle(p):
+    # new-tower over F_{p^2}: 2,525 and 2,965 components
+    ctx = FieldCtx(p, 2)
+    f, g = map_parse("(x^2+x)/(3*x-1)", p), map_parse("y^2", p)
+    graph = TowerGraph(f, g, ctx)
+    oracle = _oracle(f, g, ctx)
+    comps = graph.components()
+    assert sorted((c.cls.value, sorted(v.label() for v in c.vertices))
+                  for c in comps) == oracle["components"]
+    indices = [c.indices for c in comps]
+    assert indices == sorted(sorted(c) for c in indices)
+    assert [graph.index(v) for c in comps for v in c.vertices] == [v for c in indices for v in c]
+    for c, comp in zip(comps, indices):
+        length = _shortest_singular_path(oracle, comp)
+        if c.cls is not ComponentClass.SINGULAR:
+            assert c.witness is None and length is None
+            continue
+        path = [graph.index(v) for v in c.witness]
+        assert oracle["ram_f"][path[0]] and oracle["ram_g"][path[-1]]
+        assert all(b in oracle["out_adj"][a] for a, b in zip(path, path[1:]))
+        assert len(path) - 1 == length
+
+
+def test_graph_is_freed_by_reference_counting():
+    # neither the reports nor the cached views refer back to the graph, so no
+    # cycle keeps it alive once its last reference goes
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = TowerGraph(F, G, F25)
+        for c in graph.components():
+            c.vertices, c.witness
+        fixtures.chi_from_graph(graph)
+        graph.vertices, graph.out_adj, graph.ram_f
+        ref = weakref.ref(graph)
+        del graph, c
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_chi_makes_points_for_the_fixture_only(monkeypatch, capsys):
+    # a point per vertex would be q + 1 = 7,922 of them
+    made = []
+    init = ProjPoint.__init__
+
+    def counted(self, ctx, x):
+        made.append(x)
+        init(self, ctx, x)
+
+    monkeypatch.setattr(ProjPoint, "__init__", counted)
+    assert cli.main(["chi", "--p", "89"]) == 0
+    assert '"degree": 88' in capsys.readouterr().out
+    assert 0 < len(made) < 89
