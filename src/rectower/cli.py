@@ -220,9 +220,14 @@ def cmd_series_check(args) -> int:
     return 0 if all(v for k, v in out.items() if isinstance(v, bool)) else 1
 
 
+_PARSER = None  # built on the first main call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NoRegularComponent as exc:

@@ -15,7 +15,9 @@ Everything is exact: big integers for the series, fractions for the
 hypergeometric coefficients, and residues for the mod-p identities.  The bulk
 a_n mod p tables reduce the exact values from the three-term recurrence
 (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} (OEIS A002893), so they
-do not depend on the digit identity they are used to test.
+do not depend on the digit identity they are used to test.  The primes 5 to
+23 share one exact pass, reduced modulo their product; larger primes take
+their own.
 """
 
 from __future__ import annotations
@@ -63,15 +65,37 @@ def _a_exact(n_max: int):
         yield cur
 
 
+# The primes whose tables share one exact pass: their product M is below
+# 2^30, one CPython digit, so reducing a big a_n by M costs what reducing it by
+# one prime does (a 29th would make M two digits and the pass three times
+# slower).  Larger primes take their own pass modulo p.
+_SHARED_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+_SHARED_M = 5 * 7 * 11 * 13 * 17 * 19 * 23  # 37,182,145
+
+
 def _a_mod_table(p: int, n_max: int) -> list:
     """a_n mod p for all n <= n_max, reduced from the exact values of the
-    A002893 recurrence, so no digit identity is involved anywhere."""
+    A002893 recurrence, so no digit identity is involved anywhere.  The
+    primes up to 23 read their tables off one shared pass modulo M, cached
+    under the key M; a cache too short for a request grows to at least twice
+    its length."""
     _check_prime(p)
     cached = _A_MOD_CACHE.get(p)
     if cached is not None and len(cached) > n_max:
         return cached
     size = max(n_max + 1, 2 * len(cached) if cached is not None else 0)
-    out = [a % p for a in _a_exact(size - 1)]
+    if p in _SHARED_PRIMES:
+        shared = _A_MOD_CACHE.get(_SHARED_M)
+        if shared is None or len(shared) < size:
+            grown = max(size, 2 * len(shared) if shared is not None else 0)
+            # M < 2^32: one 4-byte word per residue, not one int object each
+            shared = memoryview(bytearray(4 * grown)).cast("I")
+            for n, a in enumerate(_a_exact(grown - 1)):
+                shared[n] = a % _SHARED_M
+            _A_MOD_CACHE[_SHARED_M] = shared
+        out = [r % p for r in shared[:size]]
+    else:
+        out = [a % p for a in _a_exact(size - 1)]
     _A_MOD_CACHE[p] = out
     return out
 
@@ -86,6 +110,8 @@ def truncate_H_mod_p(p: int) -> Poly:
 def lucas_check(n: int, p: int) -> bool:
     """Whether a_n = prod a_{n_i} mod p over the base-p digits n_i of n.
     Both sides come from the bulk mod-p table."""
+    if n < 0:
+        raise BadIndex("index must be >= 0")
     table = _a_mod_table(p, n)
     prod = 1
     m = n
@@ -111,6 +137,19 @@ def _ser_mul(a, b, order):
             if y:
                 out[i + j] += x * y
     return out
+
+
+def _ser_compose(a, inner, order):
+    """sum a_k inner^k through the order, for an inner series of valuation
+    >= 1 and at least one a_k, by Horner's rule.  The partial sum that
+    inner^k multiplies later only matters through order - k, so each step
+    stops there."""
+    n = min(len(a) - 1, order)  # inner^k has no term through the order for k > order
+    comp = [a[n]]
+    for k in range(n - 1, -1, -1):
+        comp = _ser_mul(comp, inner, order - k)
+        comp[0] += a[k]
+    return comp + [0] * (order + 1 - len(comp))
 
 
 def _ser_inv_one_minus_3x(order):
@@ -189,11 +228,7 @@ def series_feq_check(n: int) -> bool:
     geom = _ser_inv_one_minus_3x(n)
     inner = _ser_mul([0, -1, -1], geom, n)
     a = [coeff_a(k) for k in range(n + 1)]
-    comp = [a[n]] + [0] * n
-    for k in range(n - 1, -1, -1):
-        comp = _ser_mul(comp, inner, n)
-        comp[0] += a[k]
-    lhs = _ser_mul(geom, comp, n)
+    lhs = _ser_mul(geom, _ser_compose(a, inner, n), n)
     return all(lhs[k] == (a[k // 2] if k % 2 == 0 else 0) for k in range(n + 1))
 
 

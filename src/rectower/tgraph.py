@@ -244,9 +244,14 @@ class TowerGraph:
     def _value_codes(self, m: RatMap, field: FieldArrays, x, inf: ProjPoint):
         """Element index of m at every vertex, with q standing for infinity."""
         q = self.ctx.order
-        num, den = field.horner(m.N, x), field.horner(m.D, x)
-        at_pole = field.is_zero(den)
-        codes = np.where(at_pole, q, field.codes(field.mul(num, field.inverse(den))))
+        num = field.horner(m.N, x)
+        if len(m.den_coeffs) == 1:  # a constant denominator: no pole, one scalar inverse
+            scale = pow(m.den_coeffs[0], -1, field.p)
+            codes = field.codes([c * scale % field.p for c in num])
+        else:
+            den = field.horner(m.D, x)
+            codes = np.where(field.is_zero(den), q,
+                             field.codes(field.mul(num, field.inverse(den))))
         t = m.eval(inf)
         at_inf = q if t.is_infinity else self.ctx.element_index(t.x)
         return np.append(codes, at_inf)

@@ -195,3 +195,37 @@ def test_output_is_deterministic(capsys):
     _, first = run(capsys, "chi", "--p", "7")
     _, second = run(capsys, "chi", "--p", "7")
     assert first == second
+
+
+REUSED_PARSER_ARGV = (
+    ("verify", "--fixture", "new-tower", "--p", "7"),
+    ("chi", "--p", "11"),
+    ("series", "--n", "6", "--p", "7"),
+    ("chi", "--p", "11", "--ext", "x"),  # argparse rejects it: exit 2
+    ("verify", "--fixture", "new-tower", "--p", "7"),
+)
+
+
+def run_any(capsys, argv):
+    """Exit code, stdout and stderr of one main call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    from rectower import cli
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [run_any(capsys, argv) for argv in REUSED_PARSER_ARGV]
+    parser = cli._PARSER
+    assert parser is not None
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
+    fresh = []
+    for argv in REUSED_PARSER_ARGV:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run_any(capsys, argv))
+        assert cli._PARSER is not parser
+    assert reused == fresh

@@ -1,13 +1,14 @@
 """Integer series, mod-p truncations, digit congruences, and the
 hypergeometric identities."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rectower import fixtures, series
-from rectower.errors import BadPrime, FormulaMismatch
+from rectower.errors import BadIndex, BadPrime, FormulaMismatch
 from rectower.ff import FieldCtx, legendre
 from rectower.series import (
     coeff_a,
@@ -232,3 +233,102 @@ def test_bulk_table_cache_growth(monkeypatch):
     assert grown == series._a_mod_table(7, 500)
     # a request just past the cache doubles it
     assert len(series._a_mod_table(7, 501)) == 1002
+
+
+# -- one exact pass for the primes up to 23 ------------------------------------
+
+TABLE_ORDERS = {
+    "ascending": (10, 500, 3000),
+    "descending": (3000, 500, 10),
+    "interleaved": (500, 10, 3000),
+}
+
+
+@pytest.mark.parametrize("order", sorted(TABLE_ORDERS))
+def test_shared_pass_tables_equal_exact_residues(monkeypatch, order):
+    exact = list(series._a_exact(3000))
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    for i, n in enumerate(TABLE_ORDERS[order]):
+        # each size asks the primes in another order, so a shared pass made
+        # for one prime's size is read by the others
+        for p in primes[i:] + primes[:i]:
+            assert series._a_mod_table(p, n)[:n + 1] == [a % p for a in exact[:n + 1]]
+    for p in primes:
+        assert series._a_mod_table(p, 3000)[:3001] == [a % p for a in exact]
+
+
+def counted_exact(monkeypatch):
+    calls = []
+    exact = series._a_exact
+
+    def wrapped(n_max):
+        calls.append(n_max)
+        return exact(n_max)
+
+    monkeypatch.setattr(series, "_a_exact", wrapped)
+    return calls
+
+
+def test_lucas_primes_share_one_exact_pass(monkeypatch):
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    calls = counted_exact(monkeypatch)
+    for p in (5, 7, 11, 13, 17, 19, 23):  # C8's loop
+        series._a_mod_table(p, 10 ** 4)
+    assert calls == [10 ** 4]
+    series._a_mod_table(29, 100)  # above 23: a pass of its own
+    assert calls == [10 ** 4, 100]
+
+
+def test_shared_pass_grows_by_doubling(monkeypatch):
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    calls = counted_exact(monkeypatch)
+    series._a_mod_table(7, 100)
+    series._a_mod_table(11, 100)  # read off the same pass
+    series._a_mod_table(13, 101)  # past it: the shared pass doubles
+    assert calls == [100, 201]
+    assert len(series._a_mod_table(11, 150)) == 202  # 11's own table doubles
+    assert calls == [100, 201]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_lucas_check_rejects_negative_index(monkeypatch, warm):
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    if warm:
+        assert lucas_check(10, 7)
+    with pytest.raises(BadIndex):
+        lucas_check(-1, 7)
+    with pytest.raises(BadIndex):
+        lucas_check(-50, 7)
+    assert (7 in series._A_MOD_CACHE) is warm
+
+
+# -- series composition ---------------------------------------------------------
+
+def full_compose(a, inner, order):
+    """Horner's rule with every step carried to the full order."""
+    comp = [a[-1]] + [0] * order
+    for c in reversed(a[:-1]):
+        comp = series._ser_mul(comp, inner, order)
+        comp[0] += c
+    return comp
+
+
+def test_truncated_composition_equals_full():
+    rng = random.Random(11)
+    for _ in range(60):
+        order = rng.randint(0, 25)
+        a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 30))]
+        inner = [0] * rng.randint(1, 3) + [rng.randint(-9, 9) for _ in range(rng.randint(0, 30))]
+        assert series._ser_compose(a, inner, order) == full_compose(a, inner, order)
+
+
+def test_series_feq_check_sees_one_wrong_coefficient(monkeypatch):
+    exact = series.coeff_a
+
+    def perturbed(k):
+        return exact(k) + (k == 17)
+
+    assert series_feq_check(40)
+    monkeypatch.setattr(series, "coeff_a", perturbed)
+    assert not series_feq_check(40)

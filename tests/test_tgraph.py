@@ -5,6 +5,7 @@ import gc
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from rectower import cli, fixtures
@@ -362,3 +363,25 @@ def test_chi_makes_points_for_the_fixture_only(monkeypatch, capsys):
     assert cli.main(["chi", "--p", "89"]) == 0
     assert '"degree": 88' in capsys.readouterr().out
     assert 0 < len(made) < 89
+
+
+def inverse_based_codes(self, m, field, x, inf):
+    """Every map's values through the field inverse of its denominator, the
+    general path, also where the denominator is a constant."""
+    q = self.ctx.order
+    num, den = field.horner(m.N, x), field.horner(m.D, x)
+    codes = np.where(field.is_zero(den), q, field.codes(field.mul(num, field.inverse(den))))
+    t = m.eval(inf)
+    return np.append(codes, q if t.is_infinity else self.ctx.element_index(t.x))
+
+
+@pytest.mark.parametrize("p", [5, 13, 89])
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_constant_denominator_codes_match_inverse(monkeypatch, name, p):
+    bound = fixtures.load_fixture(name, p, ctx=FieldCtx(p, 2), check=False)
+    fast = TowerGraph(bound.f, bound.g, bound.ctx)
+    monkeypatch.setattr(TowerGraph, "_value_codes", inverse_based_codes)
+    slow = TowerGraph(bound.f, bound.g, bound.ctx)
+    assert np.array_equal(fast.f_codes, slow.f_codes)
+    assert np.array_equal(fast._src, slow._src) and np.array_equal(fast._dst, slow._dst)
+    assert fast.out_adj == slow.out_adj
