@@ -10,12 +10,19 @@ Everything here is immutable after construction and all operations are
 pure; contexts and elements can be shared freely between callers.
 
 The module also holds the package's dense polynomial arithmetic over F_p on
-ascending int coefficient lists (``ptrim``, ``padd``, ``pmul``, ``pmod``,
-``pgcd``, ``pinvmod``, ``psubst``, ``pproportional``).
+ascending int coefficient lists (``ptrim``, ``padd``, ``pmul``, ``ppow``,
+``pmod``, ``pgcd``, ``pinvmod``, ``psubst``, ``pproportional``).  Its kernel
+is subquadratic (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 8-9): ``pmul`` multiplies by Kronecker substitution, ``pmod`` by a
+Newton inverse of the reversed divisor cached per modulus, and ``psubst``
+composes by divide and conquer, so x^q mod h costs O(M(n) log q).  An
+operation whose two sizes have a geometric mean below FAST_MIN_LEN takes
+the schoolbook path instead, which is faster there.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product, zip_longest
 
 from .errors import (
@@ -29,7 +36,8 @@ from .errors import (
 )
 
 
-MAX_TABLE_ENTRIES = 2 ** 22  # tables over the whole field (graph, sqrt, dlog) are capped
+MAX_TABLE_ENTRIES = 2 ** 22  # tables over the whole field (graph, dlog) are capped
+FAST_MIN_LEN = 16  # the F_p[x] kernel's schoolbook/fast crossover, measured (see _is_long)
 
 
 def is_prime(n: int) -> bool:
@@ -74,8 +82,19 @@ def padd(f, g, p):
     return ptrim([a + b for a, b in zip_longest(f, g, fillvalue=0)], p)
 
 
+def _is_long(m: int, n: int) -> bool:
+    """Whether an operation whose two sizes are m and n takes the fast path:
+    their geometric mean is at least FAST_MIN_LEN."""
+    return m * n >= FAST_MIN_LEN ** 2
+
+
 def pmul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    if not f or not g:
+        return []
+    n = min(len(f), len(g))
+    if _is_long(len(f), len(g)) and n * (p - 1) ** 2 < 1 << 64:
+        return _kronecker_mul(f, g, p, n)
+    out = [0] * (len(f) + len(g) - 1)
     g_terms = [(j, b) for j, b in enumerate(g) if b]
     for i, a in enumerate(f):
         if a:
@@ -84,17 +103,77 @@ def pmul(f, g, p):
     return ptrim(out, p)
 
 
+def _kronecker_mul(f, g, p, n):
+    """f*g by Kronecker substitution: each polynomial becomes one big int
+    with a slot of k bytes per coefficient, wide enough for the n*(p-1)^2
+    bound on a product coefficient, so one int product does the work.
+    Coefficients must fit in int64; the slots are packed by numpy."""
+    # imported here: loaded ahead of the package's other modules, numpy
+    # raised the peak RSS of a fresh `import rectower.cli` by about 0.3 MB
+    import numpy as np
+
+    k = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+
+    def pack(h):
+        digits = (np.array(h, dtype=np.int64) % p).astype("<u8")
+        return int.from_bytes(digits.view(np.uint8).reshape(-1, 8)[:, :k].tobytes(), "little")
+
+    x = pack(f)
+    prod = x * x if f is g else x * pack(g)
+    size = len(f) + len(g) - 1
+    slots = np.zeros((size, 8), dtype=np.uint8)
+    slots[:, :k] = np.frombuffer(prod.to_bytes(size * k, "little"), dtype=np.uint8).reshape(size, k)
+    return ptrim((slots.view("<u8").ravel() % p).tolist(), p)
+
+
+def ppow(f, e: int, p):
+    """f^e for e >= 0, by repeated squaring."""
+    out, base = [1], f
+    while e:
+        if e & 1:
+            out = pmul(out, base, p)
+        e >>= 1
+        if e:
+            base = pmul(base, base, p)
+    return out
+
+
 def pmod(f, m, p):
-    """Remainder of f on division by m, whose leading coefficient is a unit."""
-    f = list(f)
-    inv_lead = pow(m[-1], p - 2, p)
-    for top in range(len(f) - 1, len(m) - 2, -1):
-        c = f[top] * inv_lead % p
-        if c:
-            shift = top - len(m) + 1
-            for i, a in enumerate(m):
-                f[shift + i] -= c * a
-    return ptrim(f[:len(m) - 1], p)
+    """Remainder of f on division by m, whose leading coefficient is a unit.
+
+    Long division when the quotient and the divisor are short (``_is_long``);
+    otherwise the quotient is read off rev(f) * rev(m)^(-1) mod x^(deg f - deg m + 1),
+    with the Newton inverse of rev(m) cached per modulus."""
+    n = len(m) - 1
+    lq = len(f) - n
+    if not _is_long(lq, n):
+        f = list(f)
+        inv_lead = pow(m[-1], p - 2, p)
+        for top in range(len(f) - 1, n - 1, -1):
+            c = f[top] * inv_lead % p
+            if c:
+                shift = top - n
+                for i, a in enumerate(m):
+                    f[shift + i] -= c * a
+        return ptrim(f[:n], p)
+    inv = _rev_inverse(tuple(m), p, max(lq, n))
+    q = pmul(f[:n - 1:-1], inv[:lq], p)[:lq]
+    q = [0] * (lq - len(q)) + q[::-1]
+    return padd(f[:n], [-c for c in pmul(q, m, p)[:n]], p)
+
+
+@lru_cache(maxsize=8)
+def _rev_inverse(m: tuple, p, prec: int):
+    """The power series inverse of rev(m) modulo x^prec, by Newton's
+    iteration g <- g (2 - rev(m) g), which doubles the precision each step."""
+    rev = [c % p for c in reversed(m)]
+    g, k = [pow(rev[0], p - 2, p)], 1
+    while k < prec:
+        k = min(2 * k, prec)
+        e = [-c for c in pmul(rev[:k], g, p)[:k]]
+        e[0] += 2
+        g = pmul(g, e, p)[:k]
+    return g
 
 
 def pgcd(f, g, p):
@@ -130,15 +209,31 @@ def psubst(h, a, b, p):
     """sum_k h_k a^k b^(n-k) mod p with n = len(h) - 1 the formal degree.
 
     For polynomials this is h(a/b) with the denominator cleared by b^n; for
-    a form h of degree n and linear forms A, B it is the form h(A, B)."""
-    n = len(h) - 1
-    b_pows = [[1]]
-    for _ in range(n):
-        b_pows.append(pmul(b_pows[-1], b, p))
-    out = []
-    for k in range(n, -1, -1):
-        out = padd(pmul(out, a, p), [h[k] * c for c in b_pows[n - k]], p)
-    return out
+    a form h of degree n and linear forms A, B it is the form h(A, B).
+
+    Divide and conquer: with S(lo..hi) = sum_{lo<=k<=hi} h_k a^(k-lo) b^(hi-k),
+    S(lo..hi) = S(lo..mid-1) b^(hi-mid+1) + a^(mid-lo) S(mid..hi), the
+    powers memoized; ranges shorter than FAST_MIN_LEN run Horner's rule."""
+    powers = {}
+
+    def power(base, e):
+        key = (base is a, e)
+        if key not in powers:
+            powers[key] = ppow(base, e, p) if e < 2 else pmul(
+                power(base, e // 2), power(base, e - e // 2), p)
+        return powers[key]
+
+    def part(lo, hi):
+        if hi - lo + 1 < FAST_MIN_LEN:
+            out = []
+            for k in range(lo, hi + 1):
+                out = padd(pmul(out, b, p), [h[k] * c for c in power(a, k - lo)], p)
+            return out
+        mid = (lo + hi + 1) // 2
+        return padd(pmul(part(lo, mid - 1), power(b, hi - mid + 1), p),
+                    pmul(power(a, mid - lo), part(mid, hi), p), p)
+
+    return part(0, len(h) - 1) if h else []
 
 
 def pproportional(a, b, p):
@@ -324,6 +419,10 @@ class FieldCtx:
         p = self.p
         if self.r == 1:
             return ((a[0] * b[0]) % p,)
+        if self.r == 2:  # x^2 = -(m1 x + m0)
+            top = a[1] * b[1]
+            m = self.modulus
+            return ((a[0] * b[0] - top * m[0]) % p, (a[0] * b[1] + a[1] * b[0] - top * m[1]) % p)
         prod = [0] * (2 * self.r - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -339,24 +438,62 @@ class FieldCtx:
             prod[k] = 0
         return tuple(c % p for c in prod[:self.r])
 
+    def _pow(self, a, e: int):
+        """a^e for a coefficient tuple a and e >= 0, by square-and-multiply."""
+        out = self.one().coeffs
+        while e:
+            if e & 1:
+                out = self._mul(out, a)
+            e >>= 1
+            if e:
+                a = self._mul(a, a)
+        return out
+
     def sqrt(self, x: "FieldElem"):
         """A square root of x in this field, or None.  The returned root is
         the first one in element order, so results are reproducible.
-        Table-based: building the table costs one pass over the field."""
-        if self._sqrt is None:
-            self._check_table_size("square-root")
-            table = {}
-            for e in self.elements():
-                sq = (e * e).coeffs
-                if sq not in table:
-                    table[sq] = e
-            self._sqrt = table
-        return self._sqrt.get(self.elem(x).coeffs)
 
-    def _check_table_size(self, what):
-        if self.order > MAX_TABLE_ENTRIES:
-            raise FieldTooLarge(f"{self!r} has {self.order} elements; {what} tables "
-                                f"are capped at {MAX_TABLE_ENTRIES} entries")
+        Tonelli-Shanks (Shanks, 1973) for odd p: with q - 1 = 2^s Q, Q odd,
+        and z^Q cached per field for one non-residue z, a root costs
+        O(log q + s^2) multiplications.  For p = 2 the root is x^(q/2)."""
+        a = self.elem(x).coeffs
+        if self.p == 2:
+            return FieldElem(self, self._pow(a, self.order // 2))
+        if not any(a):
+            return self.zero()
+        if self._sqrt is None:
+            self._sqrt = self._sqrt_constants()
+        one, mul = self.one().coeffs, self._mul
+        m, odd, c = self._sqrt
+        w = self._pow(a, odd // 2)
+        root = mul(w, a)  # a^((Q+1)/2)
+        t = mul(root, w)  # a^Q
+        while t != one:
+            i, t2 = 0, t  # the least i with t^(2^i) = 1
+            while t2 != one:
+                t2, i = mul(t2, t2), i + 1
+            if i == m:  # first pass only: t = x^Q has the full order 2^s, so x is no square
+                return None
+            b = c
+            for _ in range(m - i - 1):
+                b = mul(b, b)
+            m, c = i, mul(b, b)
+            t, root = mul(t, c), mul(root, b)
+        neg = tuple(-v % self.p for v in root)
+        return FieldElem(self, min(root, neg, key=lambda v: v[::-1]))  # element order
+
+    def _sqrt_constants(self):
+        """(s, Q, z^Q) with q - 1 = 2^s Q for the first non-residue z in
+        element order from index p when r is even (then all of F_p are
+        squares), else from index 2."""
+        s, odd = 0, self.order - 1
+        while odd % 2 == 0:
+            s, odd = s + 1, odd // 2
+        one, half = self.one().coeffs, (self.order - 1) // 2
+        n = self.p if self.r % 2 == 0 else 2
+        while self._pow(self.element(n).coeffs, half) == one:
+            n += 1
+        return s, odd, self._pow(self.element(n).coeffs, odd)
 
     def _dlog_table(self):
         """Discrete logs base the generator x, or None if x does not generate."""
@@ -365,7 +502,9 @@ class FieldCtx:
         if self.r == 1:
             self._gen_checked = True
             return None
-        self._check_table_size("discrete-log")
+        if self.order > MAX_TABLE_ENTRIES:
+            raise FieldTooLarge(f"{self!r} has {self.order} elements; discrete-log tables "
+                                f"are capped at {MAX_TABLE_ENTRIES} entries")
         self._gen_checked = True
         q1 = self.order - 1
         g = self.gen()
@@ -489,14 +628,7 @@ class FieldElem:
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
             return self.inverse() ** (-e)
-        acc = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return FieldElem(self.ctx, self.ctx._pow(self.coeffs, e))
 
     def frobenius(self) -> "FieldElem":
         """The p-power Frobenius x -> x^p."""

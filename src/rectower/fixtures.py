@@ -40,6 +40,7 @@ from .ff import (
     padd,
     pgcd,
     pmul,
+    ppow,
     pproportional,
     psubst,
 )
@@ -222,13 +223,6 @@ def _root_count(h, q: int, p: int) -> int:
     return len(pgcd(h, padd(xq, [0, -1], p), p)) - 1
 
 
-def _power(f, e: int, p: int):
-    out = [1]
-    for _ in range(e):
-        out = pmul(out, f, p)
-    return out
-
-
 def _fp_certificate(bound: BoundFixture, graph: TowerGraph, hp: Poly):
     """verify's splitting-value checks over F_p, for a fixture whose series
     bridge chi (-3/p) = H_p holds, with no root of H_p found.
@@ -253,16 +247,16 @@ def _fp_certificate(bound: BoundFixture, graph: TowerGraph, hp: Poly):
     rho_num, rho_den = _prime_field_ints(rho.num.coeffs), _prime_field_ints(rho.den.coeffs)
     if sigmas is None or rho_num is None or rho_den is None:
         return None
-    num = _power(h, s, p)
+    num = ppow(h, s, p)
     den = [1]
     for sigma in sigmas:
-        den = pmul(den, _power([-sigma, 1], t, p), p)
+        den = pmul(den, ppow([-sigma, 1], t, p), p)
     top = max(len(num), len(den))  # one formal degree, so m's denominator cancels
     num, den = num + [0] * (top - len(num)), den + [0] * (top - len(den))
     num_f, den_f, num_g, den_g = (psubst(part, m.num_coeffs, m.den_coeffs, p)
                                   for m in (f, g) for part in (num, den))
-    lhs_num = pmul(_power(rho_num, t, p), num_f, p)
-    lhs_den = pmul(_power(rho_den, t, p), den_f, p)
+    lhs_num = pmul(ppow(rho_num, t, p), num_f, p)
+    lhs_den = pmul(ppow(rho_den, t, p), den_f, p)
     constant = pproportional(pmul(lhs_num, den_g, p), pmul(num_g, lhs_den, p), p)
     return None if constant is None else (k, t0, s, t, constant)
 
@@ -307,13 +301,12 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     ctx = FieldCtx(p, ext, modulus)
     bound = load_fixture(name, p, ctx=ctx, check=False)
     fx, f, g = bound.fixture, bound.f, bound.g
+    graph = TowerGraph(f, g, ctx)  # refuses a field above the cap before any O(q) work
 
     fwd, bwd = feq.is_complete(f, g, bound.s, ctx)
     _check(checks, "singular-support-complete", fwd and bwd,
            f"forward={fwd} backward={bwd}")
     _check(checks, "divisorial-identity", feq.divisorial_check(f, g, bound.s0, ctx))
-
-    graph = TowerGraph(f, g, ctx)
     verdict = feq.lenstra_check(f, g, bound.s, ctx)
     verdict_detail = f"{verdict.value} (conditional on irreducibility)"
 

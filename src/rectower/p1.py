@@ -15,6 +15,7 @@ is rational over the working field or reports the mass it misses there:
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     InsufficientField,
     MapSyntaxError,
 )
-from .ff import FieldCtx, FieldElem, padd, pmul, psubst, ptrim
+from .ff import FieldCtx, FieldElem, padd, pmul, ppow, psubst, ptrim
 from .upoly import Poly, resultant
 
 
@@ -101,9 +102,13 @@ def _int_poly_str(coeffs, var="x") -> str:
 
 
 class RatMap:
-    """A degree-d rational self-map of P^1 over F_p."""
+    """A degree-d rational self-map of P^1 over F_p.
 
-    __slots__ = ("p", "d", "N", "D")
+    Each fiber the map is asked for is kept, keyed by its target (which
+    carries the working field), for as long as the map lives (see
+    ``fiber_counts``)."""
+
+    __slots__ = ("p", "d", "N", "D", "_fibers")
 
     def __init__(self, p: int, n_form, d_form):
         if len(n_form) != len(d_form) or len(n_form) < 2:
@@ -112,6 +117,7 @@ class RatMap:
         self.d = len(n_form) - 1
         self.N = tuple(c % p for c in n_form)
         self.D = tuple(c % p for c in d_form)
+        self._fibers = {}
         ctx = FieldCtx(p)
         if resultant(ctx, self.N, self.D).is_zero():
             raise DegreeZero(
@@ -333,10 +339,7 @@ class _RatParser:
         if self.peek()[0] == "^":
             self.take()
             e = self.take("int")[1]
-            num, den = [1], [1]
-            for _ in range(e):
-                num = pmul(num, base[0], self.p)
-                den = pmul(den, base[1], self.p)
+            num, den = ppow(base[0], e, self.p), ppow(base[1], e, self.p)
             if not den:
                 raise MapSyntaxError(f"zero denominator in {self.expr!r}")
             return (num, den)
@@ -400,10 +403,10 @@ def point_parse(expr: str, ctx: FieldCtx) -> ProjPoint:
     if s in ("inf", "oo", "infinity"):
         return ProjPoint.infinity(ctx)
     if s in ("i", "-i", "+i"):
-        for e in ctx.elements():
-            if (e * e + 1).is_zero():
-                return ProjPoint.affine(-e if s == "-i" else e)
-        raise InsufficientField(f"no square root of -1 in {ctx!r}")
+        root = ctx.sqrt(-1)
+        if root is None:
+            raise InsufficientField(f"no square root of -1 in {ctx!r}")
+        return ProjPoint.affine(-root if s == "-i" else root)
     num, den = _RatParser(s, ctx.p).parse()
     if len(num) > 1 or len(den) > 1:
         raise MapSyntaxError(f"{expr!r} is not a point literal")
@@ -434,10 +437,19 @@ def fiber_counts(m: RatMap, t: ProjPoint, ctx: FieldCtx):
 
     Returns (counts, missing) where counts maps points to multiplicities in
     the degree-d fiber form t1*N - t0*D and missing is the multiplicity not
-    rational over ctx.
+    rational over ctx.  Each fiber is found once per map: later calls return
+    the same read-only counts.
     """
     if ctx.p != m.p or t.ctx.key() != ctx.key():
         raise FieldMismatch("fiber target must live over the working field")
+    if t not in m._fibers:  # t lives over ctx, and points of other fields differ from it
+        counts, missing = _find_fiber(m, t, ctx)
+        m._fibers[t] = MappingProxyType(counts), missing
+    return m._fibers[t]
+
+
+def _find_fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
+    """The work behind ``fiber_counts``: the roots of the fiber form."""
     f = _fiber_form(m, t, ctx)
     counts = {}
     if f.degree < m.d:

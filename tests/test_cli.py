@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rectower.cli import main
+from rectower.ff import FieldCtx
 
 CHI_23 = [-1, -3, 8, -1, 5, -7, -2, -9, 9, -9, 4, 0, 10, -7, -6, 8, -7, -2, 3,
           -10, 7, 8, 1]
@@ -189,6 +190,25 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--fixture", "new-tower", "--p", "2053"),
+    ("verify", "--fixture", "gs-tower", "--p", "2053"),
+    ("chi", "--p", "2053"),
+])
+def test_above_the_graph_cap_stops_before_field_work(capsys, monkeypatch, argv):
+    # square roots answer at q = 2053^2, so the graph's cap is what stops
+    # these calls, and it does so before any pass over the field
+    def forbid(self):
+        raise RuntimeError("a pass over the whole field")
+
+    monkeypatch.setattr(FieldCtx, "elements", forbid)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "graphs are capped" in captured.err
 
 
 def test_output_is_deterministic(capsys):

@@ -17,8 +17,10 @@ from rectower.errors import (
     ReducibleModulus,
 )
 from rectower.ff import (
+    FAST_MIN_LEN,
     MAX_TABLE_ENTRIES,
     FieldCtx,
+    _pow_mod,
     is_prime,
     legendre,
     padd,
@@ -26,6 +28,7 @@ from rectower.ff import (
     pinvmod,
     pmod,
     pmul,
+    ptrim,
     psubst,
 )
 from rectower.upoly import Poly
@@ -214,13 +217,18 @@ def test_sqrt_table():
 
 
 def test_whole_field_tables_are_capped():
-    # q = 2053^2 is above the cap: both tables refuse before any work, and
-    # keep refusing on a second call instead of answering from a stale flag
+    # q = 2053^2 is above the cap: the discrete-log table refuses before any
+    # work, and keeps refusing on a second call instead of answering from a
+    # stale flag; square roots need no table, so they still answer
     ctx = FieldCtx(2053, 2)
     assert ctx.order > MAX_TABLE_ENTRIES
+    square = ctx.elem((5, 7)) ** 2
+    non_square = next(x for x in map(ctx.element, itertools.count(ctx.p))
+                      if x ** ((ctx.order - 1) // 2) != ctx.one())  # Euler's criterion
     for _ in range(2):
-        with pytest.raises(FieldTooLarge):
-            ctx.sqrt(ctx.one())
+        root = ctx.sqrt(square)
+        assert root * root == square
+        assert ctx.sqrt(non_square) is None
         with pytest.raises(FieldTooLarge):
             ctx.gen().gen_label()
 
@@ -295,3 +303,170 @@ def test_pinvmod_rejects_common_factor():
     # x and x^2 + x share the factor x
     with pytest.raises(DivisionByZero):
         pinvmod([0, 1], [0, 1, 1], 5)
+
+
+# ---------------------------------------------------------------------------
+# square roots against the whole-field table
+
+def sqrt_table(ctx):
+    """x -> the first root of x in element order, by squaring every element:
+    the table square roots were once read from, kept as the oracle."""
+    table = {}
+    for e in ctx.elements():
+        table.setdefault((e * e).coeffs, e)
+    return table
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23])
+def test_tonelli_shanks_matches_the_table_on_every_element(p, r):
+    ctx = FieldCtx(p, r)
+    table = sqrt_table(ctx)
+    assert [ctx.sqrt(x) for x in ctx.elements()] == [table.get(x.coeffs) for x in ctx.elements()]
+
+
+def test_tonelli_shanks_with_a_custom_modulus():
+    ctx = FieldCtx(5, 2, F25_MODULUS)
+    table = sqrt_table(ctx)
+    assert [ctx.sqrt(x) for x in ctx.elements()] == [table.get(x.coeffs) for x in ctx.elements()]
+
+
+# ---------------------------------------------------------------------------
+# the fast F_p[x] kernel against the schoolbook one, kept here as the oracle
+
+def school_pmul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    g_terms = [(j, b) for j, b in enumerate(g) if b]
+    for i, a in enumerate(f):
+        if a:
+            for j, b in g_terms:
+                out[i + j] += a * b
+    return ptrim(out, p)
+
+
+def school_pmod(f, m, p):
+    f = list(f)
+    inv_lead = pow(m[-1], p - 2, p)
+    for top in range(len(f) - 1, len(m) - 2, -1):
+        c = f[top] * inv_lead % p
+        if c:
+            shift = top - len(m) + 1
+            for i, a in enumerate(m):
+                f[shift + i] -= c * a
+    return ptrim(f[:len(m) - 1], p)
+
+
+def school_psubst(h, a, b, p):
+    n = len(h) - 1
+    b_pows = [[1]]
+    for _ in range(n):
+        b_pows.append(school_pmul(b_pows[-1], b, p))
+    out = []
+    for k in range(n, -1, -1):
+        out = padd(school_pmul(out, a, p), [h[k] * c for c in b_pows[n - k]], p)
+    return out
+
+
+def school_pow_mod(f, e, m, p):
+    out = school_pmod(f, m, p)
+    for bit in bin(e)[3:]:
+        out = school_pmod(school_pmul(out, out, p), m, p)
+        if bit == "1":
+            out = school_pmod(school_pmul(out, f, p), m, p)
+    return out
+
+
+KERNEL_PRIMES = st.sampled_from([5, 97, 2039])
+# zero, constant and length-1 inputs, the lengths around the threshold, and
+# lengths at which the divide and conquer recurses more than once
+LENGTHS = st.one_of(st.sampled_from([0, 1, FAST_MIN_LEN - 1, FAST_MIN_LEN, FAST_MIN_LEN + 1]),
+                    st.integers(0, 5 * FAST_MIN_LEN))
+
+
+@st.composite
+def poly_over(draw, p, length=LENGTHS, unit_lead=False):
+    """Unreduced coefficients in [-p, 2p): all zero, constant or random."""
+    n = draw(length)
+    shape = draw(st.sampled_from(["random", "random", "zero", "constant"]))
+    if shape == "zero":
+        f = [0] * n
+    elif shape == "constant":
+        f = [draw(st.integers(-p, 2 * p - 1))] + [0] * (n - 1) if n else []
+    else:
+        f = draw(st.lists(st.integers(-p, 2 * p - 1), min_size=n, max_size=n))
+    if unit_lead:
+        f = f + [draw(st.integers(1, p - 1))]
+    return f
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_pmul_matches_schoolbook(data):
+    p = data.draw(KERNEL_PRIMES)
+    f, g = data.draw(poly_over(p)), data.draw(poly_over(p))
+    assert pmul(f, g, p) == school_pmul(f, g, p)
+    assert pmul(f, f, p) == school_pmul(f, f, p)  # the squaring path
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_pmod_matches_schoolbook(data):
+    p = data.draw(KERNEL_PRIMES)
+    m = data.draw(poly_over(p, unit_lead=True))
+    quotient_len = data.draw(LENGTHS)
+    f = data.draw(poly_over(p, st.just(len(m) - 1 + quotient_len)))
+    assert pmod(f, m, p) == school_pmod(f, m, p)
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_psubst_matches_schoolbook(data):
+    p = data.draw(KERNEL_PRIMES)
+    h = data.draw(poly_over(p))
+    a, b = (data.draw(poly_over(p, st.integers(0, 4))) for _ in range(2))
+    assert psubst(h, a, b, p) == school_psubst(h, a, b, p)
+
+
+@settings(DERANDOMIZED, max_examples=60)
+@given(st.data())
+def test_pow_mod_matches_schoolbook(data):
+    p = data.draw(KERNEL_PRIMES)
+    m = data.draw(poly_over(p, st.integers(1, 3 * FAST_MIN_LEN), unit_lead=True))
+    f = data.draw(poly_over(p, st.integers(1, 2 * len(m))))
+    e = data.draw(st.integers(1, p * p))
+    assert _pow_mod(f, e, m, p) == school_pow_mod(f, e, m, p)
+
+
+def _rand(rng, n, p):
+    return [rng.randrange(p) for _ in range(n)]
+
+
+@pytest.mark.parametrize("lf, lg", [(8001, 40), (40, 8001), (1500, 1500)])
+def test_pmul_at_large_degree(lf, lg):
+    rng, p = random.Random(lf * lg), 2039
+    f, g = _rand(rng, lf, p), _rand(rng, lg, p)
+    assert pmul(f, g, p) == school_pmul(f, g, p)
+
+
+def test_pmul_beyond_a_machine_word_slot():
+    # 3 (p-1)^2 < 2^64 still packs, in 8-byte slots; 5 (p-1)^2 does not,
+    # so the schoolbook path takes it
+    rng, p = random.Random(31), 2 ** 31 - 1
+    for short in (3, 5):
+        f, g = _rand(rng, short, p), _rand(rng, 200, p)
+        assert pmul(f, g, p) == school_pmul(f, g, p)
+
+
+@pytest.mark.parametrize("lf, lm", [(8001, 7990), (8001, 41), (2001, 1001)])
+def test_pmod_at_large_degree(lf, lm):
+    rng, p = random.Random(lf + lm), 2039
+    f, m = _rand(rng, lf, p), _rand(rng, lm - 1, p) + [1 + rng.randrange(p - 1)]
+    assert pmod(f, m, p) == school_pmod(f, m, p)
+
+
+def test_psubst_and_pow_mod_at_large_degree():
+    rng, p = random.Random(7), 2039
+    h = _rand(rng, 601, p)
+    assert psubst(h, [0, 1, 1], [-1, 3], p) == school_psubst(h, [0, 1, 1], [-1, 3], p)
+    m = _rand(rng, 200, p) + [1]
+    assert _pow_mod([0, 1], p * p, m, p) == school_pow_mod([0, 1], p * p, m, p)

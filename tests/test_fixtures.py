@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from rectower import feq, fixtures, series
+from rectower import feq, fixtures, p1, series
 from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
 from rectower.ff import FieldCtx, is_prime, legendre, pmul
 from rectower.p1 import RatMap, map_parse
@@ -97,6 +97,17 @@ def test_chi_is_modulus_independent():
     default = fixtures.chi_from_graph(TowerGraph(f, g, FieldCtx(19, 2)))
     custom = fixtures.chi_from_graph(TowerGraph(f, g, FieldCtx(19, 2, [1, 0, 1])))
     assert default == custom
+
+
+def test_verify_finds_each_fiber_once(monkeypatch):
+    # each map keeps its fibers, so of the fibers verify asks for at p = 97
+    # (104 distinct (map, target) pairs) none is found twice
+    found = []
+    real = p1._find_fiber
+    monkeypatch.setattr(p1, "_find_fiber",
+                        lambda m, t, ctx: found.append((m, t)) or real(m, t, ctx))
+    assert fixtures.verify_fixture("new-tower", 97)["ok"]
+    assert len(found) == len(set(found)) == 104
 
 
 def test_verify_gs_tower():

@@ -1,0 +1,72 @@
+"""Golden output: the sha256 of `verify` stdout, and its exit code, for every
+fixture at every prime 5 <= p <= 47.
+
+The digests pin the report bytes (check names and order, details, constants
+and JSON layout), so a change to the arithmetic below `verify` that alters
+any of them shows here.  They were made by running `rectower verify
+--fixture F --p P` on the code before the Tonelli-Shanks square root, the
+fiber memo and the fast F_p[x] kernel, and hashing its stdout.
+"""
+
+import hashlib
+
+import pytest
+
+from rectower.cli import main
+
+GOLDEN = {
+    "new-tower": {
+        5: (0, "2b28a5905b02a5e44474110d517c212e3995de19dff0b128c3776fee42bef2e1"),
+        7: (0, "d45eb87c7d646147d1288e320463c715ad7ac2699a17fcefc36e859beb07cd9d"),
+        11: (0, "14598ce7fdf51549cf9bb20ec691643cb40d3cc9be617bdb540e951852996f65"),
+        13: (0, "f293311e27b0d1918933323b422264e1d5e259512961a4d737833bfe2068d471"),
+        17: (0, "cda7cdb3b436ce6ad5cfa65b29e375513f82af9fc181a179174a7e32879dd998"),
+        19: (0, "e46c1255fcc6419f53a06a44648ca1bec4a12277bfae6873c2c49f5f986e84f5"),
+        23: (0, "51db5edfd7a0a5a14b3a3ddf0d485dc32f93877ad19ba7b539e1a9f9e61d63dd"),
+        29: (0, "1df0ac7c8505a991bb9e342ac13a9951a4f6d0d6c911d23423966eeb921b48ed"),
+        31: (0, "2c80a4fe968be1646e27f99cf98121a964b0f97cb78980cc71a305ca91f2b9f3"),
+        37: (0, "97565008d56c982e90b5adae0fce5ec1b1345c4f9e749b30a941a64e99a73b24"),
+        41: (0, "699e6fabc129a18cb41019734e8c66bbbcc9a97c1a44ff2d10c591dcd656b4eb"),
+        43: (0, "0135633a8ac5db67dab2a2ce18be8f681217e4de1d1652aa08168005a9681276"),
+        47: (0, "6ef77a28cd80f95ecd932cee7f45dd9ae5e157e0eb58ea10de9e1acf163e3503"),
+    },
+    "gs-tower": {
+        5: (0, "e156dcbf5919fa6826e62c4c3fd213cbb11eeaee78f7bbe31ef46aa7c601684a"),
+        7: (0, "472b8403b6e4f84772bc36bc25a48273ab0bd6da8758699de3ba9bdf19bb0cb2"),
+        11: (0, "d5e4cf25e5463c67fc7302f4c63a8b8d011c4e95bcb92a819636214d2ebf53d7"),
+        13: (0, "637f2a23fa294599eecc5a3f613d934fc18aad9ba1f2aabce43aa8b7bd46c99a"),
+        17: (0, "a67a5179114b4882163ee3ca1b224112fa8adfff47d09d7fbb6c877f29c53a2e"),
+        19: (0, "0b4f45a31ba4f32923f6c064fc7d9149ca8aa80ca4449a6b610a610ba9aaf12f"),
+        23: (0, "839c4668fcc63b34c2af27f1c0c6fca2b9cba82fe299cde93e8432ba5f7ffdc0"),
+        29: (0, "17304bd9e1a1ddd68eaf68c5025cf3010b4cac2f08b77d1d9b6faaadfa784acc"),
+        31: (0, "2f4ae4f4f7b5a50500ffeef58a67a27ab423595f253fd5fc0059dd4e3183b800"),
+        37: (0, "76e2e9c220216ed277a25eb9b658eb021ed577dcb66fcd003a6cb0b4daa01c3c"),
+        41: (0, "b324e265a85dde550c01fbbc50ca5f7217c80459b61be9990766e4d97a08a833"),
+        43: (0, "89806488612158e8a6e5d35e2c16b0b4e95aed848660987bc2a485a09146d605"),
+        47: (0, "2a4e1193552d4c1f557acc77218a9c3b9228229c2567748b5bc6e808bbc71769"),
+    },
+    "type-a-toy": {
+        5: (0, "6666fc732f080e456fd4aafeaa4df9ac70eb7539a400c5bae5c2f796b8f9430c"),
+        7: (0, "edf8e6d588cbdbdb61f797d52116db1bcd8abcaf9baad71e3c5a9847d21ebb14"),
+        11: (0, "e4ca800cc1f34f30fd623665020919413b654f186fd84203dde33398be7072ad"),
+        13: (0, "679d999542b2fa0b405bb0a2998e60c42f70301c7349063930736a9708d4be10"),
+        17: (0, "ed523062f72891db0448bc16af39783856a9f847a4b2653026584f369515aa67"),
+        19: (0, "431fcfc5f0e3243785adfd2287c93507c080caebd6b8cceca47176f770818cfc"),
+        23: (0, "1f593ca1f7eaca771bd37295c467a255c82f9a8fd8f9dda45509cda5a99e64d6"),
+        29: (0, "09fce94a7c4bacdfa5957f76cec6490e59a3d4d19c2642ac4c4270fdd0e92e35"),
+        31: (0, "8bf7e413f533eec23db41b0253bfbd0102f55ba6210ab6a8fd2fe7212a37563c"),
+        37: (0, "6f63b0c20d87f5e2fed8402f06f09cf0f69be4bdd8712fa6d8c09fe57966ba08"),
+        41: (0, "7e4faf683e1502816f1fdccf15005f32a9c110e75e5a6b495905b2f41a5f9346"),
+        43: (0, "54f3d25dd9dc022e2145a779184cdceff6c08614fe3f61c4cbeb66d1db058b59"),
+        47: (0, "e2d7efe0e937764dff6dbd56c05b85b91fb799561b5f492a9799222f8914fe48"),
+    },
+}
+
+
+@pytest.mark.parametrize("fixture, p, rc, digest", [
+    (fx, p, rc, digest) for fx, rows in GOLDEN.items() for p, (rc, digest) in rows.items()
+])
+def test_verify_stdout_matches_golden_digest(capsys, fixture, p, rc, digest):
+    code = main(["verify", "--fixture", fixture, "--p", str(p)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)

@@ -13,7 +13,7 @@ from rectower.errors import (
     MapSyntaxError,
 )
 from rectower.feq import divisorial_check
-from rectower.ff import FieldCtx
+from rectower.ff import FieldCtx, is_prime
 from rectower.p1 import (
     Mobius,
     ProjPoint,
@@ -206,6 +206,37 @@ def test_point_parse_literals():
     assert (i13.x * i13.x) == FieldCtx(13).lift(-1)
     with pytest.raises(InsufficientField):
         point_parse("i", FieldCtx(7))  # -1 is not a square mod 7
+
+
+def _i_by_scan(ctx):
+    """The first e in element order with e^2 = -1, by scanning the field:
+    how "i" was once parsed, kept as the oracle."""
+    return next((e for e in ctx.elements() if (e * e + 1).is_zero()), None)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [p for p in range(5, 48) if is_prime(p)])
+def test_point_parse_i_is_the_first_square_root_of_minus_one(p, r):
+    ctx = FieldCtx(p, r)
+    want = _i_by_scan(ctx)
+    if want is None:  # r = 1 and p = 3 mod 4
+        for s in ("i", "-i"):
+            with pytest.raises(InsufficientField):
+                point_parse(s, ctx)
+        return
+    assert point_parse("i", ctx) == point_parse("+i", ctx) == ProjPoint.affine(want)
+    assert point_parse("-i", ctx) == ProjPoint.affine(-want)
+
+
+def test_fiber_counts_are_found_once_and_read_only():
+    f = map_parse("(x^2+x)/(3*x-1)", 5)
+    t = pt("1", F25)
+    counts, missing = fiber_counts(f, t, F25)
+    assert fiber_counts(f, t, F25)[0] is counts
+    with pytest.raises(TypeError):
+        counts[pt("0", F25)] = 1
+    # another working field is another fiber
+    assert fiber_counts(f, pt("1"), F5)[0] is not counts
 
 
 def test_point_sort_order():
