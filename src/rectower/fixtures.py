@@ -16,10 +16,11 @@ never the tower's name:
 Loading a fixture re-checks its completeness and divisorial invariants on
 the spot, so a broken fixture table cannot silently poison a pipeline.
 
-Given the series bridge, ``verify`` certifies the splitting set over F_p and
-finds no root of H_p: it counts the roots as deg gcd(H_p, x^q - x), reads
-T0 from the f-value codes that the graph build keeps, runs the regularness
-criterion on int lists, and checks f^{-1}(T0) with ``p1.map_preimage``.
+T0 is read off the graph: the distinct f-value codes, kept by the build, at
+``TowerGraph.regular_vertices()``.  Given the series bridge, ``verify``
+certifies that set over F_p and finds no root of H_p: it counts the roots
+as deg gcd(H_p, x^q - x), runs the regularness criterion on int lists, and
+checks f^{-1}(T0) with ``p1.map_preimage``.
 When a certificate fails it falls back to the roots over F_{p^r}
 (``splitting_points``) and ``feq.regularness_check``, so a failed report is
 the one that path gives.
@@ -30,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import feq, genus, series
-from .errors import BadPrime, NoRegularComponent, TowerError
+from .errors import BadPrime, TowerError
 from .ff import (
     FieldCtx,
     _pow_mod,
@@ -152,19 +155,11 @@ def _prime_field_ints(elems):
 def _splitting_codes(graph: TowerGraph):
     """The element codes of the f-values on the d-regular components'
     vertices, ascending and distinct, all affine."""
-    if not graph.regular_components():
-        raise NoRegularComponent(f"no d-regular component over {graph.ctx!r}")
-    codes = graph.regular_values()
+    # not np.unique: its first call imports numpy.ma, about 37 ms
+    codes = np.flatnonzero(np.bincount(graph.f_codes[graph.regular_vertices()]))
     if codes[-1] == graph.ctx.order:
         raise TowerError("splitting values contain the point at infinity")
     return codes
-
-
-def _splitting_values(graph: TowerGraph) -> list:
-    """The f-values on the d-regular components' vertices, all affine, in
-    element order."""
-    ctx = graph.ctx
-    return [ProjPoint.affine(ctx.element(c)) for c in _splitting_codes(graph).tolist()]
 
 
 def chi_from_graph(graph: TowerGraph) -> Poly:
@@ -242,7 +237,8 @@ def _fp_certificate(bound: BoundFixture, graph: TowerGraph, hp: Poly):
     k = _root_count(h, ctx.order, p)
     if k != len(h) - 1:
         return None
-    s0, t0, rho, s, t = feq.criterion_data(f, g, bound.s0, _splitting_values(graph), ctx)
+    values = [ProjPoint.affine(ctx.element(c)) for c in _splitting_codes(graph).tolist()]
+    s0, t0, rho, s, t = feq.criterion_data(f, g, bound.s0, values, ctx)
     sigmas = _prime_field_ints(q.x for q in s0 if not q.is_infinity)
     rho_num, rho_den = _prime_field_ints(rho.num.coeffs), _prime_field_ints(rho.den.coeffs)
     if sigmas is None or rho_num is None or rho_den is None:
@@ -368,7 +364,8 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     paths = graph.path_counts(9, regs[0].indices)
     counts_ok = all(paths[n - 1] == (p - 1) * 2 ** n for n in range(2, 11))
     _check(checks, "splitting-path-counts", counts_ok)
-    sing_ok = all(graph.singular_paths(n - 1) == 2 * (n - 2) for n in range(3, 11))
+    sing = graph.singular_path_counts(9)
+    sing_ok = all(sing[n - 1] == 2 * (n - 2) for n in range(3, 11))
     _check(checks, "singular-path-counts", sing_ok)
     return _finish(name, p, ext, checks)
 

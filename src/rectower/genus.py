@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, FormulaMismatch, NoRegularComponent
+from .errors import BadIndex, FormulaMismatch
 from .p1 import map_parse
 from .tgraph import TowerGraph
 
@@ -81,12 +81,8 @@ def asymptotic_report(p: int, n_max: int, graph: TowerGraph) -> list[GenusReport
         raise ValueError("graph characteristic differs from p")
     if not _is_fixture_tower(graph):
         raise ValueError("genus formulas only apply to the tower y^2 = (x^2+x)/(3x-1)")
-    regs = graph.regular_components()
-    if not regs:
-        raise NoRegularComponent(f"no d-regular component over {graph.ctx!r}")
-    support = [v for c in regs for v in c.indices]
     rows = []
-    for n, n_lower in enumerate(graph.path_counts(n_max - 1, support), start=1):
+    for n, n_lower in enumerate(graph.path_counts(n_max - 1, graph.regular_vertices()), start=1):
         g = genus_closed(n)
         rows.append(GenusReport(
             n=n,

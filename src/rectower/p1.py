@@ -85,22 +85,6 @@ class ProjPoint:
         return lbl if lbl is not None else str(self.x)
 
 
-def _int_poly_str(coeffs, var="x") -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            xs = var if i == 1 else f"{var}^{i}"
-            parts.append(xs if c == 1 else f"{c}*{xs}")
-    return "+".join(parts) if parts else "0"
-
-
 class RatMap:
     """A degree-d rational self-map of P^1 over F_p.
 
@@ -121,7 +105,7 @@ class RatMap:
         ctx = FieldCtx(p)
         if resultant(ctx, self.N, self.D).is_zero():
             raise DegreeZero(
-                f"({_int_poly_str(self.N)}):({_int_poly_str(self.D)}) does not "
+                f"({Poly(ctx, self.N)}):({Poly(ctx, self.D)}) does not "
                 f"define a degree-{self.d} map (vanishing resultant)")
 
     @classmethod
@@ -197,7 +181,8 @@ class RatMap:
         return hash((self.p, self.d, self._canonical()))
 
     def __str__(self):
-        num, den = _int_poly_str(self.num_coeffs), _int_poly_str(self.den_coeffs)
+        ctx = FieldCtx(self.p)
+        num, den = str(Poly(ctx, self.num_coeffs)), str(Poly(ctx, self.den_coeffs))
         if den == "1":
             return num
         return f"({num})/({den})"

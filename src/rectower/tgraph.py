@@ -38,10 +38,14 @@ with the least vertex of its component.  They are classified as
 A component is d-regular when none of its vertices is flagged bad (a degree
 other than d, or ramified), which one array reduction decides for all of
 them; the witness search runs only in the other components that hold a
-point ramified for f.
+point ramified for f.  The components are grouped by class once per graph,
+and ``regular_vertices`` is the one place that flattens the d-regular ones.
 
-Path counting uses exact big-integer vector iteration, never matrix
-powers, so memory stays linear in the vertex count.
+Path counting uses exact big-integer vector iteration, never matrix powers,
+so memory stays linear in the vertex count.  One walk answers a question at
+every length (``path_counts`` inside a vertex set, ``singular_path_counts``
+from f- to g-ramified points), and lists the edge arrays for its own use
+only: a ``dst`` list kept on the graph would cost ~290 MB at the cap.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegreeMismatch, FieldTooLarge, UnknownFormat
+from .errors import DegreeMismatch, FieldTooLarge, NoRegularComponent, UnknownFormat
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
 from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber
 
@@ -310,9 +314,6 @@ class TowerGraph:
             raise KeyError(point)
         return self.ctx.order if point.is_infinity else self.ctx.element_index(point.x)
 
-    def _as_indices(self, points):
-        return [p if isinstance(p, int) else self.index(p) for p in points]
-
     # -- components ---------------------------------------------------------------
 
     def components(self) -> list[ComponentReport]:
@@ -344,45 +345,48 @@ class TowerGraph:
                                     starts, stops, classes, paths))
         return self._components
 
-
     def _singular_witness(self, comp: list[int]):
         """Shortest directed path (>= 1 edge) from a ram_f to a ram_g vertex
         of a component, as indices (out-edges never leave a component)."""
         sources = [s for s in comp if self._ram_f[s]]
-        parent = {}
-        queue = deque()
-        for s in sources:
-            for w in self.successors(s):
-                if w not in parent:
-                    parent[w] = s
-                    queue.append(w)
-        sources = set(sources)
+        # breadth first over edges: a vertex's parent is the tail of the
+        # first edge that reaches it
+        queue = deque((s, w) for s in sources for w in self.successors(s))
+        sources, parent = set(sources), {}
         while queue:
-            u = queue.popleft()
-            if self._ram_g[u]:
-                path = [u]
+            u, w = queue.popleft()
+            if w in parent:
+                continue
+            parent[w] = u
+            if self._ram_g[w]:
+                path = [w]
                 while path[-1] not in sources or len(path) < 2:
                     path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            for w in self.successors(u):
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
+                return path[::-1]
+            queue.extend((w, x) for x in self.successors(w))
         return None
 
+    @cached_property
+    def _by_class(self) -> dict:
+        """The components of each class, in order of their least vertex."""
+        groups = {cls: [] for cls in ComponentClass}
+        for c in self.components():
+            groups[c.cls].append(c)
+        return groups
+
     def regular_components(self) -> list[ComponentReport]:
-        return [c for c in self.components() if c.cls is ComponentClass.D_REGULAR]
+        return list(self._by_class[ComponentClass.D_REGULAR])
 
     def singular_components(self) -> list[ComponentReport]:
-        return [c for c in self.components() if c.cls is ComponentClass.SINGULAR]
+        return list(self._by_class[ComponentClass.SINGULAR])
 
-    def regular_values(self):
-        """The codes of f's values on the d-regular components' vertices,
-        ascending and distinct, read from the f-codes of the build."""
-        values = np.zeros(self.n_vertices, dtype=bool)
-        values[self.f_codes[[v for c in self.regular_components() for v in c.indices]]] = True
-        return np.flatnonzero(values)
+    def regular_vertices(self) -> list[int]:
+        """The vertex indices of the d-regular components, component by
+        component, each ascending."""
+        regs = self._by_class[ComponentClass.D_REGULAR]
+        if not regs:
+            raise NoRegularComponent(f"no d-regular component over {self.ctx!r}")
+        return [v for c in regs for v in c.indices]
 
     # -- path counting -----------------------------------------------------------
 
@@ -392,37 +396,43 @@ class TowerGraph:
         return self.path_counts(n, restrict)[-1]
 
     def path_counts(self, n: int, restrict=None) -> list[int]:
-        """``count_paths(k, restrict)`` for every k = 0..n, from one vector
-        iteration."""
-        if n < 0:
-            raise ValueError("path length must be >= 0")
-        inside = None if restrict is None else set(self._as_indices(restrict))
-        start = range(self.n_vertices) if inside is None else inside
-        return [sum(counts.values())
-                for counts in self._walk(dict.fromkeys(start, 1), n, inside)]
+        """``count_paths(k, restrict)`` for every k = 0..n, from one walk."""
+        inside = None if restrict is None else {
+            v if isinstance(v, int) else self.index(v) for v in restrict}
+        return self._walk(range(self.n_vertices) if inside is None else inside, n, inside)
 
     def singular_paths(self, n: int) -> int:
         """Number of directed paths with n >= 1 edges starting at a vertex
         ramified for f and ending at a vertex ramified for g."""
         if n < 1:
             raise ValueError("singular paths need at least one edge")
-        *_, counts = self._walk(dict.fromkeys(np.flatnonzero(self._ram_f).tolist(), 1), n)
-        return sum(c for v, c in counts.items() if self._ram_g[v])
+        return self.singular_path_counts(n)[-1]
 
-    def _walk(self, counts: dict, n: int, inside=None):
-        """From counts {vertex: paths ending there}, yield the counts after
-        0, 1, ..., n more steps, each step along an edge into ``inside``
-        (every edge when it is None)."""
+    def singular_path_counts(self, n: int) -> list[int]:
+        """The number of directed paths with k edges from a vertex ramified
+        for f to one ramified for g, for every k = 0..n, from one walk."""
+        ends = set(np.flatnonzero(self._ram_g).tolist())
+        return self._walk(np.flatnonzero(self._ram_f).tolist(), n, ends=ends)
+
+    def _walk(self, start, n: int, inside=None, ends=None) -> list[int]:
+        """The numbers of directed paths with 0, 1, ..., n edges from a
+        vertex of ``start``, each step along an edge into ``inside`` (every
+        edge when it is None), that end in ``ends`` (anywhere when None)."""
+        if n < 0:
+            raise ValueError("path length must be >= 0")
         dst, offsets = self._dst.tolist(), self._offsets.tolist()
-        yield counts
-        for _ in range(n):
+        counts, totals = dict.fromkeys(start, 1), []
+        while True:
+            totals.append(sum(counts.values()) if ends is None
+                          else sum(c for v, c in counts.items() if v in ends))
+            if len(totals) > n:
+                return totals
             nxt = {}
             for u, c in counts.items():
                 for v in dst[offsets[u]:offsets[u + 1]]:
                     if inside is None or v in inside:
                         nxt[v] = nxt.get(v, 0) + c
             counts = nxt
-            yield counts
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +485,7 @@ def graph_json_obj(graph: TowerGraph, include_edges: bool = False) -> dict:
 
 def _export_dot(graph: TowerGraph) -> str:
     lines = ["digraph tower {", "  rankdir=LR;"]
-    comp_of = {}
-    for c in graph.components():
-        for v in c.indices:
-            comp_of[v] = c.cls
+    comp_of = {v: c.cls for c in graph.components() for v in c.indices}
     for i, p in enumerate(graph.vertices):
         shape = "ellipse"
         if graph.ram_f[i] and graph.ram_g[i]:

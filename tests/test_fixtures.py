@@ -110,6 +110,29 @@ def test_verify_finds_each_fiber_once(monkeypatch):
     assert len(found) == len(set(found)) == 104
 
 
+def test_verify_walks_twice_and_groups_once(monkeypatch):
+    # one walk for the regular component's path counts at every length and
+    # one for the singular counts (eight separate walks before), and one
+    # grouping of the components by class per graph
+    walks, groupings = [], []
+    real_walk, by_class = TowerGraph._walk, TowerGraph.__dict__["_by_class"]
+    real_group = by_class.func
+
+    def walk(graph, *args, **kwargs):
+        walks.append(graph)
+        return real_walk(graph, *args, **kwargs)
+
+    def group(graph):
+        groupings.append(graph)
+        return real_group(graph)
+
+    monkeypatch.setattr(TowerGraph, "_walk", walk)
+    monkeypatch.setattr(by_class, "func", group)  # a cached_property calls its func
+    assert fixtures.verify_fixture("new-tower", 23)["ok"]
+    assert len(walks) == 2
+    assert len(groupings) == 1 and set(walks) == set(groupings)
+
+
 def test_verify_gs_tower():
     report = fixtures.verify_fixture("gs-tower", 7)
     assert report["ok"], [c for c in report["checks"] if not c["ok"]]

@@ -1,6 +1,7 @@
 """Projective points, map parsing/evaluation, fibers, ramification, and
 Moebius conjugation."""
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from rectower.ff import FieldCtx, is_prime
 from rectower.p1 import (
     Mobius,
     ProjPoint,
+    RatMap,
     fiber,
     fiber_counts,
     map_parse,
@@ -24,6 +26,7 @@ from rectower.p1 import (
     point_parse,
     ramification,
 )
+from rectower.upoly import Poly
 
 F5 = FieldCtx(5)
 F25 = FieldCtx(5, 2, [2, -1, 1])
@@ -248,3 +251,39 @@ def test_wronskian_coefficients():
     f = map_parse("(x^2+x)/(3*x-1)", 5)
     # (2x+1)(3x-1) - 3(x^2+x) = 3x^2 - 2x - 1
     assert f.wronskian_coeffs() == (4, 3, 3)
+
+
+def _int_poly_str_oracle(coeffs) -> str:
+    """The integer-list printer ``RatMap`` used before it printed through
+    ``Poly.__str__``, kept as the oracle."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            xs = "x" if i == 1 else f"x^{i}"
+            parts.append(xs if c == 1 else f"{c}*{xs}")
+    return "+".join(parts) if parts else "0"
+
+
+def test_prime_field_polys_print_as_int_lists():
+    # every coefficient vector of length <= 4 over each prime: 3,734 in all
+    seen = 0
+    for p in (2, 3, 5, 7):
+        ctx = FieldCtx(p)
+        for length in range(5):
+            for coeffs in itertools.product(range(p), repeat=length):
+                assert str(Poly(ctx, coeffs)) == _int_poly_str_oracle(coeffs)
+                seen += 1
+    assert seen == 3734
+
+
+def test_map_strings_and_degenerate_message():
+    assert str(map_parse("(x^2+x)/(3*x-1)", 5)) == "(x^2+x)/(3*x+4)"
+    assert str(map_parse("y^2", 7)) == "x^2"
+    assert str(map_parse("(x^2+1)/(2*x)", 7)) == "(x^2+1)/(2*x)"
+    with pytest.raises(DegreeZero, match=r"^\(x\^2\+x\):\(x\^2\+x\) does not define a degree-2"):
+        RatMap(5, (0, 1, 1), (0, 1, 1))

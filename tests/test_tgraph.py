@@ -3,13 +3,20 @@ counting, and export."""
 
 import gc
 import json
+import random
 import weakref
 
 import numpy as np
 import pytest
 
 from rectower import cli, fixtures
-from rectower.errors import DegreeMismatch, FieldTooLarge, TowerError, UnknownFormat
+from rectower.errors import (
+    DegreeMismatch,
+    FieldTooLarge,
+    NoRegularComponent,
+    TowerError,
+    UnknownFormat,
+)
 from rectower.ff import FieldCtx
 from rectower.p1 import (
     ProjPoint,
@@ -22,6 +29,7 @@ from rectower.tgraph import (
     MAX_VERTICES,
     ComponentClass,
     TowerGraph,
+    _point,
     graph_export,
     graph_json_obj,
 )
@@ -385,3 +393,56 @@ def test_constant_denominator_codes_match_inverse(monkeypatch, name, p):
     assert np.array_equal(fast.f_codes, slow.f_codes)
     assert np.array_equal(fast._src, slow._src) and np.array_equal(fast._dst, slow._dst)
     assert fast.out_adj == slow.out_adj
+
+
+def _enumerated_paths(out_adj, starts, k, inside=None):
+    """Every directed path with k edges from a vertex of starts, each step
+    into ``inside`` (anywhere when None), listed one by one."""
+    paths = [(s,) for s in starts]
+    for _ in range(k):
+        paths = [path + (w,) for path in paths for w in out_adj[path[-1]]
+                 if inside is None or w in inside]
+    return paths
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name", ["new-tower", "gs-tower"])
+def test_path_counts_match_enumerated_paths(name, p):
+    fx = fixtures.FIXTURES[name]
+    f, g = map_parse(fx.f_expr, p), map_parse(fx.g_expr, p)
+    graph = TowerGraph(f, g, FieldCtx(p, 2))
+    out_adj = graph.out_adj
+    regular = graph.regular_vertices()
+    assert len(regular) == 2 * (p - 1)
+    points = [_point(graph.ctx, v) for v in range(graph.n_vertices)]
+    ram_f = [v for v, pt in enumerate(points) if point_multiplicity_in_fiber(f, pt) >= 2]
+    ram_g = {v for v, pt in enumerate(points) if point_multiplicity_in_fiber(g, pt) >= 2}
+    restricted = graph.path_counts(6, regular)
+    singular = graph.singular_path_counts(6)
+    for k in range(7):
+        inside = _enumerated_paths(out_adj, regular, k, set(regular))
+        assert restricted[k] == graph.count_paths(k, regular) == len(inside)
+        ending = [path for path in _enumerated_paths(out_adj, ram_f, k) if path[-1] in ram_g]
+        assert singular[k] == len(ending)
+        if k >= 1:
+            assert graph.singular_paths(k) == len(ending)
+    assert singular[6] > 0
+    # a vertex set that out-edges leave, so the restriction cuts paths
+    subset = sorted(random.Random(p).sample(range(graph.n_vertices), graph.n_vertices // 2))
+    for k, count in enumerate(graph.path_counts(6, subset)):
+        assert count == len(_enumerated_paths(out_adj, subset, k, set(subset)))
+
+
+def test_regular_vertices_flatten_the_regular_components():
+    graph = TowerGraph(F, G, F25)
+    assert graph.regular_vertices() == graph.regular_components()[0].indices
+    # x^2 against y^2: every {P, -P} with P != 0, inf is a 2-regular component
+    square = TowerGraph(map_parse("x^2", 5), G, F5)
+    assert [c.indices for c in square.regular_components()] == [[1, 4], [2, 3]]
+    assert square.regular_vertices() == [1, 4, 2, 3]
+    toy = TowerGraph(map_parse("x^2+x", 5), G, F25)
+    with pytest.raises(NoRegularComponent, match=r"^no d-regular component over "):
+        toy.regular_vertices()
+    # the grouping is kept, but a caller gets its own list
+    graph.regular_components().clear()
+    assert len(graph.regular_components()) == 1
