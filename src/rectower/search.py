@@ -132,7 +132,7 @@ def constraint_check(params: SearchParams, p: int) -> Optional[SearchSolution]:
     # dr2*x^2 - nr2 (g(P2) = f(r2)) and D(x) (f(P2) = infinity)
     if _res2(dr2, 0, -nr2, b2, b1, b0, p):
         return None
-    return _certify(params, p, (r2n, r2d))
+    return _certify(params, p, (r2n, r2d), (n1, d1), (nr2, dr2))
 
 
 def _common_roots(u_coeffs, v_coeffs, ctx) -> list:
@@ -140,21 +140,16 @@ def _common_roots(u_coeffs, v_coeffs, ctx) -> list:
     return gcd.roots()
 
 
-def _certify(params: SearchParams, p: int, r2_proj) -> SearchSolution:
+def _certify(params: SearchParams, p: int, r2_proj, f_at_1, f_at_r2) -> SearchSolution:
     """Build the explicit witnesses over F_{p^2} (the midpoints P_1, P_2 of
-    the length-2 paths need not be rational over F_p)."""
+    the length-2 paths need not be rational over F_p), from f(1) = n1/d1 and
+    f(r2) = nr2/dr2 (projective values, as ``constraint_check`` found them)."""
     a2, a1, a0, b2, b1, b0 = params
     f = RatMap(p, (a0, a1, a2), (b0, b1, b2))
     ext = FieldCtx(p, 2)
-    r2n, r2d = r2_proj
-    if r2d == 0:
-        r2 = ProjPoint.infinity(ext)
-    else:
-        r2 = ProjPoint.affine(ext.lift(r2n) / ext.lift(r2d))
-    n1 = (a2 + a1 + a0) % p
-    d1 = (b2 + b1 + b0) % p
-    nr2 = (a2 * r2n * r2n + a1 * r2n * r2d + a0 * r2d * r2d) % p
-    dr2 = (b2 * r2n * r2n + b1 * r2n * r2d + b0 * r2d * r2d) % p
+    r2n, r2d = r2_proj  # r2d != 0: constraint_check puts r2 away from infinity
+    r2 = ProjPoint.affine(ext.lift(r2n) / ext.lift(r2d))
+    (n1, d1), (nr2, dr2) = f_at_1, f_at_r2
     p1_pts = _common_roots((-n1, 0, d1), (a0, a1, a2), ext)
     p2_pts = _common_roots((-nr2, 0, dr2), (b0, b1, b2), ext)
     certificate = {

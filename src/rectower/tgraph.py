@@ -38,14 +38,16 @@ with the least vertex of its component.  They are classified as
 A component is d-regular when none of its vertices is flagged bad (a degree
 other than d, or ramified), which one array reduction decides for all of
 them; the witness search runs only in the other components that hold a
-point ramified for f.  The components are grouped by class once per graph,
-and ``regular_vertices`` is the one place that flattens the d-regular ones.
+point ramified for f.  The partition is one table per graph (the vertices
+grouped by component, a class code per component, the singular witnesses):
+reports are built only for the components asked for, and none for
+``regular_vertices``.
 
 Path counting uses exact big-integer vector iteration, never matrix powers,
 so memory stays linear in the vertex count.  One walk answers a question at
 every length (``path_counts`` inside a vertex set, ``singular_path_counts``
-from f- to g-ramified points), and lists the edge arrays for its own use
-only: a ``dst`` list kept on the graph would cost ~290 MB at the cap.
+from f- to g-ramified points), listing each vertex's steps from
+``successors`` when it first reaches it, so it touches only those vertices.
 """
 
 from __future__ import annotations
@@ -54,14 +56,13 @@ import json
 from collections import deque
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegreeMismatch, FieldTooLarge, NoRegularComponent, UnknownFormat
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
-from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber
+from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber, require_tame
 
 MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
 
@@ -72,6 +73,9 @@ class ComponentClass(Enum):
     OTHER = "other"
 
 
+_REGULAR, _SINGULAR, _OTHER = range(3)  # class codes: positions in ComponentClass
+
+
 def _point(ctx: FieldCtx, n: int) -> ProjPoint:
     """Vertex n of the graph over ctx as a point."""
     return ProjPoint.infinity(ctx) if n == ctx.order else ProjPoint.affine(ctx.element(n))
@@ -80,10 +84,10 @@ def _point(ctx: FieldCtx, n: int) -> ProjPoint:
 class ComponentReport:
     """One weak component: its class, its vertices in ascending order, and
     for a singular component a shortest ram_f -> ram_g directed path (the
-    witness).  The points are built from the index data on first access; a
+    witness).  The points are built from the index data on each access; a
     report holds no reference to its graph."""
 
-    __slots__ = ("cls", "_ctx", "_members", "_start", "_stop", "_path", "_vertices")
+    __slots__ = ("cls", "_ctx", "_members", "_start", "_stop", "_path")
 
     def __init__(self, ctx: FieldCtx, members, start: int, stop: int,
                  cls: ComponentClass, path: Optional[list]):
@@ -92,7 +96,6 @@ class ComponentReport:
         self._members = members  # every component's vertices; this one's at [start:stop]
         self._start, self._stop = start, stop
         self._path = path
-        self._vertices = None
 
     @property
     def size(self) -> int:
@@ -105,9 +108,7 @@ class ComponentReport:
 
     @property
     def vertices(self) -> list:
-        if self._vertices is None:
-            self._vertices = [_point(self._ctx, v) for v in self.indices]
-        return self._vertices
+        return [_point(self._ctx, v) for v in self.indices]
 
     @property
     def witness(self) -> Optional[list]:
@@ -213,6 +214,7 @@ class TowerGraph:
             raise DegreeMismatch(f"maps of degree {f.d} and {g.d}")
         if f.p != ctx.p or g.p != ctx.p:
             raise DegreeMismatch("maps and field have different characteristics")
+        require_tame(f, "the graph")
         if ctx.order + 1 > MAX_VERTICES:
             raise FieldTooLarge(
                 f"{ctx!r} has {ctx.order + 1} points; graphs are capped at "
@@ -243,7 +245,6 @@ class TowerGraph:
 
         self._ram_f = self._ram_flags(f, field, x, inf)
         self._ram_g = self._ram_flags(g, field, x, inf)
-        self._components = None
 
     def _value_codes(self, m: RatMap, field: FieldArrays, x, inf: ProjPoint):
         """Element index of m at every vertex, with q standing for infinity."""
@@ -316,39 +317,61 @@ class TowerGraph:
 
     # -- components ---------------------------------------------------------------
 
-    def components(self) -> list[ComponentReport]:
-        """Weak components in order of their least vertex, each one sorted."""
-        if self._components is not None:
-            return self._components
-        n, ctx = self.n_vertices, self.ctx
+    @cached_property
+    def _table(self):
+        """The weak components, in order of their least vertex: ``members``
+        holds every vertex grouped by component and ascending in each,
+        component k is ``members[bounds[k]:bounds[k + 1]]``, ``codes[k]`` is
+        its class code, and ``witnesses`` maps each singular k to its path."""
+        n = self.n_vertices
         label = _component_labels(n, self._src, self._dst)
         bad = ((self._out_deg != self.d) | (self._in_deg != self.d)
                | self._ram_f | self._ram_g)
-        irregular = np.zeros(n, dtype=bool)
-        irregular[label[bad]] = True
-        has_ram_f = np.zeros(n, dtype=bool)
-        has_ram_f[label[self._ram_f]] = True
+        irregular = np.bincount(label[bad], minlength=n) > 0  # by root
+        has_ram_f = np.bincount(label[self._ram_f], minlength=n) > 0
         # by component, then by vertex: each component starts at its root
         members = np.argsort(label, kind="stable")
-        starts = np.flatnonzero(label[members] == members)
-        roots = members[starts]
-        stops = np.append(starts[1:], n)
-        starts, stops = starts.tolist(), stops.tolist()
-        classes = [ComponentClass.OTHER if b else ComponentClass.D_REGULAR
-                   for b in irregular[roots].tolist()]
-        paths = [None] * len(classes)
-        for k in np.flatnonzero(irregular[roots] & has_ram_f[roots]).tolist():
-            paths[k] = self._singular_witness(members[starts[k]:stops[k]].tolist())
-            if paths[k]:
-                classes[k] = ComponentClass.SINGULAR
-        self._components = list(map(ComponentReport, repeat(ctx), repeat(members),
-                                    starts, stops, classes, paths))
-        return self._components
+        bounds = np.append(np.flatnonzero(label[members] == members), n)
+        roots = members[bounds[:-1]]
+        codes = np.where(irregular[roots], _OTHER, _REGULAR).astype(np.int8)
+        witnesses = {k: path for k in np.flatnonzero(irregular[roots] & has_ram_f[roots]).tolist()
+                     if (path := self._singular_witness(members[bounds[k]:bounds[k + 1]]))}
+        codes[list(witnesses)] = _SINGULAR
+        return members, bounds, codes, witnesses
 
-    def _singular_witness(self, comp: list[int]):
+    def _reports(self, code=None) -> list[ComponentReport]:
+        """Reports for the components of class ``code`` (all when None), in order."""
+        members, bounds, codes, witnesses = self._table
+        keep = np.arange(len(codes)) if code is None else np.flatnonzero(codes == code)
+        classes = tuple(ComponentClass)
+        return [ComponentReport(self.ctx, members, a, b, classes[c], witnesses.get(k))
+                for k, a, b, c in zip(keep.tolist(), bounds[keep].tolist(),
+                                      bounds[keep + 1].tolist(), codes[keep].tolist())]
+
+    def components(self) -> list[ComponentReport]:
+        """Weak components in order of their least vertex, each one sorted."""
+        return self._reports()
+
+    def regular_components(self) -> list[ComponentReport]:
+        return self._reports(_REGULAR)
+
+    def singular_components(self) -> list[ComponentReport]:
+        return self._reports(_SINGULAR)
+
+    def regular_vertices(self) -> list[int]:
+        """The vertex indices of the d-regular components, component by
+        component, each ascending."""
+        members, bounds, codes, _ = self._table
+        regular = members[np.repeat(codes == _REGULAR, np.diff(bounds))]
+        if not len(regular):
+            raise NoRegularComponent(f"no d-regular component over {self.ctx!r}")
+        return regular.tolist()
+
+    def _singular_witness(self, comp):
         """Shortest directed path (>= 1 edge) from a ram_f to a ram_g vertex
-        of a component, as indices (out-edges never leave a component)."""
-        sources = [s for s in comp if self._ram_f[s]]
+        of a component (an index array), as indices (out-edges never leave a
+        component)."""
+        sources = comp[self._ram_f[comp]].tolist()
         # breadth first over edges: a vertex's parent is the tail of the
         # first edge that reaches it
         queue = deque((s, w) for s in sources for w in self.successors(s))
@@ -365,28 +388,6 @@ class TowerGraph:
                 return path[::-1]
             queue.extend((w, x) for x in self.successors(w))
         return None
-
-    @cached_property
-    def _by_class(self) -> dict:
-        """The components of each class, in order of their least vertex."""
-        groups = {cls: [] for cls in ComponentClass}
-        for c in self.components():
-            groups[c.cls].append(c)
-        return groups
-
-    def regular_components(self) -> list[ComponentReport]:
-        return list(self._by_class[ComponentClass.D_REGULAR])
-
-    def singular_components(self) -> list[ComponentReport]:
-        return list(self._by_class[ComponentClass.SINGULAR])
-
-    def regular_vertices(self) -> list[int]:
-        """The vertex indices of the d-regular components, component by
-        component, each ascending."""
-        regs = self._by_class[ComponentClass.D_REGULAR]
-        if not regs:
-            raise NoRegularComponent(f"no d-regular component over {self.ctx!r}")
-        return [v for c in regs for v in c.indices]
 
     # -- path counting -----------------------------------------------------------
 
@@ -420,7 +421,7 @@ class TowerGraph:
         edge when it is None), that end in ``ends`` (anywhere when None)."""
         if n < 0:
             raise ValueError("path length must be >= 0")
-        dst, offsets = self._dst.tolist(), self._offsets.tolist()
+        steps = {}  # a reached vertex's steps into ``inside``, listed once
         counts, totals = dict.fromkeys(start, 1), []
         while True:
             totals.append(sum(counts.values()) if ends is None
@@ -429,9 +430,10 @@ class TowerGraph:
                 return totals
             nxt = {}
             for u, c in counts.items():
-                for v in dst[offsets[u]:offsets[u + 1]]:
-                    if inside is None or v in inside:
-                        nxt[v] = nxt.get(v, 0) + c
+                if u not in steps:
+                    steps[u] = [v for v in self.successors(u) if inside is None or v in inside]
+                for v in steps[u]:
+                    nxt[v] = nxt.get(v, 0) + c
             counts = nxt
 
 
@@ -442,6 +444,10 @@ _DOT_COLORS = {
     ComponentClass.D_REGULAR: "palegreen",
     ComponentClass.SINGULAR: "lightcoral",
     ComponentClass.OTHER: "lightgray",
+}
+_DOT_SHAPES = {  # by (ramified for f, ramified for g)
+    (False, False): "ellipse", (True, False): "box",
+    (False, True): "diamond", (True, True): "hexagon",
 }
 
 
@@ -487,13 +493,7 @@ def _export_dot(graph: TowerGraph) -> str:
     lines = ["digraph tower {", "  rankdir=LR;"]
     comp_of = {v: c.cls for c in graph.components() for v in c.indices}
     for i, p in enumerate(graph.vertices):
-        shape = "ellipse"
-        if graph.ram_f[i] and graph.ram_g[i]:
-            shape = "hexagon"
-        elif graph.ram_f[i]:
-            shape = "box"
-        elif graph.ram_g[i]:
-            shape = "diamond"
+        shape = _DOT_SHAPES[graph.ram_f[i], graph.ram_g[i]]
         color = _DOT_COLORS[comp_of[i]]
         lines.append(
             f'  n{i} [label="{p.label()}", shape={shape}, style=filled, fillcolor={color}];')

@@ -7,11 +7,11 @@ import re
 
 import pytest
 
-from rectower import feq, fixtures, p1, series
+from rectower import cli, feq, fixtures, p1, series
 from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
 from rectower.ff import FieldCtx, is_prime, legendre, pmul
 from rectower.p1 import RatMap, map_parse
-from rectower.tgraph import TowerGraph
+from rectower.tgraph import ComponentClass, ComponentReport, TowerGraph
 from rectower.upoly import Poly
 
 
@@ -110,27 +110,50 @@ def test_verify_finds_each_fiber_once(monkeypatch):
     assert len(found) == len(set(found)) == 104
 
 
-def test_verify_walks_twice_and_groups_once(monkeypatch):
-    # one walk for the regular component's path counts at every length and
-    # one for the singular counts (eight separate walks before), and one
-    # grouping of the components by class per graph
-    walks, groupings = [], []
-    real_walk, by_class = TowerGraph._walk, TowerGraph.__dict__["_by_class"]
-    real_group = by_class.func
+def _count_graph_work(monkeypatch):
+    """Lists that record, per call, the graph of each walk, the graph of
+    each component table built, and each ``ComponentReport`` made."""
+    walks, tables, reports = [], [], []
+    real_walk, table = TowerGraph._walk, TowerGraph.__dict__["_table"]
+    real_table, real_report = table.func, ComponentReport.__init__
 
     def walk(graph, *args, **kwargs):
         walks.append(graph)
         return real_walk(graph, *args, **kwargs)
 
-    def group(graph):
-        groupings.append(graph)
-        return real_group(graph)
+    def build_table(graph):
+        tables.append(graph)
+        return real_table(graph)
+
+    def report(self, *args):
+        reports.append(self)
+        real_report(self, *args)
 
     monkeypatch.setattr(TowerGraph, "_walk", walk)
-    monkeypatch.setattr(by_class, "func", group)  # a cached_property calls its func
+    monkeypatch.setattr(table, "func", build_table)  # a cached_property calls its func
+    monkeypatch.setattr(ComponentReport, "__init__", report)
+    return walks, tables, reports
+
+
+def test_verify_walks_twice_and_groups_once(monkeypatch):
+    # one walk for the regular component's path counts at every length and
+    # one for the singular counts (eight separate walks before), one
+    # component table per graph, and a report only for the regular component
+    # that verify asks for, not one per component
+    walks, tables, reports = _count_graph_work(monkeypatch)
     assert fixtures.verify_fixture("new-tower", 23)["ok"]
     assert len(walks) == 2
-    assert len(groupings) == 1 and set(walks) == set(groupings)
+    assert len(tables) == 1 and set(walks) == set(tables)
+    assert [r.cls for r in reports] == [ComponentClass.D_REGULAR]
+    assert len(tables[0].components()) == 192  # one report per component made before
+
+
+@pytest.mark.parametrize("argv", [["chi", "--p", "89"], ["genus", "--p", "97", "--n-max", "60"]])
+def test_chi_and_genus_make_no_component_reports(monkeypatch, capsys, argv):
+    # both read the regular vertices straight from the component table
+    walks, tables, reports = _count_graph_work(monkeypatch)
+    assert cli.main(argv) == 0
+    assert len(tables) == 1 and reports == []
 
 
 def test_verify_gs_tower():

@@ -1,5 +1,5 @@
 """Golden output: the sha256 of `verify` stdout, and its exit code, for every
-fixture at every prime 5 <= p <= 47.
+fixture at every prime 5 <= p <= 47, and of three `graph` exports per fixture.
 
 The digests pin the report bytes (check names and order, details, constants
 and JSON layout), so a change to the arithmetic below `verify` that alters
@@ -70,3 +70,27 @@ def test_verify_stdout_matches_golden_digest(capsys, fixture, p, rc, digest):
     code = main(["verify", "--fixture", fixture, "--p", str(p)])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
+
+
+# `graph` stdout: the JSON at p = 7, the DOT at p = 7, and the JSON with the
+# edge list at p = 13, for every fixture; made from the code that built a
+# report for every component before grouping them by class.
+GRAPH_GOLDEN = {
+    ("new-tower", "7", ()): "217032b4f33db228b287de6fcf3e904cc43f45f1f62b4fcfab1a6a90e21b823c",
+    ("new-tower", "7", ("--dot",)): "ab82751a8ef6eb9ae5a3655ebf071cd27797f75aa5175743a7d0cee8ab52bea7",
+    ("new-tower", "13", ("--edges",)): "8fd39523a457637aef5d907e43b556577e4ff98adfe723db3cdc8f536f4d8eb7",
+    ("gs-tower", "7", ()): "3f4ad4e68a8ab0b4ee2a89c8fd8d8238febfc90e71b89d285efbd0d1df0b717f",
+    ("gs-tower", "7", ("--dot",)): "9560f8af5a9ae3be0bd52433bd9aab9628544cbc37a337c958c53c2dc4cb724a",
+    ("gs-tower", "13", ("--edges",)): "d8899d2ce9e7a989d5861685623fc161259441a3c00f77b05d468cddc15275eb",
+    ("type-a-toy", "7", ()): "293d05775b2301e0c0d48a796cf5ae84b967b53ac4641e81a923dc3a3853f925",
+    ("type-a-toy", "7", ("--dot",)): "8d56be356f2a13b9584e31e4769d5c8c8b088bf6237df935d7505acec5408a9c",
+    ("type-a-toy", "13", ("--edges",)): "a9d96b18f1351571ee4a1a4b9e5acbc8950db70bbcda3002a3284706d418ef8c",
+}
+
+
+@pytest.mark.parametrize("fixture, p, flags", list(GRAPH_GOLDEN))
+def test_graph_stdout_matches_golden_digest(capsys, fixture, p, flags):
+    code = main(["graph", "--fixture", fixture, "--p", p, *flags])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_GOLDEN[fixture, p, flags]

@@ -11,6 +11,7 @@ import pytest
 
 from rectower import cli, fixtures
 from rectower.errors import (
+    BadPrime,
     DegreeMismatch,
     FieldTooLarge,
     NoRegularComponent,
@@ -190,11 +191,8 @@ def test_json_export_schema():
 
 
 def test_dot_export():
-    # tiny characteristic-2 toy still renders valid DOT
-    graph = TowerGraph(map_parse("x^2+x", 2), map_parse("y^2", 2), FieldCtx(2))
-    text = graph_export(graph, "dot")
-    assert text.startswith("digraph") and text.endswith("}")
     full = graph_export(TowerGraph(F, G, F25), "dot")
+    assert full.startswith("digraph") and full.endswith("}")
     assert full == graph_export(TowerGraph(F, G, F25), "dot")
     assert "box" in full and "diamond" in full
 
@@ -279,7 +277,15 @@ MAP_PAIRS = [
     ("(2*x^2+1)/(x^2+x+3)", "(y^2+3)/(y^2+1)"),  # infinity maps to affine points
 ]
 ORACLE_CASES = [(f, g, p, r) for f, g in MAP_PAIRS for p, r in [(7, 1), (7, 2), (5, 3)]]
-ORACLE_CASES.append(("x^2+x", "y^2", 2, 1))  # the characteristic-2 toy
+
+
+@pytest.mark.parametrize("f_expr,g_expr,p,r", [
+    ("x^2+x", "y^2", 2, 1), ("x^2+x", "y^2", 2, 2), ("(x^3+2*x)/(x^2+1)", "(y^3+1)/y", 3, 2)])
+def test_graph_refuses_wild_ramification(f_expr, g_expr, p, r):
+    # with p <= d the Wronskian misses ramification: y^2 over F_{2^r} has a
+    # vanishing Wronskian, yet e_g = 2 at every vertex
+    with pytest.raises(BadPrime, match=r"^the graph of a degree-\d map needs p > "):
+        TowerGraph(map_parse(f_expr, p), map_parse(g_expr, p), FieldCtx(p, r))
 
 
 @pytest.mark.parametrize("f_expr,g_expr,p,r", ORACLE_CASES)
@@ -446,3 +452,27 @@ def test_regular_vertices_flatten_the_regular_components():
     # the grouping is kept, but a caller gets its own list
     graph.regular_components().clear()
     assert len(graph.regular_components()) == 1
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_reports_on_request_match_the_class_filters(name, p, r):
+    fx = fixtures.FIXTURES[name]
+    graph = TowerGraph(map_parse(fx.f_expr, p), map_parse(fx.g_expr, p), FieldCtx(p, r))
+
+    def rows(reports):
+        return [(c.cls, c.indices, c.size, c.witness) for c in reports]
+
+    every = graph.components()
+    regular = [c for c in every if c.cls is ComponentClass.D_REGULAR]
+    singular = [c for c in every if c.cls is ComponentClass.SINGULAR]
+    assert rows(graph.regular_components()) == rows(regular)
+    assert rows(graph.singular_components()) == rows(singular)
+    assert all(c.witness for c in singular)
+    flat = [v for c in regular for v in c.indices]
+    if flat:
+        assert graph.regular_vertices() == flat
+    else:
+        with pytest.raises(NoRegularComponent):
+            graph.regular_vertices()
