@@ -11,13 +11,13 @@ pure; contexts and elements can be shared freely between callers.
 
 The module also holds the package's dense polynomial arithmetic over F_p on
 ascending int coefficient lists (``ptrim``, ``padd``, ``pmul``, ``ppow``,
-``pmod``, ``pgcd``, ``pinvmod``, ``psubst``, ``pproportional``).  Its kernel
-is subquadratic (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-ch. 8-9): ``pmul`` multiplies by Kronecker substitution, ``pmod`` by a
-Newton inverse of the reversed divisor cached per modulus, and ``psubst``
-composes by divide and conquer, so x^q mod h costs O(M(n) log q).  An
-operation whose two sizes have a geometric mean below FAST_MIN_LEN takes
-the schoolbook path instead, which is faster there.
+``pmod``, ``pgcd``, ``pinvmod``, ``psubst``, ``pproportional``,
+``presultant``).  Its kernel is subquadratic (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 8-9): ``pmul`` multiplies by Kronecker
+substitution, ``pmod`` by a Newton inverse of the reversed divisor cached
+per modulus, and ``psubst`` composes by divide and conquer, so x^q mod h
+costs O(M(n) log q).  An operation whose two sizes have a geometric mean
+below FAST_MIN_LEN takes the schoolbook path instead, which is faster there.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def legendre(a: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # dense polynomials over F_p: ascending int coefficient lists, reduced mod p
 # and with trailing zeros stripped on output.  They validate moduli here,
-# before any FieldCtx exists; p1 uses them for map forms and parsing, series
-# for the cleared functional equations.
+# before any FieldCtx exists; p1 uses them for map forms, parsing and
+# resultants, upoly for compositions, series and fixtures for the cleared
+# functional equations.
 
 def ptrim(f, p):
     """f reduced mod p, as a new list without trailing zeros."""
@@ -245,6 +246,38 @@ def pproportional(a, b, p):
     if all((x - c * y) % p == 0 for x, y in zip(a, b)):
         return c
     return None
+
+
+def presultant(f, g, p) -> int:
+    """Sylvester resultant mod p of two forms of one formal degree d = len(f) - 1.
+
+    Zero leading coefficients are meaningful, they encode roots at infinity.
+    The resultant vanishes iff the forms share a projective root, iff the
+    induced self-map of the line drops below degree d.  The determinant is
+    the sign-tracked product of the pivots of a Gaussian elimination."""
+    if len(f) != len(g):
+        raise DegreeMismatch("forms must share a formal degree")
+    d = len(f) - 1
+    size = 2 * d
+    rows = [[0] * i + [c % p for c in reversed(form)] + [0] * (d - 1 - i)
+            for form in (f, g) for i in range(d)]
+    det = 1
+    for col in range(size):
+        pivot = next((rr for rr in range(col, size) if rows[rr][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det = det * pv % p
+        inv = pow(pv, p - 2, p)
+        for rr in range(col + 1, size):
+            factor = rows[rr][col] * inv % p
+            if factor:
+                rows[rr][col:] = [(a - factor * b) % p
+                                  for a, b in zip(rows[rr][col:], rows[col][col:])]
+    return det % p
 
 
 def _pow_mod(f, e: int, m, p):

@@ -58,7 +58,7 @@ from .p1 import (
     ratfun_parse,
 )
 from .tgraph import FieldArrays, TowerGraph
-from .upoly import Poly, RatFun
+from .upoly import Poly, RatFun, prime_field_ints
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,6 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
 # ---------------------------------------------------------------------------
 # splitting polynomials from graphs
 
-def _prime_field_ints(elems):
-    """The field elements as ints when all of them lie in F_p, else None."""
-    elems = list(elems)
-    if any(any(e.coeffs[1:]) for e in elems):
-        return None
-    return [e.coeffs[0] for e in elems]
-
-
 def _splitting_codes(graph: TowerGraph):
     """The element codes of the f-values on the d-regular components'
     vertices, ascending and distinct, all affine."""
@@ -185,7 +177,7 @@ def chi_from_graph(graph: TowerGraph) -> Poly:
             orbit.append(ctx.element(v))
             v = conjugates.pop(v)
         # an orbit that does not close has a conjugate missing from the set
-        factor = _prime_field_ints(Poly.from_roots(ctx, orbit).coeffs) if v == first else None
+        factor = prime_field_ints(Poly.from_roots(ctx, orbit).coeffs) if v == first else None
         if factor is None:
             raise TowerError("splitting polynomial has coefficients outside F_p")
         chi = pmul(chi, factor, ctx.p)
@@ -233,24 +225,31 @@ def _fp_certificate(bound: BoundFixture, graph: TowerGraph, hp: Poly):
     """
     f, g, ctx = bound.f, bound.g, bound.ctx
     p = ctx.p
-    h = _prime_field_ints(hp.coeffs)
+    h = prime_field_ints(hp.coeffs)
     k = _root_count(h, ctx.order, p)
     if k != len(h) - 1:
         return None
     values = [ProjPoint.affine(ctx.element(c)) for c in _splitting_codes(graph).tolist()]
     s0, t0, rho, s, t = feq.criterion_data(f, g, bound.s0, values, ctx)
-    sigmas = _prime_field_ints(q.x for q in s0 if not q.is_infinity)
-    rho_num, rho_den = _prime_field_ints(rho.num.coeffs), _prime_field_ints(rho.den.coeffs)
+    sigmas = prime_field_ints(q.x for q in s0 if not q.is_infinity)
+    rho_num, rho_den = prime_field_ints(rho.num.coeffs), prime_field_ints(rho.den.coeffs)
     if sigmas is None or rho_num is None or rho_den is None:
         return None
-    num = ppow(h, s, p)
-    den = [1]
+    lin = [1]  # prod (x - sigma)
     for sigma in sigmas:
-        den = pmul(den, ppow([-sigma, 1], t, p), p)
-    top = max(len(num), len(den))  # one formal degree, so m's denominator cancels
-    num, den = num + [0] * (top - len(num)), den + [0] * (top - len(den))
-    num_f, den_f, num_g, den_g = (psubst(part, m.num_coeffs, m.den_coeffs, p)
-                                  for m in (f, g) for part in (num, den))
+        lin = pmul(lin, [-sigma, 1], p)
+    parts = ((h, s), (lin, t))  # phi = H_p^s / prod (x - sigma)^t
+    top = max(e * (len(base) - 1) for base, e in parts)  # one formal degree, so m's denominator cancels
+
+    def composed(m):
+        # psubst is multiplicative, and padding to formal degree top
+        # multiplies by b^(top - deg), so H_p and prod (x - sigma) are
+        # composed once each rather than their powers
+        a, b = m.num_coeffs, m.den_coeffs
+        return [pmul(ppow(psubst(base, a, b, p), e, p), ppow(b, top - e * (len(base) - 1), p), p)
+                for base, e in parts]
+
+    (num_f, den_f), (num_g, den_g) = composed(f), composed(g)
     lhs_num = pmul(ppow(rho_num, t, p), num_f, p)
     lhs_den = pmul(ppow(rho_den, t, p), den_f, p)
     constant = pproportional(pmul(lhs_num, den_g, p), pmul(num_g, lhs_den, p), p)

@@ -3,7 +3,7 @@
 A rational map of degree d is stored as a pair (N, D) of homogeneous forms
 of the *same formal degree* d, as integer coefficient vectors over the
 prime field (entry i is the coefficient of X^i Y^{d-i}).  The single
-invariant ``resultant(N, D) != 0`` guarantees at once that the map has
+invariant ``presultant(N, D, p) != 0`` guarantees at once that the map has
 degree exactly d and that it is defined everywhere, covering both ways a
 written fraction can degenerate (proportional rows and common roots).
 
@@ -20,14 +20,15 @@ from typing import Optional
 
 from .errors import (
     BadPrime,
+    CompositeP,
     DegreeMismatch,
     DegreeZero,
     FieldMismatch,
     InsufficientField,
     MapSyntaxError,
 )
-from .ff import FieldCtx, FieldElem, padd, pmul, ppow, psubst, ptrim
-from .upoly import Poly, resultant
+from .ff import FieldCtx, FieldElem, is_prime, padd, pmul, ppow, presultant, psubst, ptrim
+from .upoly import Poly
 
 
 class ProjPoint:
@@ -102,8 +103,10 @@ class RatMap:
         self.N = tuple(c % p for c in n_form)
         self.D = tuple(c % p for c in d_form)
         self._fibers = {}
-        ctx = FieldCtx(p)
-        if resultant(ctx, self.N, self.D).is_zero():
+        if not is_prime(p):
+            raise CompositeP(f"{p} is not prime")
+        if not presultant(self.N, self.D, p):
+            ctx = FieldCtx(p)
             raise DegreeZero(
                 f"({Poly(ctx, self.N)}):({Poly(ctx, self.D)}) does not "
                 f"define a degree-{self.d} map (vanishing resultant)")

@@ -38,7 +38,7 @@ from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import BadPrime
-from .ff import FieldCtx, is_prime
+from .ff import FieldCtx, is_prime, pgcd
 from .p1 import ProjPoint, RatMap
 from .upoly import Poly
 
@@ -136,8 +136,8 @@ def constraint_check(params: SearchParams, p: int) -> Optional[SearchSolution]:
 
 
 def _common_roots(u_coeffs, v_coeffs, ctx) -> list:
-    gcd = Poly(ctx, u_coeffs).gcd(Poly(ctx, v_coeffs))
-    return gcd.roots()
+    """The roots over ctx of the gcd over F_p of two int polynomials."""
+    return Poly(ctx, pgcd(u_coeffs, v_coeffs, ctx.p)).roots()
 
 
 def _certify(params: SearchParams, p: int, r2_proj, f_at_1, f_at_r2) -> SearchSolution:

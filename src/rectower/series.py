@@ -254,18 +254,12 @@ def li_trick_check(p: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # polynomial functional equations mod p
 
-# den^(deg h) * h(num/den) and the proportionality test, named for their use
-# here; the arithmetic is ff's F_p[x] helper set
-compose_cleared = psubst
-proportional_mod = pproportional
-
-
 def functional_equation_holds(h, num, den, p):
     """Whether den^(deg h) * h(num/den) is proportional to h(x^2) over F_p;
     returns (holds, constant)."""
     rhs = [0] * (2 * len(h) - 1)
     rhs[::2] = h  # h(x^2)
-    c = proportional_mod(compose_cleared(h, num, den, p), rhs, p)
+    c = pproportional(psubst(h, num, den, p), rhs, p)
     return c is not None, c
 
 

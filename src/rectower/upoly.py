@@ -5,24 +5,23 @@ leading coefficient nonzero (the zero polynomial has an empty tuple, degree
 -1 by convention).  Rational functions are kept reduced with a monic
 denominator, which pins the constant in proportionality tests.
 
-Also provides the Sylvester resultant of two homogeneous forms of a common
-formal degree, the single invariant behind "this pair of forms defines a
-degree-d map".
+Compositions and resultants run on ``ff``'s F_p[x] kernel: ``resultant``
+wraps ``ff.presultant`` for forms given as field elements.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     ConstantMap,
-    DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
     ZeroFunction,
     ZeroPolynomial,
 )
-from .ff import FieldCtx, FieldElem, pmul
+from .ff import FieldCtx, FieldElem, presultant, psubst
 
 if TYPE_CHECKING:  # pragma: no cover
     from .p1 import RatMap
@@ -264,56 +263,22 @@ class Poly:
         return str(self)
 
 
-def resultant(ctx: FieldCtx, n_form, d_form) -> FieldElem:
-    """Sylvester resultant of two forms of the same formal degree d.
+def prime_field_ints(elems) -> Optional[list]:
+    """The field elements as ints when all of them lie in F_p, else None."""
+    elems = list(elems)
+    if any(any(e.coeffs[1:]) for e in elems):
+        return None
+    return [e.coeffs[0] for e in elems]
 
-    The inputs are coefficient vectors of length d+1 (ints or field
-    elements); zero leading coefficients are meaningful, they encode roots
-    at infinity.  The resultant vanishes iff the forms share a projective
-    root, iff the induced self-map of the line drops below degree d.
-    """
-    if len(n_form) != len(d_form):
-        raise DegreeMismatch("forms must share a formal degree")
-    d = len(n_form) - 1
-    if d <= 0:
-        return ctx.one()
-    n = [ctx.elem(c) for c in n_form]
-    m = [ctx.elem(c) for c in d_form]
-    size = 2 * d
-    rows = []
-    for i in range(d):
-        row = [ctx.zero()] * size
-        for j, c in enumerate(reversed(n)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(d):
-        row = [ctx.zero()] * size
-        for j, c in enumerate(reversed(m)):
-            row[i + j] = c
-        rows.append(row)
-    # Gaussian elimination; determinant is the product of pivots (sign-tracked)
-    det = ctx.one()
-    for col in range(size):
-        pivot = None
-        for rr in range(col, size):
-            if not rows[rr][col].is_zero():
-                pivot = rr
-                break
-        if pivot is None:
-            return ctx.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det = det * pv
-        inv = pv.inverse()
-        for rr in range(col + 1, size):
-            factor = rows[rr][col] * inv
-            if factor.is_zero():
-                continue
-            for cc in range(col, size):
-                rows[rr][cc] = rows[rr][cc] - factor * rows[col][cc]
-    return det
+
+def resultant(ctx: FieldCtx, n_form, d_form) -> FieldElem:
+    """Sylvester resultant of two forms of the same formal degree, as an
+    element of ctx: ``ff.presultant`` of their coefficient vectors, whose
+    entries are ints or elements of F_p."""
+    forms = [prime_field_ints(ctx.elem(c) for c in form) for form in (n_form, d_form)]
+    if None in forms:
+        raise FieldMismatch("resultant coefficients must lie in F_p")
+    return ctx.lift(presultant(*forms, ctx.p))
 
 
 class RatFun:
@@ -399,19 +364,13 @@ def compose_rational(phi: RatFun, m: "RatMap") -> RatFun:
         raise FieldMismatch("map and function over different characteristics")
     if m.d < 1:
         raise ConstantMap("composition requires a nonconstant map")
-    # the basis n^i d^(top-i) lies over F_p, so it is built on int lists
     top = max(phi.num.degree, phi.den.degree)
-    n_pows, d_pows = [[1]], [[1]]
-    for _ in range(top):
-        n_pows.append(pmul(n_pows[-1], m.num_coeffs, m.p))
-        d_pows.append(pmul(d_pows[-1], m.den_coeffs, m.p))
-    basis = [Poly(ctx, pmul(n_pows[i], d_pows[top - i], m.p)) for i in range(top + 1)]
 
     def substituted(f: Poly) -> Poly:
-        # sum_i c_i n^i d^(top-i), the cleared f(n/d) as in ff.psubst
-        out = Poly.zero(ctx)
-        for c, b in zip(f.coeffs, basis):
-            out = out + b * c
-        return out
+        # f(n/d) cleared by d^top: psubst is linear in f, so it runs once
+        # per F_p coordinate of f's coefficients
+        parts = (psubst([c.coeffs[j] for c in f.coeffs] + [0] * (top + 1 - len(f.coeffs)),
+                        m.num_coeffs, m.den_coeffs, m.p) for j in range(ctx.r))
+        return Poly(ctx, zip_longest(*parts, fillvalue=0))
 
     return RatFun(substituted(phi.num), substituted(phi.den))

@@ -272,8 +272,8 @@ def test_int_list_helpers_match_poly_arithmetic(p):
         assert psubst(h, a, b, p) == ints(expected)
 
 
-# the same examples on every run: no example database, no random seed
-DERANDOMIZED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# derandomized by the suite's hypothesis profile (conftest.py)
+DERANDOMIZED = settings(max_examples=300)
 
 F97_2 = FieldCtx(97, 2)
 
@@ -297,6 +297,29 @@ def test_inverse_matches_fermat_on_every_element(p, r):
 @given(st.tuples(st.integers(0, 96), st.integers(0, 96)).filter(any))
 def test_inverse_matches_fermat_in_f97_squared(coeffs):
     _assert_inverse_matches_power(F97_2.elem(coeffs))
+
+
+AXIOM_FIELDS = [FieldCtx(p, r) for p in (5, 7) for r in (1, 2, 3)]
+
+
+@st.composite
+def three_elements(draw):
+    ctx = draw(st.sampled_from(AXIOM_FIELDS))
+    digits = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.r, max_size=ctx.r)
+    return ctx, [ctx.elem(draw(digits)) for _ in range(3)]
+
+
+@given(three_elements())
+def test_field_axioms(case):
+    ctx, (a, b, c) = case
+    zero, one = ctx.zero(), ctx.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and a - b == a + (-b)
+    if not a.is_zero():
+        assert a * a.inverse() == one and (b / a) * a == b
 
 
 def test_pinvmod_rejects_common_factor():

@@ -1,5 +1,6 @@
 """Golden output: the sha256 of `verify` stdout, and its exit code, for every
-fixture at every prime 5 <= p <= 47, and of three `graph` exports per fixture.
+fixture at every prime 5 <= p <= 47, of three `graph` exports per fixture, and
+of a few runs of every other command (``COMMAND_GOLDEN``).
 
 The digests pin the report bytes (check names and order, details, constants
 and JSON layout), so a change to the arithmetic below `verify` that alters
@@ -94,3 +95,39 @@ def test_graph_stdout_matches_golden_digest(capsys, fixture, p, flags):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_GOLDEN[fixture, p, flags]
+
+
+# Other commands' stdout and exit codes: `search` at every prime 5 <= p <= 23
+# (its `_certify` witnesses), `feq-check` on both fixtures with a
+# functional equation (its constants), and one run each of `chi`, `genus`,
+# `conjugate`, `series` and `series-check`; made from the code whose
+# resultants and compositions still ran on field-element copies of the F_p
+# kernel.
+COMMAND_GOLDEN = {
+    ('search', '--p', '5'): (0, "6ff1a966b09d493b314f64a6f0d194c921e84e364fb2c4ae23988245fa9e20b4"),
+    ('search', '--p', '7'): (0, "0792fc8100820fb817d9f6cf66c9e91c694c09632fa395c3a307b81d548737b5"),
+    ('search', '--p', '11'): (0, "4b0e8cc709c5cb48b92dcba278ecf1f4b87d3e41b5f72119b683587da10775de"),
+    ('search', '--p', '13'): (0, "96ed5f8e58448ac0cec0de6269f5ee504e5111835783cca05da5b4471bb0eee4"),
+    ('search', '--p', '17'): (0, "74ab352be24eee510733e9757a2165772232f78d5dfb6685dfb220e2d6dbb2d8"),
+    ('search', '--p', '19'): (0, "d60d144f7f76d50e91526afe2b1ee751846da3ffb4e865fca9a4d8b66e0286ab"),
+    ('search', '--p', '23'): (0, "dfb11dca5bc36172562ff25cfd16525768c0ad00dd8b624723bb2b3e6c7d33b5"),
+    ('feq-check', '--fixture', 'new-tower', '--p', '7'): (0, "129a6dadb46cfd6c03226725d13fd1c8ec7f87389b579eb57e86be3830596c4f"),
+    ('feq-check', '--fixture', 'new-tower', '--p', '13'): (0, "7e72be11ebd6e1c966c87a8b06d98c0545ce6593a69f2f9dd19ba93003243884"),
+    ('feq-check', '--fixture', 'new-tower', '--p', '29'): (0, "d178a3e76bab02446f4d0d3a6e7b00272eecf4c4352352c0fff1e1dcf0a3da22"),
+    ('feq-check', '--fixture', 'gs-tower', '--p', '7'): (0, "4ab3769cdeff0451e99b452c5acf6fa79d54897a599316708db71d5a699e132d"),
+    ('feq-check', '--fixture', 'gs-tower', '--p', '13'): (0, "42c4b79a5428508ad9ccbe5f37350fe74d3a9a4858d5f7c1ed1bf181009897bc"),
+    ('feq-check', '--fixture', 'gs-tower', '--p', '29'): (0, "4e26fd19934b832ad39ae4af90b12045b9125b1b85c20466f159d826e9de34d5"),
+    ('chi', '--p', '13'): (0, "f01bd124d0c7e3dbc79fd2cb5b161fcc5cfaffd6ccb4da85e8e9ffa4a57e0393"),
+    ('chi', '--p', '29'): (0, "438ef3f979d181044826fa904c6814286543611139c5658b71a340ff6130d732"),
+    ('genus', '--p', '13', '--n-max', '20'): (0, "7cb8ba8642ba9771fae9080f546ef54305b9dddc1c076f1a1c795d799ead9d76"),
+    ('conjugate', '--p', '11'): (0, "df82cee9cc087fa0654a8965298ae92428e3370b14683b52183caf4fe0853084"),
+    ('series', '--n', '30', '--p', '11'): (0, "dd7a8b09e666dbe0baa210146a363eeedafd4b7b0003d77bdaa950591f33e964"),
+    ('series-check', '--order', '30', '--p', '7'): (0, "729823e9dc7f61297f349843a9d05232640fe2ec60371c51f0b2ea7fc6272000"),
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_GOLDEN))
+def test_command_stdout_matches_golden_digest(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == COMMAND_GOLDEN[argv]

@@ -9,12 +9,13 @@ import pytest
 from rectower.divisor import Divisor, restricted_different
 from rectower.errors import (
     BadPrime,
+    CompositeP,
     DegreeZero,
     InsufficientField,
     MapSyntaxError,
 )
 from rectower.feq import divisorial_check
-from rectower.ff import FieldCtx, is_prime
+from rectower.ff import FieldCtx, FieldElem, is_prime
 from rectower.p1 import (
     Mobius,
     ProjPoint,
@@ -286,4 +287,19 @@ def test_map_strings_and_degenerate_message():
     assert str(map_parse("y^2", 7)) == "x^2"
     assert str(map_parse("(x^2+1)/(2*x)", 7)) == "(x^2+1)/(2*x)"
     with pytest.raises(DegreeZero, match=r"^\(x\^2\+x\):\(x\^2\+x\) does not define a degree-2"):
+        RatMap(5, (0, 1, 1), (0, 1, 1))
+
+
+def test_a_valid_map_builds_no_field_element(monkeypatch):
+    # the resultant runs on ints; a FieldCtx and its elements appear only
+    # in the message of a degenerate map
+    def refuse(*_args):
+        raise AssertionError("a FieldElem was built")
+
+    monkeypatch.setattr(FieldElem, "__init__", refuse)
+    for p, n, d in [(5, (0, 1, 1), (-1, 3, 0)), (7, (1, 0, 1), (0, 2, 0)), (11, (3, 1), (1, 0))]:
+        RatMap(p, n, d)
+    with pytest.raises(CompositeP):
+        RatMap(9, (1, 2), (3, 4))
+    with pytest.raises(AssertionError, match="FieldElem"):
         RatMap(5, (0, 1, 1), (0, 1, 1))

@@ -9,10 +9,9 @@ import pytest
 
 from rectower import fixtures, series
 from rectower.errors import BadIndex, BadPrime, FormulaMismatch
-from rectower.ff import FieldCtx, legendre
+from rectower.ff import FieldCtx, legendre, pproportional, psubst
 from rectower.series import (
     coeff_a,
-    compose_cleared,
     functional_equation_holds,
     gauss_hypergeom_coeffs,
     h_leading_is_legendre,
@@ -22,7 +21,6 @@ from rectower.series import (
     ode_check,
     ode_residual,
     poly_feq_check,
-    proportional_mod,
     series_feq_check,
     truncate_H_mod_p,
 )
@@ -161,13 +159,13 @@ def test_poly_functional_equation_classical_analogue():
 
 def test_compose_cleared_small_case():
     # h = x + 1, num = x^2, den = x: den^1 * h(num/den) = x^2 + x
-    assert compose_cleared([1, 1], [0, 0, 1], [0, 1], 5) == [0, 1, 1]
+    assert psubst([1, 1], [0, 0, 1], [0, 1], 5) == [0, 1, 1]
 
 
 def test_proportional_mod():
-    assert proportional_mod([2, 4], [1, 2], 5) == 2
-    assert proportional_mod([2, 4], [1, 3], 5) is None
-    assert proportional_mod([1], [1, 2], 5) is None
+    assert pproportional([2, 4], [1, 2], 5) == 2
+    assert pproportional([2, 4], [1, 3], 5) is None
+    assert pproportional([1], [1, 2], 5) is None
 
 
 def test_bulk_table_matches_exact_values():

@@ -1,17 +1,94 @@
 """Polynomial algebra, resultants, and rational-function proportionality."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from rectower.errors import DegreeMismatch, DivisionByZero, ZeroFunction, ZeroPolynomial
+from rectower.errors import (
+    DegreeMismatch,
+    DegreeZero,
+    DivisionByZero,
+    FieldMismatch,
+    ZeroFunction,
+    ZeroPolynomial,
+)
 from rectower.ff import FieldCtx
 from rectower.fixtures import FIXTURES
-from rectower.p1 import ProjPoint, map_parse, ratfun_parse
+from rectower.p1 import ProjPoint, RatMap, map_parse, ratfun_parse
 from rectower.upoly import Poly, RatFun, compose_rational, ratfun_proportional, resultant
 
 F5 = FieldCtx(5)
+F7 = FieldCtx(7)
 F25 = FieldCtx(5, 2, [2, -1, 1])
+F49 = FieldCtx(7, 2)
+QUADRATIC = {5: F25, 7: F49}
+
+
+# ---------------------------------------------------------------------------
+# oracles for the kernel paths: the Sylvester elimination over field
+# elements, and composition through the n^i d^(top-i) basis of Poly products
+
+def sylvester_oracle(ctx, n_form, d_form):
+    """The Sylvester determinant of two forms of formal degree d, by
+    Gaussian elimination over ctx with sign-tracked pivots."""
+    d = len(n_form) - 1
+    if d <= 0:
+        return ctx.one()
+    size = 2 * d
+    rows = []
+    for form in (n_form, d_form):
+        for i in range(d):
+            row = [ctx.zero()] * size
+            for j, c in enumerate(reversed(form)):
+                row[i + j] = ctx.elem(c)
+            rows.append(row)
+    det = ctx.one()
+    for col in range(size):
+        pivot = next((rr for rr in range(col, size) if not rows[rr][col].is_zero()), None)
+        if pivot is None:
+            return ctx.zero()
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = rows[col][col].inverse()
+        for rr in range(col + 1, size):
+            factor = rows[rr][col] * inv
+            for cc in range(col, size):
+                rows[rr][cc] = rows[rr][cc] - factor * rows[col][cc]
+    return det
+
+
+def basis_compose_oracle(phi, m):
+    """phi(m(x)) as sum_i c_i n^i d^(top-i) over phi's coefficients, the
+    basis built by Poly's own schoolbook products."""
+    ctx = phi.ctx
+    top = max(phi.num.degree, phi.den.degree)
+    n, d = Poly(ctx, m.num_coeffs), Poly(ctx, m.den_coeffs)
+    basis = [n ** i * d ** (top - i) for i in range(top + 1)]
+
+    def substituted(f):
+        out = Poly.zero(ctx)
+        for c, b in zip(f.coeffs, basis):
+            out = out + b * c
+        return out
+
+    return RatFun(substituted(phi.num), substituted(phi.den))
+
+
+def forms(p, d):
+    """Forms of formal degree d over F_p, with 0..d leading zeros."""
+    return st.integers(0, d).flatmap(lambda zeros: st.lists(
+        st.integers(0, p - 1), min_size=d + 1 - zeros, max_size=d + 1 - zeros
+    ).map(lambda low: low + [0] * zeros))
+
+
+def polys(ctx, min_size=0, max_size=4):
+    digits = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.r, max_size=ctx.r)
+    return st.lists(digits, min_size=min_size, max_size=max_size).map(lambda cs: Poly(ctx, cs))
 
 
 def test_gcd_shared_factor():
@@ -30,17 +107,14 @@ def test_eval():
     assert f.eval(F5.one()) == F5.lift(2)
 
 
-def test_divmod_roundtrip_random():
-    rng = random.Random(7)
-    F7 = FieldCtx(7)
-    for _ in range(100):
-        f = Poly(F7, [rng.randrange(7) for _ in range(rng.randint(0, 6))])
-        g = Poly(F7, [rng.randrange(7) for _ in range(rng.randint(1, 4))])
-        if g.is_zero():
-            continue
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.degree < g.degree
+@given(st.sampled_from([F7, F25]).flatmap(
+    lambda ctx: st.tuples(polys(ctx, max_size=7), polys(ctx, min_size=1, max_size=5))))
+def test_divmod_roundtrip_random(pair):
+    f, g = pair
+    assume(not g.is_zero())
+    q, r = divmod(f, g)
+    assert q * g + r == f
+    assert r.degree < g.degree
 
 
 def test_gcd_divides_both_random():
@@ -110,21 +184,39 @@ def test_resultant_degree_mismatch():
         resultant(F5, (1, 2), (1, 2, 3))
 
 
-def test_resultant_vanishes_iff_common_root_random():
-    rng = random.Random(9)
-    F7 = FieldCtx(7)
-    F49 = FieldCtx(7, 2)
-    for _ in range(80):
-        n = tuple(rng.randrange(7) for _ in range(3))
-        d = tuple(rng.randrange(7) for _ in range(3))
-        if not any(n) or not any(d):
-            continue
-        res = resultant(F7, n, d)
-        common = any(
-            _form_eval(n, x, F49).is_zero() and _form_eval(d, x, F49).is_zero()
-            for x in F49.elements()
-        ) or (n[2] == 0 and d[2] == 0)
-        assert res.is_zero() == common
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(forms(7, d), forms(7, d))))
+def test_resultant_vanishes_iff_common_root_random(pair):
+    # two forms of degree <= 2 that share a root share one over F_49 or at infinity
+    n, d = pair
+    assume(any(n) and any(d))
+    common = any(
+        _form_eval(n, x, F49).is_zero() and _form_eval(d, x, F49).is_zero()
+        for x in F49.elements()
+    ) or (n[-1] == 0 and d[-1] == 0)
+    assert resultant(F7, n, d).is_zero() == common
+
+
+@given(st.sampled_from([5, 7]).flatmap(lambda p: st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(p), forms(p, d), forms(p, d)))))
+def test_resultant_matches_sylvester_oracle(case):
+    p, n, d = case
+    ctx = FieldCtx(p)
+    assert resultant(ctx, n, d) == sylvester_oracle(ctx, n, d)
+    assert resultant(QUADRATIC[p], n, d) == sylvester_oracle(QUADRATIC[p], n, d)
+
+
+def test_resultant_matches_sylvester_oracle_exhaustively_up_to_degree_two():
+    for d in range(3):
+        all_forms = list(itertools.product(range(5), repeat=d + 1))
+        for n, m in itertools.product(all_forms, repeat=2):
+            assert resultant(F5, n, m) == sylvester_oracle(F5, n, m)
+
+
+def test_resultant_takes_prime_field_elements_only():
+    assert resultant(F25, (F5.lift(1), 0, 1), (F25.lift(2), 1, 0)) == sylvester_oracle(
+        F25, (1, 0, 1), (2, 1, 0))
+    with pytest.raises(FieldMismatch):
+        resultant(F25, (F25.gen(), 0, 1), (0, 1, 0))
 
 
 def _form_eval(form, x, ctx):
@@ -196,20 +288,36 @@ def test_compose_with_square():
     assert compose_rational(phi, m) == ratfun_parse("x^2/(x^2-1)", F5)
 
 
-def test_compose_degree_divides():
-    rng = random.Random(11)
+@given(polys(F5, min_size=1), polys(F5, min_size=1))
+def test_compose_degree_divides(num, den):
+    assume(not num.is_zero() and not den.is_zero())
     m = map_parse("(x^2+x)/(3*x-1)", 5)
-    for _ in range(20):
-        num = Poly(F5, [rng.randrange(5) for _ in range(rng.randint(1, 4))])
-        den = Poly(F5, [rng.randrange(5) for _ in range(rng.randint(1, 4))])
-        if num.is_zero() or den.is_zero():
-            continue
-        phi = RatFun(num, den)
-        comp = compose_rational(phi, m)
-        deg_phi = max(phi.num.degree, phi.den.degree)
-        deg_comp = max(comp.num.degree, comp.den.degree)
-        if deg_comp:
-            assert (deg_phi * m.d) % deg_comp == 0
+    phi = RatFun(num, den)
+    comp = compose_rational(phi, m)
+    deg_phi = max(phi.num.degree, phi.den.degree)
+    deg_comp = max(comp.num.degree, comp.den.degree)
+    if deg_comp:
+        assert (deg_phi * m.d) % deg_comp == 0
+
+
+@st.composite
+def ratfun_and_map(draw):
+    """A RatFun over F_25 or F_49 and a map of degree 1-3 over its prime field."""
+    p = draw(st.sampled_from([5, 7]))
+    num, den = draw(polys(QUADRATIC[p])), draw(polys(QUADRATIC[p], min_size=1))
+    assume(not den.is_zero())
+    d = draw(st.integers(1, 3))
+    try:
+        m = RatMap(p, draw(forms(p, d)), draw(forms(p, d)))
+    except DegreeZero:
+        assume(False)
+    return RatFun(num, den), m
+
+
+@given(ratfun_and_map())
+def test_compose_matches_basis_oracle(case):
+    phi, m = case
+    assert compose_rational(phi, m) == basis_compose_oracle(phi, m)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
