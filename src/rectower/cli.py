@@ -33,6 +33,7 @@ def _fixture(args):
 
 def _fixture_graph(args):
     """The fixture bound over F_{p^ext} from --p/--ext/--modulus, and its graph."""
+    tgraph.require_graph_size(args.p, args.ext)  # before the field's modulus search
     bound = _fixture(args)
     return bound, tgraph.TowerGraph(bound.f, bound.g, bound.ctx)
 
@@ -98,11 +99,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_feq_check(args) -> int:
-    bound = _fixture(args)  # validates --ext and --modulus even when no graph is built
-    if bound.fixture.series_bridge:
-        chi = None  # (-3/p) H_p stands in for chi: no graph needed
+    if fixtures.FIXTURES[args.fixture].series_bridge:  # (-3/p) H_p stands in for chi
+        bound, chi = _fixture(args), None  # no graph, but --ext and --modulus are checked
     else:
-        chi = fixtures.chi_from_graph(tgraph.TowerGraph(bound.f, bound.g, bound.ctx))
+        bound, graph = _fixture_graph(args)
+        chi = fixtures.chi_from_graph(graph)
     holds, constant = fixtures.functional_equation(bound, chi)
     _emit({"fixture": args.fixture, "p": args.p, "holds": holds,
            "constant": None if constant is None else str(constant)})

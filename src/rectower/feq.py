@@ -11,6 +11,11 @@ Three equivalent views of the same phenomenon, in increasing effectiveness:
   rho^t (phi o f) ~ (phi o g), where div(rho) = D_f(S0) - D_g(S0) and
   div(phi) = s div(T0) - t div(S0).
 
+The functional criterion runs on points over F_{p^r} (``regularness_check``,
+the oracle) or on F_p int lists for T0 the roots of a polynomial
+(``splitting_criterion``, which ``verify`` runs); both share the checked
+preconditions and exponents.
+
 On the line the divisor class group is trivial, so the auxiliary orders a
 and b of the general statement are both 1; they are still carried in the
 report for traceability.
@@ -29,10 +34,10 @@ from math import gcd
 from typing import Optional
 
 from .divisor import Divisor, _less_support, divisor_to_function, pullback, restricted_different
-from .errors import NotComplete, RamifiedT0
-from .ff import FieldCtx, FieldElem
+from .errors import FieldMismatch, NotComplete, RamifiedT0
+from .ff import FieldCtx, FieldElem, pmul, ppow, pproportional, psubst
 from .p1 import RatMap, map_preimage, ramification, require_tame
-from .upoly import RatFun, compose_rational, ratfun_proportional
+from .upoly import Poly, RatFun, compose_rational, prime_field_ints, ratfun_proportional
 
 
 def _working_ctx(points, ctx: Optional[FieldCtx]):
@@ -99,43 +104,50 @@ class FunctionalReport:
         }
 
 
-def criterion_data(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None):
-    """The checked preconditions and the data of the functional criterion.
+def _s0_half(f: RatMap, g: RatMap, s0, ctx: Optional[FieldCtx]):
+    """The S0 half of the functional criterion's data.
 
-    Raises NotComplete unless f^{-1}(S0) is complete, and RamifiedT0 when T0
-    meets the ramification locus of g.  Returns S0 and T0 as sorted lists of
-    distinct points, rho with div(rho) = D_f(S0) - D_g(S0), and the minimal
-    positive s, t with t*#S0 = s*#T0.
+    Raises NotComplete unless f^{-1}(S0) is complete.  Returns S0 as a
+    sorted list of distinct points and rho with div(rho) = D_f(S0) - D_g(S0).
     """
     s0_points, ctx = _working_ctx(s0, ctx)
-    t0_points, _ = _working_ctx(t0, ctx)
     s0_points = sorted(set(s0_points), key=lambda q: q.sort_key())
-    t0_points = sorted(set(t0_points), key=lambda q: q.sort_key())
-    if not s0_points or not t0_points:
-        raise ValueError("S0 and T0 must be nonempty")
+    if not s0_points:
+        raise ValueError("S0 must be nonempty")
     if not divisorial_check(f, g, s0_points, ctx):
         raise NotComplete("S0 does not induce a complete set")
-    ram_g = ramification(g, ctx, strict=False)
-    bad = set(t0_points) & set(ram_g)
-    if bad:
-        raise RamifiedT0(f"T0 meets the ramification locus of g at {sorted(map(str, bad))}")
-
     d_f = restricted_different(f, s0_points, ctx)
     d_g = restricted_different(g, s0_points, ctx)
-    rho = divisor_to_function(d_f - d_g)
-    common = gcd(len(s0_points), len(t0_points))
-    return s0_points, t0_points, rho, len(s0_points) // common, len(t0_points) // common
+    return s0_points, divisor_to_function(d_f - d_g)
+
+
+def _t0_half(g: RatMap, ctx: FieldCtx, n_s0: int, n_t0: int, in_t0):
+    """The T0 half of the functional criterion's data, from |T0| and the
+    membership test in_t0 of a point.
+
+    Raises RamifiedT0 when T0 meets the ramification locus of g.  Returns the
+    minimal positive s, t with t*|S0| = s*|T0|.
+    """
+    if not n_t0:
+        raise ValueError("T0 must be nonempty")
+    bad = [q for q in ramification(g, ctx, strict=False) if in_t0(q)]
+    if bad:
+        raise RamifiedT0(f"T0 meets the ramification locus of g at {sorted(map(str, bad))}")
+    common = gcd(n_s0, n_t0)
+    return n_s0 // common, n_t0 // common
 
 
 def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> FunctionalReport:
     """The functional criterion: holds iff f^{-1}(T0) is d-regular.
 
-    The preconditions and exponents are those of ``criterion_data``; the
-    proportionality test is exact polynomial arithmetic after clearing
-    denominators.
+    The preconditions and exponents are those of ``_s0_half`` and
+    ``_t0_half``; the proportionality test is exact polynomial arithmetic
+    after clearing denominators.
     """
-    s0_points, t0_points, rho, s, t = criterion_data(f, g, s0, t0, ctx)
-    ctx = rho.ctx  # the working field, resolved by criterion_data
+    s0_points, rho = _s0_half(f, g, s0, ctx)
+    ctx = rho.ctx  # the working field, resolved by _s0_half
+    t0_points = set(_working_ctx(t0, ctx)[0])
+    s, t = _t0_half(g, ctx, len(s0_points), len(t0_points), t0_points.__contains__)
     phi = divisor_to_function(
         s * Divisor.of_set(t0_points, ctx) - t * Divisor.of_set(s0_points, ctx))
 
@@ -143,6 +155,42 @@ def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> Fun
     rhs = compose_rational(phi, g)
     constant = ratfun_proportional(lhs, rhs)
     return FunctionalReport(constant is not None, constant, rho, phi, s, t)
+
+
+def splitting_criterion(f: RatMap, g: RatMap, s0, r, ctx: FieldCtx):
+    """``regularness_check`` on F_p int lists for T0 = the roots of r, a
+    monic squarefree polynomial over F_p that splits over ctx, such as
+    gcd(h, x^q - x); no root of r is found.  phi = r^s / prod (x - sigma)^t
+    over the affine points sigma of S0 has divisor s T0 - t S0 up to a
+    constant, which cancels in rho^t (phi o f) ~ phi o g.  Returns s, t, the
+    constant (None when the sides are not proportional) and r o f with its
+    denominator cleared, of formal degree deg(f) deg(r)."""
+    s0_points, rho = _s0_half(f, g, s0, ctx)
+    p = ctx.p
+    root_of_r = Poly(ctx, r).eval
+    s, t = _t0_half(g, ctx, len(s0_points), len(r) - 1,
+                    lambda q: not q.is_infinity and root_of_r(q.x).is_zero())
+    lin = Poly.from_roots(ctx, [q.x for q in s0_points if not q.is_infinity])
+    lin, rho_num, rho_den = forms = [prime_field_ints(h.coeffs) for h in (lin, rho.num, rho.den)]
+    if None in forms:
+        raise FieldMismatch("S0 and rho must be defined over F_p")
+    parts = ((r, s), (lin, t))  # phi = r^s / prod (x - sigma)^t
+    top = max(e * (len(base) - 1) for base, e in parts)  # one formal degree, so m's denominator cancels
+
+    def composed(m):
+        # psubst is multiplicative, and padding to formal degree top
+        # multiplies by b^(top - deg), so r and prod (x - sigma) are
+        # composed once each rather than their powers
+        a, b = m.num_coeffs, m.den_coeffs
+        bases = [psubst(base, a, b, p) for base, _ in parts]
+        return bases[0], [pmul(ppow(c, e, p), ppow(b, top - e * (len(base) - 1), p), p)
+                          for c, (base, e) in zip(bases, parts)]
+
+    (r_f, (num_f, den_f)), (_, (num_g, den_g)) = composed(f), composed(g)
+    lhs_num = pmul(ppow(rho_num, t, p), num_f, p)
+    lhs_den = pmul(ppow(rho_den, t, p), den_f, p)
+    constant = pproportional(pmul(lhs_num, den_g, p), pmul(num_g, lhs_den, p), p)
+    return s, t, constant, r_f
 
 
 class LenstraVerdict(Enum):

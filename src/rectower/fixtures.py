@@ -16,14 +16,16 @@ never the tower's name:
 Loading a fixture re-checks its completeness and divisorial invariants on
 the spot, so a broken fixture table cannot silently poison a pipeline.
 
-T0 is read off the graph: the distinct f-value codes, kept by the build, at
-``TowerGraph.regular_vertices()``.  Given the series bridge, ``verify``
-certifies that set over F_p and finds no root of H_p: it counts the roots
-as deg gcd(H_p, x^q - x), runs the regularness criterion on int lists, and
-checks f^{-1}(T0) with ``p1.map_preimage``.
-When a certificate fails it falls back to the roots over F_{p^r}
-(``splitting_points``) and ``feq.regularness_check``, so a failed report is
-the one that path gives.
+The splitting polynomial chi is read off the graph: the distinct f-value
+codes, kept by the build, at ``TowerGraph.regular_vertices()``.  Given the
+series bridge, ``verify`` checks the splitting values T0, the roots of H_p
+over F_q, on F_p int lists and finds none of them: R = gcd(H_p, x^q - x)
+has them as its roots, ``feq.splitting_criterion`` runs the regularness
+criterion on R, and |f^{-1}(T0)| is the number of roots in F_q of R o f
+(plus infinity when its degree drops), which must be the regular
+component's size when R = chi.  ``splitting_points`` (the roots of H_p
+over F_{p^r}), ``feq.regularness_check`` and ``p1.map_preimage`` are the
+tests' oracles for these checks, not a path of ``verify``.
 """
 
 from __future__ import annotations
@@ -35,29 +37,18 @@ import numpy as np
 
 from . import feq, genus, series
 from .errors import BadPrime, TowerError
-from .ff import (
-    FieldCtx,
-    _pow_mod,
-    is_prime,
-    legendre,
-    padd,
-    pgcd,
-    pmul,
-    ppow,
-    pproportional,
-    psubst,
-)
+from .ff import FieldCtx, _pow_mod, is_prime, legendre, padd, pgcd, pmul
 from .p1 import (
     Mobius,
     ProjPoint,
     RatMap,
     map_parse,
-    map_preimage,
+    map_preimage,  # noqa: F401  the tests' preimage oracle; benchmark/tracing.py wraps it here
     mobius_conjugate,
     point_parse,
     ratfun_parse,
 )
-from .tgraph import FieldArrays, TowerGraph
+from .tgraph import FieldArrays, TowerGraph, require_graph_size
 from .upoly import Poly, RatFun, prime_field_ints
 
 
@@ -144,16 +135,6 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
 # ---------------------------------------------------------------------------
 # splitting polynomials from graphs
 
-def _splitting_codes(graph: TowerGraph):
-    """The element codes of the f-values on the d-regular components'
-    vertices, ascending and distinct, all affine."""
-    # not np.unique: its first call imports numpy.ma, about 37 ms
-    codes = np.flatnonzero(np.bincount(graph.f_codes[graph.regular_vertices()]))
-    if codes[-1] == graph.ctx.order:
-        raise TowerError("splitting values contain the point at infinity")
-    return codes
-
-
 def chi_from_graph(graph: TowerGraph) -> Poly:
     """Characteristic polynomial over F_p of the set of f-values on the
     d-regular component's vertices.
@@ -165,7 +146,11 @@ def chi_from_graph(graph: TowerGraph) -> Poly:
     The orbit products are multiplied as int lists over F_p.
     """
     ctx = graph.ctx
-    codes = _splitting_codes(graph)
+    # the values' distinct codes, ascending; not np.unique: its first call
+    # imports numpy.ma, about 37 ms
+    codes = np.flatnonzero(np.bincount(graph.f_codes[graph.regular_vertices()]))
+    if codes[-1] == ctx.order:
+        raise TowerError("splitting values contain the point at infinity")
     field = FieldArrays(ctx)
     conjugates = dict(zip(codes.tolist(),
                           field.codes(field.frobenius(field.digits(codes))).tolist()))
@@ -202,58 +187,20 @@ def functional_equation(bound: BoundFixture, chi: Optional[Poly]):
         [c.coeffs[0] for c in h.coeffs], bound.f.num_coeffs, bound.f.den_coeffs, p)
 
 
-def _root_count(h, q: int, p: int) -> int:
-    """The number of distinct roots in F_q of h in F_p[x] (ascending ints,
-    nonzero): deg gcd(h, x^q - x), since x^q - x is the product of x - a
-    over F_q."""
+def _rational_radical(h, q: int, p: int):
+    """The monic gcd(h, x^q - x) for h in F_p[x] (ascending ints, nonzero):
+    the product of x - a over the distinct roots a of h in F_q, since
+    x^q - x is the product of x - a over F_q."""
     xq = _pow_mod([0, 1], q, h, p)
-    return len(pgcd(h, padd(xq, [0, -1], p), p)) - 1
+    radical = pgcd(h, padd(xq, [0, -1], p), p)
+    inv = pow(radical[-1], p - 2, p)
+    return [c * inv % p for c in radical]
 
 
-def _fp_certificate(bound: BoundFixture, graph: TowerGraph, hp: Poly):
-    """verify's splitting-value checks over F_p, for a fixture whose series
-    bridge chi (-3/p) = H_p holds, with no root of H_p found.
-
-    The root count k is deg gcd(H_p, x^q - x).  When k = deg H_p, the bridge
-    makes T0, the roots of H_p, exactly the f-values on the d-regular
-    component.  phi = H_p^s / prod (x - sigma)^t over the affine points of
-    S0 then has divisor s T0 - t S0 up to a constant factor, which cancels
-    in rho^t (phi o f) ~ phi o g; rho and S0 are asserted to lie over F_p,
-    so both sides are int lists.  Returns (k, T0, s, t, constant) as
-    ``feq.regularness_check`` would find them, or None when a certificate
-    fails, which leaves the F_{p^r} oracle path to report the failure.
-    """
-    f, g, ctx = bound.f, bound.g, bound.ctx
-    p = ctx.p
-    h = prime_field_ints(hp.coeffs)
-    k = _root_count(h, ctx.order, p)
-    if k != len(h) - 1:
-        return None
-    values = [ProjPoint.affine(ctx.element(c)) for c in _splitting_codes(graph).tolist()]
-    s0, t0, rho, s, t = feq.criterion_data(f, g, bound.s0, values, ctx)
-    sigmas = prime_field_ints(q.x for q in s0 if not q.is_infinity)
-    rho_num, rho_den = prime_field_ints(rho.num.coeffs), prime_field_ints(rho.den.coeffs)
-    if sigmas is None or rho_num is None or rho_den is None:
-        return None
-    lin = [1]  # prod (x - sigma)
-    for sigma in sigmas:
-        lin = pmul(lin, [-sigma, 1], p)
-    parts = ((h, s), (lin, t))  # phi = H_p^s / prod (x - sigma)^t
-    top = max(e * (len(base) - 1) for base, e in parts)  # one formal degree, so m's denominator cancels
-
-    def composed(m):
-        # psubst is multiplicative, and padding to formal degree top
-        # multiplies by b^(top - deg), so H_p and prod (x - sigma) are
-        # composed once each rather than their powers
-        a, b = m.num_coeffs, m.den_coeffs
-        return [pmul(ppow(psubst(base, a, b, p), e, p), ppow(b, top - e * (len(base) - 1), p), p)
-                for base, e in parts]
-
-    (num_f, den_f), (num_g, den_g) = composed(f), composed(g)
-    lhs_num = pmul(ppow(rho_num, t, p), num_f, p)
-    lhs_den = pmul(ppow(rho_den, t, p), den_f, p)
-    constant = pproportional(pmul(lhs_num, den_g, p), pmul(num_g, lhs_den, p), p)
-    return None if constant is None else (k, t0, s, t, constant)
+def _preimage_size(r_f, formal: int, q: int, p: int) -> int:
+    """|f^{-1}(T0)| for T0 the roots in F_q of r, from r o f of the given formal
+    degree: its distinct roots in F_q, and infinity when its degree drops."""
+    return len(_rational_radical(r_f, q, p)) - 1 + (len(r_f) - 1 < formal)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +240,11 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     """Run every end-to-end consistency check the fixture's facts call for
     and report one pass/fail entry per check."""
     checks: list = []
+    require_graph_size(p, ext)  # before the field: a modulus search is slow at large ext
     ctx = FieldCtx(p, ext, modulus)
     bound = load_fixture(name, p, ctx=ctx, check=False)
     fx, f, g = bound.fixture, bound.f, bound.g
-    graph = TowerGraph(f, g, ctx)  # refuses a field above the cap before any O(q) work
+    graph = TowerGraph(f, g, ctx)
 
     fwd, bwd = feq.is_complete(f, g, bound.s, ctx)
     _check(checks, "singular-support-complete", fwd and bwd,
@@ -334,8 +282,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
 
     if fx.series_bridge:
         eps, hp = legendre(-3, p), series.truncate_H_mod_p(p)
-        bridge = chi * eps == hp
-        _check(checks, "chi-series-bridge", bridge, f"(-3/p) = {eps}")
+        _check(checks, "chi-series-bridge", chi * eps == hp, f"(-3/p) = {eps}")
     if fx.chain:
         _check(checks, "singular-chain-shape", _gs_chain_ok(graph, ctx, fx.chain),
                f"{len(graph.singular_components())} singular components")
@@ -344,20 +291,17 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     if not fx.series_bridge:
         return _finish(name, p, ext, checks)
 
-    # the series bridge makes the roots of H_p the splitting values T0
-    cert = _fp_certificate(bound, graph, hp) if bridge else None
-    if cert is None:  # only a failed certificate pays for the roots over F_{p^r}
-        t0 = splitting_points(p, ctx)
-        report = feq.regularness_check(f, g, bound.s0, t0, ctx)
-        k, regular, s, t, const = len(t0), report.holds, report.s, report.t, report.constant
-    else:
-        k, t0, s, t, const = cert
-        regular = True
+    # T0 is the set of roots of H_p over F_q, R = gcd(H_p, x^q - x); chi = R
+    # makes it the set of f-values on the d-regular vertices
+    r = _rational_radical(prime_field_ints(hp.coeffs), ctx.order, p)
+    k = len(r) - 1
+    s, t, const, r_f = feq.splitting_criterion(f, g, bound.s0, r, ctx)
     _check(checks, "splitting-values-rational", k == p - 1, f"{k} of {p - 1}")
-    _check(checks, "regularness-criterion", regular, f"s={s} t={t} constant={const}")
-    pre, missing = map_preimage(f, t0, ctx)  # chi exists, so regs is not empty
+    _check(checks, "regularness-criterion", const is not None, f"s={s} t={t} constant={const}")
+    size = _preimage_size(r_f, f.d * k, ctx.order, p)
     _check(checks, "splitting-set-is-regular-component",
-           missing == 0 and pre == set(regs[0].vertices), f"preimage size {len(pre)}")
+           r == prime_field_ints(chi.coeffs) and size == regs[0].size == f.d * k,
+           f"preimage size {size}")
     genus_ok = all(genus.genus_sum(n) == genus.genus_closed(n) for n in range(2, 25))
     _check(checks, "genus-formulas-agree", genus_ok)
     paths = graph.path_counts(9, regs[0].indices)

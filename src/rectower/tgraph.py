@@ -67,6 +67,14 @@ from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber, require_tame
 MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
 
 
+def require_graph_size(p: int, r: int):
+    """Refuse the line over F_{p^r} (r >= 1) with more than MAX_VERTICES
+    points, before the field's default modulus search, slow at large r."""
+    if r >= 1 and p ** r + 1 > MAX_VERTICES:
+        raise FieldTooLarge(f"F_{p}^{r} has {p}^{r} + 1 points; graphs are capped at "
+                            f"{MAX_VERTICES} vertices")
+
+
 class ComponentClass(Enum):
     D_REGULAR = "d-regular"
     SINGULAR = "singular"
@@ -215,10 +223,7 @@ class TowerGraph:
         if f.p != ctx.p or g.p != ctx.p:
             raise DegreeMismatch("maps and field have different characteristics")
         require_tame(f, "the graph")
-        if ctx.order + 1 > MAX_VERTICES:
-            raise FieldTooLarge(
-                f"{ctx!r} has {ctx.order + 1} points; graphs are capped at "
-                f"{MAX_VERTICES} vertices")
+        require_graph_size(ctx.p, ctx.r)
         self.f = f
         self.g = g
         self.ctx = ctx

@@ -1,6 +1,7 @@
 """The command-line driver: exit codes and machine-readable output."""
 
 import json
+import time
 
 import pytest
 
@@ -249,3 +250,79 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
         fresh.append(run_any(capsys, argv))
         assert cli._PARSER is not parser
     assert reused == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", "--p", "5", "--ext", "100"),
+    ("genus", "--n-max", "3", "--p", "5", "--ext", "100"),
+    ("chi", "--p", "5", "--ext", "200"),
+    ("verify", "--fixture", "new-tower", "--p", "5", "--ext", "1000"),
+    ("feq-check", "--fixture", "gs-tower", "--p", "5", "--ext", "100"),
+])
+def test_graph_cap_is_checked_before_the_field(capsys, monkeypatch, argv):
+    # the default modulus of F_{5^100} alone took seconds to find: the
+    # graph's cap on p^ext + 1 refuses these calls before any field is built
+    def forbid(p, r):
+        raise RuntimeError("a modulus search")
+
+    monkeypatch.setattr(FieldCtx, "_default_modulus", staticmethod(forbid))
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "graphs are capped" in captured.err
+    assert elapsed < 1.0
+
+
+# every subcommand with the options it takes, each at a valid value
+SUBCOMMANDS = {
+    "series": {"--n": "3"},
+    "chi": {"--p": "5"},
+    "graph": {"--p": "5"},
+    "search": {"--p": "5"},
+    "feq-check": {"--p": "5"},
+    "series-check": {"--order": "20", "--p": "5"},
+    "genus": {"--n-max": "3", "--p": "5"},
+    "verify": {"--fixture": "new-tower", "--p": "5"},
+    "conjugate": {"--p": "5"},
+}
+BOUNDARY_VALUES = {
+    "--p": ("-7", "0", "1", "4", "9", "2053"),
+    "--ext": ("-1", "0", "40", "1000"),
+    "--modulus": ("1,x,1",),
+    "--n": ("-1", "0", "1"),
+    "--n-max": ("-1", "0", "1"),
+    "--order": ("-1", "0", "1"),
+}
+EXT_OPTIONS = ("chi", "graph", "feq-check", "genus", "verify")  # --ext and --modulus
+
+
+def _boundary_cases():
+    for command, valid in SUBCOMMANDS.items():
+        options = dict(valid)
+        if command in EXT_OPTIONS:
+            options.update({"--ext": "2", "--modulus": None})
+        for option in options:
+            for value in BOUNDARY_VALUES.get(option, ()):
+                argv = [command]
+                for name, default in {**options, option: value}.items():
+                    if default is not None:
+                        argv += [name, default]
+                marks = ()
+                if command == "feq-check" and option == "--ext" and value == "1000":
+                    # new-tower builds no graph, so nothing caps the field:
+                    # the default modulus search of degree 1000 runs for minutes
+                    marks = pytest.mark.skip(reason="feq-check builds F_{p^ext} with no cap")
+                yield pytest.param(argv, id=" ".join(argv), marks=marks)
+
+
+@pytest.mark.parametrize("argv", list(_boundary_cases()))
+def test_boundary_values_exit_cleanly(capsys, argv):
+    # a documented exit code, no traceback, and nothing on stdout for a
+    # usage error
+    code, out, err = run_any(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""

@@ -5,14 +5,15 @@ import dataclasses
 import random
 import re
 
+import numpy as np
 import pytest
 
 from rectower import cli, feq, fixtures, p1, series
 from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
-from rectower.ff import FieldCtx, is_prime, legendre, pmul
+from rectower.ff import FieldCtx, is_prime, legendre, pmul, psubst
 from rectower.p1 import RatMap, map_parse
 from rectower.tgraph import ComponentClass, ComponentReport, TowerGraph
-from rectower.upoly import Poly
+from rectower.upoly import Poly, prime_field_ints
 
 
 def test_fixture_names():
@@ -101,13 +102,29 @@ def test_chi_is_modulus_independent():
 
 def test_verify_finds_each_fiber_once(monkeypatch):
     # each map keeps its fibers, so of the fibers verify asks for at p = 97
-    # (104 distinct (map, target) pairs) none is found twice
+    # none is found twice; they are the 8 of S0 under f and g, since the
+    # preimage of T0 is counted from R o f rather than solved fiber by fiber
     found = []
     real = p1._find_fiber
     monkeypatch.setattr(p1, "_find_fiber",
                         lambda m, t, ctx: found.append((m, t)) or real(m, t, ctx))
     assert fixtures.verify_fixture("new-tower", 97)["ok"]
-    assert len(found) == len(set(found)) == 104
+    assert len(found) == len(set(found)) == 8
+
+
+def test_verify_builds_no_point_per_splitting_value(monkeypatch):
+    # T0 and its preimage are counted on polynomials, so the points verify
+    # builds (S, S0, their fibers, ramification) do not grow with p
+    built = []
+    real = p1.ProjPoint.__init__
+    monkeypatch.setattr(p1.ProjPoint, "__init__",
+                        lambda self, *args: built.append(1) or real(self, *args))
+    counts = []
+    for p in (23, 97):
+        built.clear()
+        assert fixtures.verify_fixture("new-tower", p)["ok"]
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def _count_graph_work(monkeypatch):
@@ -229,7 +246,7 @@ def test_verify_full_report(name, p, ext, expected):
 
 
 # ---------------------------------------------------------------------------
-# the F_p certificate of verify against the F_{p^r} oracle path
+# verify's root-free splitting checks against the F_{p^r} oracles
 
 def _new_tower(p, ext):
     ctx = FieldCtx(p, ext)
@@ -237,30 +254,59 @@ def _new_tower(p, ext):
     return bound, TowerGraph(bound.f, bound.g, ctx)
 
 
+def _radical_of_hp(p, ctx):
+    hp = prime_field_ints(series.truncate_H_mod_p(p).coeffs)
+    return fixtures._rational_radical(hp, ctx.order, p)
+
+
 @pytest.mark.parametrize("p, ext", [(p, 2) for p in range(5, 48) if is_prime(p)]
                          + [(5, 4), (7, 4)])
 def test_fp_certificate_matches_oracle(p, ext):
     bound, graph = _new_tower(p, ext)
-    ctx, hp = bound.ctx, series.truncate_H_mod_p(p)
-    assert fixtures.chi_from_graph(graph) * legendre(-3, p) == hp  # the bridge it needs
-    k, t0, s, t, constant = fixtures._fp_certificate(bound, graph, hp)
+    ctx, f = bound.ctx, bound.f
+    r = _radical_of_hp(p, ctx)
+    s, t, constant, r_f = feq.splitting_criterion(f, bound.g, bound.s0, r, ctx)
 
     oracle_t0 = fixtures.splitting_points(p, ctx)
-    report = feq.regularness_check(bound.f, bound.g, bound.s0, oracle_t0, ctx)
-    assert k == len(oracle_t0) == p - 1
-    assert t0 == oracle_t0
-    assert report.holds
+    report = feq.regularness_check(f, bound.g, bound.s0, oracle_t0, ctx)
+    assert Poly(FieldCtx(p), r) == fixtures.chi_from_graph(graph)
+    assert Poly(ctx, r) == Poly.from_roots(ctx, [q.x for q in oracle_t0])
+    assert len(r) - 1 == p - 1 and report.holds
     assert (s, t, str(constant)) == (report.s, report.t, str(report.constant))
-    pre, missing = fixtures.map_preimage(bound.f, t0, ctx)
+    # R o f is c prod (x - P) over the affine points of f^{-1}(T0), and its
+    # degree drops exactly when infinity is in f^{-1}(T0)
+    pre, missing = fixtures.map_preimage(f, oracle_t0, ctx)
     assert missing == 0 and pre == set(graph.regular_components()[0].vertices)
+    affine = [q.x for q in pre if not q.is_infinity]
+    assert Poly(ctx, r_f) == Poly(ctx, r_f[-1:]) * Poly.from_roots(ctx, affine)
+    assert (len(r_f) - 1 < f.d * (p - 1)) == (p1.ProjPoint.infinity(ctx) in pre)
 
 
 def _forbid(*_args, **_kwargs):
-    raise AssertionError("the F_{p^r} oracle path ran")
+    raise AssertionError("an F_{p^r} oracle ran")
+
+
+def _bridged_gs(monkeypatch):
+    """gs-tower's maps with a series bridge they do not have."""
+    fake = dataclasses.replace(fixtures.FIXTURES["gs-tower"], name="bridged-gs",
+                               series_bridge=True, chain=())
+    monkeypatch.setitem(fixtures.FIXTURES, "bridged-gs", fake)
+    return "bridged-gs"
+
+
+def _flip_legendre(monkeypatch):
+    """Make chi (-3/p) = H_p fail by flipping the Legendre symbol verify reads."""
+    monkeypatch.setattr(fixtures, "legendre", lambda a, p: -legendre(a, p))
+
+
+def _failures(report):
+    return [c["name"] for c in report["checks"] if not c["ok"]]
 
 
 @pytest.mark.parametrize("p, ext", [(7, 2), (23, 2), (5, 4)])
 def test_verify_success_path_finds_no_roots(monkeypatch, p, ext):
+    # and neither do the failure paths: a failed bridge, or the maps of
+    # another tower, run the same root-free checks
     roots = Poly.roots
 
     def fiber_roots_only(poly):
@@ -272,9 +318,15 @@ def test_verify_success_path_finds_no_roots(monkeypatch, p, ext):
 
     monkeypatch.setattr(fixtures, "splitting_points", _forbid)
     monkeypatch.setattr(feq, "regularness_check", _forbid)
+    monkeypatch.setattr(fixtures, "map_preimage", _forbid)
     monkeypatch.setattr(Poly, "roots", fiber_roots_only)
     report = fixtures.verify_fixture("new-tower", p, ext=ext)
     assert report["ok"], [c for c in report["checks"] if not c["ok"]]
+    bridged = fixtures.verify_fixture(_bridged_gs(monkeypatch), p, ext=ext)
+    assert "chi-series-bridge" in _failures(bridged)
+    _flip_legendre(monkeypatch)
+    flipped = fixtures.verify_fixture("new-tower", p, ext=ext)
+    assert _failures(flipped) == ["chi-series-bridge"]
 
 
 def _splitting_checks(report):
@@ -283,53 +335,45 @@ def _splitting_checks(report):
     return [(c["name"], c["ok"], c["detail"]) for c in report["checks"] if c["name"] in names]
 
 
-def test_failed_bridge_reports_from_the_oracle(monkeypatch):
-    # gs-tower's maps with a series bridge they do not have: the report's
-    # splitting checks are those of the roots of H_p over F_{p^2}
-    fake = dataclasses.replace(fixtures.FIXTURES["gs-tower"], name="bridged-gs",
-                               series_bridge=True, chain=())
-    monkeypatch.setitem(fixtures.FIXTURES, "bridged-gs", fake)
-    p, ctx = 13, FieldCtx(13, 2)
-    bound = fixtures.load_fixture("bridged-gs", p, ctx=ctx, check=False)
+def _oracle_splitting_checks(name, p):
+    """verify's three splitting checks for a series-bridge fixture over
+    F_{p^2}, from the roots of H_p found by scanning the field
+    (``splitting_points``), ``feq.regularness_check`` on them, and their
+    preimage under f solved fiber by fiber (``map_preimage``)."""
+    ctx = FieldCtx(p, 2)
+    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    regular = TowerGraph(bound.f, bound.g, ctx).regular_components()[0]
     t0 = fixtures.splitting_points(p, ctx)
-    oracle = feq.regularness_check(bound.f, bound.g, bound.s0, t0, ctx)
-    pre, _ = fixtures.map_preimage(bound.f, t0, ctx)
-    report = fixtures.verify_fixture("bridged-gs", p)
-    assert ("chi-series-bridge", False) in [(c["name"], c["ok"]) for c in report["checks"]]
-    assert _splitting_checks(report) == [
-        ("splitting-values-rational", True, f"{len(t0)} of {p - 1}"),
-        ("regularness-criterion", False,
-         f"s={oracle.s} t={oracle.t} constant={oracle.constant}"),
-        ("splitting-set-is-regular-component", False, f"preimage size {len(pre)}"),
+    report = feq.regularness_check(bound.f, bound.g, bound.s0, t0, ctx)
+    pre, missing = fixtures.map_preimage(bound.f, t0, ctx)
+    return [
+        ("splitting-values-rational", len(t0) == p - 1, f"{len(t0)} of {p - 1}"),
+        ("regularness-criterion", report.holds,
+         f"s={report.s} t={report.t} constant={report.constant}"),
+        ("splitting-set-is-regular-component", missing == 0 and pre == set(regular.vertices),
+         f"preimage size {len(pre)}"),
     ]
 
 
-def _spy_on_oracle(monkeypatch):
-    ran = []
-    oracle = fixtures.splitting_points
-    monkeypatch.setattr(fixtures, "splitting_points",
-                        lambda p, ctx: ran.append(p) or oracle(p, ctx))
-    return ran
+def test_failed_bridge_reports_from_the_oracle(monkeypatch):
+    # gs-tower's maps with a series bridge they do not have: the report's
+    # splitting checks are those the roots of H_p over F_{p^2} give
+    name = _bridged_gs(monkeypatch)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        report = fixtures.verify_fixture(name, p)
+        assert "chi-series-bridge" in _failures(report)
+        assert _splitting_checks(report) == _oracle_splitting_checks(name, p), p
 
 
-def test_failed_bridge_is_never_certified(monkeypatch):
-    # only the bridge makes the graph's values the roots of H_p, so without
-    # it the oracle runs even where the F_p criterion would hold
-    ran = _spy_on_oracle(monkeypatch)
-    monkeypatch.setattr(fixtures, "legendre", lambda a, p: -legendre(a, p))
-    report = fixtures.verify_fixture("new-tower", 11)
-    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["chi-series-bridge"]
-    assert ran == [11]
-
-
-def test_failed_certificate_reports_from_the_oracle(monkeypatch):
-    # a root count that misses a root sends verify to the oracle path, whose
-    # report is the one the certificate gives
-    expected = fixtures.verify_fixture("new-tower", 11)
-    ran = _spy_on_oracle(monkeypatch)
-    monkeypatch.setattr(fixtures, "_root_count", lambda h, q, p: len(h) - 2)
-    assert fixtures.verify_fixture("new-tower", 11) == expected
-    assert ran == [11]
+@pytest.mark.parametrize("p", [7, 11, 23])
+def test_flipped_bridge_reports_match_the_oracle(monkeypatch, p):
+    # chi (-3/p) = H_p fails, but the roots of H_p are still the splitting
+    # values: only the bridge check fails, and the splitting checks are the
+    # oracle's
+    _flip_legendre(monkeypatch)
+    report = fixtures.verify_fixture("new-tower", p)
+    assert _failures(report) == ["chi-series-bridge"]
+    assert _splitting_checks(report) == _oracle_splitting_checks("new-tower", p)
 
 
 def test_certificate_keeps_the_criterion_preconditions(monkeypatch):
@@ -349,7 +393,8 @@ def test_certificate_keeps_the_criterion_preconditions(monkeypatch):
 @pytest.mark.parametrize("p", [5, 7, 11])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_root_count_is_the_number_of_distinct_roots(p, r):
-    # deg gcd(h, x^q - x) against the roots that Poly.roots finds over F_q
+    # the monic gcd(h, x^q - x) against the product of x - a over the
+    # distinct roots a that Poly.roots finds over F_q: its degree is their count
     rng = random.Random(f"{p}:{r}")
     ctx = FieldCtx(p, r)
 
@@ -370,8 +415,46 @@ def test_root_count_is_the_number_of_distinct_roots(p, r):
               pmul(linear(1, 1), rand(3), p),
               quadratic, cubic, pmul(quadratic, quadratic, p)]         # irreducible
     for h in cases:
-        want = len(set(Poly(ctx, h).roots()))
-        assert fixtures._root_count(h, ctx.order, p) == want, h
+        radical = fixtures._rational_radical(h, ctx.order, p)
+        assert Poly(ctx, radical) == Poly.from_roots(ctx, set(Poly(ctx, h).roots())), h
+
+
+def test_preimage_check_needs_one_regular_component(monkeypatch):
+    # chi covers every d-regular component, so when the graph reports two,
+    # f^{-1}(T0) is larger than the first and the preimage check fails
+    real = TowerGraph.regular_components
+
+    def split(graph):
+        (comp,) = real(graph)
+        members, half = np.array(comp.indices), comp.size // 2
+        return [ComponentReport(graph.ctx, members, a, b, ComponentClass.D_REGULAR, None)
+                for a, b in ((0, half), (half, comp.size))]
+
+    monkeypatch.setattr(TowerGraph, "regular_components", split)
+    report = fixtures.verify_fixture("new-tower", 11)
+    assert {"regular-component-unique", "splitting-set-is-regular-component"} <= set(
+        _failures(report))
+    assert _splitting_checks(report)[2] == (
+        "splitting-set-is-regular-component", False, "preimage size 20")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("f_expr", ["(x^2+x)/(3*x-1)", "(2*x^2+1)/(x^2+x)", "(x+1)/(x^2+2)",
+                                    "(x^3+1)/(x^3+x)", "3*x+1"])
+def test_preimage_size_counts_the_preimage(p, f_expr):
+    # against map_preimage for T0 the roots of r in F_{p^2}, with f(inf) in
+    # T0 (the degree of r o f drops) and not
+    ctx, f = FieldCtx(p, 2), map_parse(f_expr, p)
+    at_inf = f.eval(p1.ProjPoint.infinity(ctx))
+    shift = [] if at_inf.is_infinity else [-at_inf.x.coeffs[0], 1]
+    for h in ([1, 0, 1], [2, 1, 1, 1], pmul([0, 1], [-1, 0, 1], p),
+              prime_field_ints(series.truncate_H_mod_p(p).coeffs)):
+        for h in (h, pmul(h, shift, p)) if shift else (h,):
+            r = fixtures._rational_radical(h, ctx.order, p)
+            t0 = [p1.ProjPoint.affine(x) for x in Poly(ctx, r).roots()]
+            pre, _ = fixtures.map_preimage(f, t0, ctx)
+            r_f = psubst(r, f.num_coeffs, f.den_coeffs, p)
+            assert fixtures._preimage_size(r_f, f.d * (len(r) - 1), ctx.order, p) == len(pre)
 
 
 # ---------------------------------------------------------------------------

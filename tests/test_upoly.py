@@ -117,16 +117,14 @@ def test_divmod_roundtrip_random(pair):
     assert r.degree < g.degree
 
 
-def test_gcd_divides_both_random():
-    rng = random.Random(8)
-    F7 = FieldCtx(7)
-    for _ in range(60):
-        f = Poly(F7, [rng.randrange(7) for _ in range(rng.randint(1, 6))])
-        g = Poly(F7, [rng.randrange(7) for _ in range(rng.randint(1, 6))])
-        if f.is_zero() or g.is_zero():
-            continue
-        d = f.gcd(g)
-        assert (f % d).is_zero() and (g % d).is_zero()
+def nonzero_polys(ctx, max_size):
+    return polys(ctx, min_size=1, max_size=max_size).filter(lambda f: not f.is_zero())
+
+
+@given(nonzero_polys(F7, 6), nonzero_polys(F7, 6))
+def test_gcd_divides_both_random(f, g):
+    d = f.gcd(g)
+    assert (f % d).is_zero() and (g % d).is_zero()
 
 
 def test_division_by_zero_poly():
@@ -243,31 +241,35 @@ def test_proportional_rejects_zero():
         ratfun_proportional(RatFun.constant(F5, 0), ratfun_parse("x", F5))
 
 
-def test_proportional_is_equivalence_relation():
-    rng = random.Random(10)
-    funs = []
-    while len(funs) < 6:
-        num = Poly(F5, [rng.randrange(5) for _ in range(3)])
-        den = Poly(F5, [rng.randrange(5) for _ in range(3)])
-        if num.is_zero() or den.is_zero():
-            continue
-        funs.append(RatFun(num, den))
+@st.composite
+def related_ratfuns(draw):
+    """Three rational functions over F_5 with numerator and denominator of
+    degree at most 2, each after the first either a fresh one or a nonzero
+    multiple of the first, so proportional pairs are common."""
+    def fresh():
+        return RatFun(draw(nonzero_polys(F5, 3)), draw(nonzero_polys(F5, 3)))
+
+    first = fresh()
+    funs = [first]
+    for _ in range(2):
+        c = draw(st.integers(0, 4))
+        funs.append(RatFun(first.num * F5.lift(c), first.den) if c else fresh())
+    return funs
+
+
+@given(related_ratfuns())
+def test_proportional_is_equivalence_relation(funs):
     for f in funs:
         assert ratfun_proportional(f, f) == F5.one()
-    for f in funs:
-        for g in funs:
-            c = ratfun_proportional(f, g)
-            cback = ratfun_proportional(g, f)
-            assert (c is None) == (cback is None)
-            if c is not None:
-                assert c * cback == F5.one()
-    for f in funs:
-        for g in funs:
-            for h in funs:
-                cfg = ratfun_proportional(f, g)
-                cgh = ratfun_proportional(g, h)
-                if cfg is not None and cgh is not None:
-                    assert ratfun_proportional(f, h) == cfg * cgh
+    for f, g in itertools.permutations(funs, 2):
+        c, cback = ratfun_proportional(f, g), ratfun_proportional(g, f)
+        assert (c is None) == (cback is None)
+        if c is not None:
+            assert c * cback == F5.one()
+    for f, g, h in itertools.permutations(funs, 3):
+        cfg, cgh = ratfun_proportional(f, g), ratfun_proportional(g, h)
+        if cfg is not None and cgh is not None:
+            assert ratfun_proportional(f, h) == cfg * cgh
 
 
 def test_compose_simple_shift():
