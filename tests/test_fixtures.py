@@ -365,6 +365,24 @@ def test_failed_bridge_reports_from_the_oracle(monkeypatch):
         assert _splitting_checks(report) == _oracle_splitting_checks(name, p), p
 
 
+def test_failed_certificate_reports_from_the_oracle(monkeypatch):
+    # with H_p read as H_p(x + 1) its roots are not the splitting values, so
+    # the certificate fails; its splitting checks are those the oracles give
+    # for the same roots
+    real = series.truncate_H_mod_p
+
+    def shifted(p):
+        return Poly(FieldCtx(p), psubst(prime_field_ints(real(p).coeffs), [1, 1], [1], p))
+
+    monkeypatch.setattr(series, "truncate_H_mod_p", shifted)
+    for p in (7, 11, 23):
+        report = fixtures.verify_fixture("new-tower", p)
+        checks = _splitting_checks(report)
+        assert "chi-series-bridge" in _failures(report)
+        assert not all(ok for _, ok, _ in checks), p
+        assert checks == _oracle_splitting_checks("new-tower", p), p
+
+
 @pytest.mark.parametrize("p", [7, 11, 23])
 def test_flipped_bridge_reports_match_the_oracle(monkeypatch, p):
     # chi (-3/p) = H_p fails, but the roots of H_p are still the splitting
