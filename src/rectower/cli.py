@@ -25,16 +25,11 @@ def _parse_modulus(text):
                          f"(ascending), got {text!r}") from exc
 
 
-def _fixture(args):
-    """The fixture bound over F_{p^ext}, from --p/--ext/--modulus."""
-    ctx = FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
-    return fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
-
-
 def _fixture_graph(args):
     """The fixture bound over F_{p^ext} from --p/--ext/--modulus, and its graph."""
     tgraph.require_graph_size(args.p, args.ext)  # before the field's modulus search
-    bound = _fixture(args)
+    ctx = FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
+    bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
     return bound, tgraph.TowerGraph(bound.f, bound.g, bound.ctx)
 
 
@@ -100,7 +95,14 @@ def cmd_search(args) -> int:
 
 def cmd_feq_check(args) -> int:
     if fixtures.FIXTURES[args.fixture].series_bridge:  # (-3/p) H_p stands in for chi
-        bound, chi = _fixture(args), None  # no graph, but --ext and --modulus are checked
+        # no graph and no F_{p^ext}: the bridge lives over F_p.  A bad --ext and
+        # a given --modulus fail as F_{p^ext} fails on them, but no default
+        # modulus of degree --ext is searched for
+        modulus = _parse_modulus(args.modulus)
+        if args.ext < 1 or modulus is not None:
+            FieldCtx(args.p, args.ext, modulus)
+        bound = fixtures.load_fixture(args.fixture, args.p, ctx=FieldCtx(args.p), check=False)
+        chi = None
     else:
         bound, graph = _fixture_graph(args)
         chi = fixtures.chi_from_graph(graph)
@@ -141,72 +143,6 @@ def cmd_conjugate(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rectower",
-        description="recursive towers over finite fields: graphs, splitting "
-                    "certificates, series identities, and equation search")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        s = sub.add_parser(name, **kwargs)
-        s.set_defaults(func=func)
-        return s
-
-    s = add("series", cmd_series, help="integer coefficients a_n and their mod-p truncations")
-    s.add_argument("--n", type=int, required=True, help="number of terms")
-    s.add_argument("--p", type=int, default=None, help="also print H_p for this prime")
-    s.add_argument("--plain", action="store_true", help="plain comma-separated list")
-
-    s = add("chi", cmd_chi, help="splitting polynomial from the graph over F_{p^ext}")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--fixture", default="new-tower", choices=sorted(fixtures.FIXTURES))
-    s.add_argument("--ext", type=int, default=2)
-    s.add_argument("--modulus", default=None,
-                   help="extension modulus, ascending integer coefficients, e.g. 2,-1,1")
-
-    s = add("graph", cmd_graph, help="build and export the correspondence graph")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--fixture", default="new-tower", choices=sorted(fixtures.FIXTURES))
-    s.add_argument("--ext", type=int, default=2)
-    s.add_argument("--modulus", default=None)
-    s.add_argument("--dot", action="store_true", help="DOT output instead of JSON")
-    s.add_argument("--edges", action="store_true", help="include the edge list in JSON")
-
-    s = add("search", cmd_search,
-            help="solve for the towers over F_p with the prescribed singular graph")
-    s.add_argument("--p", type=int, required=True)
-
-    s = add("feq-check", cmd_feq_check, help="polynomial functional equation check")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--fixture", default="new-tower",
-                   choices=[n for n, fx in fixtures.FIXTURES.items() if fx.rho_expr is not None])
-    s.add_argument("--ext", type=int, default=2)
-    s.add_argument("--modulus", default=None)
-
-    s = add("series-check", cmd_series_check, help="series-level identities at a given order")
-    s.add_argument("--order", type=int, default=60)
-    s.add_argument("--p", type=int, default=5)
-
-    s = add("genus", cmd_genus, help="genus table, optionally with point-count ratios")
-    s.set_defaults(fixture="new-tower")  # the genus formulas are this tower's
-    s.add_argument("--n-max", type=int, required=True)
-    s.add_argument("--p", type=int, default=None)
-    s.add_argument("--ext", type=int, default=2)
-    s.add_argument("--modulus", default=None)
-
-    s = add("verify", cmd_verify, help="run the full fixture pipeline")
-    s.add_argument("--fixture", required=True, choices=sorted(fixtures.FIXTURES))
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--ext", type=int, default=2)
-    s.add_argument("--modulus", default=None)
-
-    s = add("conjugate", cmd_conjugate, help="check the modular model conjugacy")
-    s.add_argument("--p", type=int, required=True)
-
-    return parser
-
-
 def cmd_series_check(args) -> int:
     n = args.order
     out = {
@@ -221,14 +157,79 @@ def cmd_series_check(args) -> int:
     return 0 if all(v for k, v in out.items() if isinstance(v, bool)) else 1
 
 
-_PARSER = None  # built on the first main call, not at import
+def _opt(flag, **kwargs):
+    return flag, kwargs
+
+
+_P = _opt("--p", type=int, required=True)
+_EXT = _opt("--ext", type=int, default=2)
+_MODULUS = _opt("--modulus", default=None)
+_FIXTURE = _opt("--fixture", default="new-tower", choices=sorted(fixtures.FIXTURES))
+
+# name -> (handler, help, options in order, parser-level defaults)
+_COMMANDS = {
+    "series": (cmd_series, "integer coefficients a_n and their mod-p truncations", (
+        _opt("--n", type=int, required=True, help="number of terms"),
+        _opt("--p", type=int, default=None, help="also print H_p for this prime"),
+        _opt("--plain", action="store_true", help="plain comma-separated list")), {}),
+    "chi": (cmd_chi, "splitting polynomial from the graph over F_{p^ext}", (
+        _P, _FIXTURE, _EXT,
+        _opt("--modulus", default=None,
+             help="extension modulus, ascending integer coefficients, e.g. 2,-1,1")), {}),
+    "graph": (cmd_graph, "build and export the correspondence graph", (
+        _P, _FIXTURE, _EXT, _MODULUS,
+        _opt("--dot", action="store_true", help="DOT output instead of JSON"),
+        _opt("--edges", action="store_true", help="include the edge list in JSON")), {}),
+    "search": (cmd_search, "solve for the towers over F_p with the prescribed singular graph",
+               (_P,), {}),
+    "feq-check": (cmd_feq_check, "polynomial functional equation check", (
+        _P,
+        _opt("--fixture", default="new-tower",
+             choices=[n for n, fx in fixtures.FIXTURES.items() if fx.rho_expr is not None]),
+        _EXT, _MODULUS), {}),
+    "series-check": (cmd_series_check, "series-level identities at a given order", (
+        _opt("--order", type=int, default=60), _opt("--p", type=int, default=5)), {}),
+    "genus": (cmd_genus, "genus table, optionally with point-count ratios", (
+        _opt("--n-max", type=int, required=True), _opt("--p", type=int, default=None),
+        _EXT, _MODULUS), {"fixture": "new-tower"}),  # the genus formulas are this tower's
+    "verify": (cmd_verify, "run the full fixture pipeline", (
+        _opt("--fixture", required=True, choices=sorted(fixtures.FIXTURES)), _P, _EXT,
+        _MODULUS), {}),
+    "conjugate": (cmd_conjugate, "check the modular model conjugacy", (_P,), {}),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser for every command, or for the one command given.  A
+    one-command parser keeps every command in its usage line, so its own
+    errors read as the full parser's do; the full parser keeps argparse's
+    default, which names the command slot `command` in its errors."""
+    parser = argparse.ArgumentParser(
+        prog="rectower",
+        description="recursive towers over finite fields: graphs, splitting "
+                    "certificates, series identities, and equation search")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, help_text, options, defaults) in _COMMANDS.items():
+        if command in (None, name):
+            s = sub.add_parser(name, help=help_text)
+            s.set_defaults(func=func, **defaults)
+            for flag, kwargs in options:
+                s.add_argument(flag, **kwargs)
+    return parser
+
+
+_PARSERS = {}  # command (None for all of them) -> its parser, built on first use
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only a leading command name selects a one-command parser; --help, a
+    # missing or an unknown command get the full one and its messages
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command not in _PARSERS:
+        _PARSERS[command] = build_parser(command)
+    args = _PARSERS[command].parse_args(argv)
     try:
         return args.func(args)
     except NoRegularComponent as exc:

@@ -12,12 +12,21 @@ polynomials recovered from the correspondence graphs, up to the sign
 (-3/p).
 
 Everything is exact: big integers for the series, fractions for the
-hypergeometric coefficients, and residues for the mod-p identities.  The bulk
-a_n mod p tables reduce the exact values from the three-term recurrence
-(n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} (OEIS A002893), so they
-do not depend on the digit identity they are used to test.  The primes 5 to
-23 share one exact pass, reduced modulo their product; larger primes take
-their own.
+hypergeometric coefficients, and residues for the mod-p identities.  a_n mod
+p comes by one of three routes:
+
+* below p, the bulk table steps the three-term recurrence
+  (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} (OEIS A002893) mod p,
+  where every (n+1)^2 is a unit;
+* from p on, the bulk table reduces the exact values of that recurrence: the
+  primes 5 to 23 share one exact pass, reduced modulo their product, and
+  larger primes take their own;
+* for a single n, ``lucas_check`` evaluates the defining sum mod p at that n
+  alone, with each binomial mod p read off the p-free parts and p-adic
+  valuations of factorials (Legendre's formula).
+
+None of them splits n into base-p digits, so none depends on the digit
+identity that ``lucas_check`` and ``li_trick_check`` test.
 """
 
 from __future__ import annotations
@@ -74,30 +83,122 @@ _SHARED_M = 5 * 7 * 11 * 13 * 17 * 19 * 23  # 37,182,145
 
 
 def _a_mod_table(p: int, n_max: int) -> list:
-    """a_n mod p for all n <= n_max, reduced from the exact values of the
-    A002893 recurrence, so no digit identity is involved anywhere.  The
-    primes up to 23 read their tables off one shared pass modulo M, cached
-    under the key M; a cache too short for a request grows to at least twice
-    its length."""
-    _check_prime(p)
+    """a_n mod p for all n <= n_max, for the bulk callers.  Below p the table
+    steps the A002893 recurrence mod p, where every (n+1)^2 is a unit; from p
+    on it reduces the exact values of the recurrence.  The primes up to 23
+    read those off one shared pass modulo M, cached under the key
+    _SHARED_PRIMES.  A cache too short for a request grows to at least twice
+    its length (below p, to at most p entries).  A single a_n has a third
+    route, the defining sum in _a_mod.  No route combines base-p digits, so
+    the tables can test the digit identity."""
     cached = _A_MOD_CACHE.get(p)
     if cached is not None and len(cached) > n_max:
-        return cached
+        return cached  # tables are cached under checked primes only
+    _check_prime(p)
     size = max(n_max + 1, 2 * len(cached) if cached is not None else 0)
-    if p in _SHARED_PRIMES:
-        shared = _A_MOD_CACHE.get(_SHARED_M)
+    if n_max < p:
+        out = _a_mod_steps(p, min(size, p))
+    elif p in _SHARED_PRIMES:
+        shared = _A_MOD_CACHE.get(_SHARED_PRIMES)
         if shared is None or len(shared) < size:
             grown = max(size, 2 * len(shared) if shared is not None else 0)
             # M < 2^32: one 4-byte word per residue, not one int object each
             shared = memoryview(bytearray(4 * grown)).cast("I")
             for n, a in enumerate(_a_exact(grown - 1)):
                 shared[n] = a % _SHARED_M
-            _A_MOD_CACHE[_SHARED_M] = shared
+            _A_MOD_CACHE[_SHARED_PRIMES] = shared
         out = [r % p for r in shared[:size]]
     else:
         out = [a % p for a in _a_exact(size - 1)]
     _A_MOD_CACHE[p] = out
     return out
+
+
+def _a_mod_steps(p: int, size: int) -> list:
+    """a_0, ..., a_{size-1} mod p for size <= p, by the recurrence
+    (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} taken mod p: each
+    n+1 < p is a unit, so O(p) small-int steps stand in for the exact pass."""
+    out = [1]
+    prev, cur = 0, 1
+    for n in range(size - 1):
+        step = (10 * n * n + 10 * n + 3) * cur - 9 * n * n * prev
+        prev, cur = cur, step * pow(n + 1, -2, p) % p
+        out.append(cur)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# a_n mod p at one index, from the defining sum
+
+# p -> (v_p(m!), u(m)^-2, C(2m,m) u(m)^-2 mod p) over m < length, where u(m) is
+# m! with its p-power removed, taken mod p; grown by doubling
+_SUM_CACHE: dict = {}
+
+
+def _sum_arrays(p: int, n: int):
+    """The per-prime arrays that _a_mod sums over, reaching at least index n.
+    The caller has checked that (p-1)^2 fits in int64."""
+    import numpy as np  # numpy is loaded by the graph layer before any call
+
+    cached = _SUM_CACHE.get(p)
+    if cached is not None and len(cached[0]) > n:
+        return cached
+    size = max(n + 1, 2 * len(cached[0]) if cached is not None else 0)
+    span = 2 * size - 1  # C(2k,k) for k < size reads m! up to m = 2(size-1)
+    # the narrowest integers that hold a product of two residues, and v_p(m!)
+    work = next(t for t in (np.int16, np.int32, np.int64) if (p - 1) ** 2 <= np.iinfo(t).max)
+    vtype = np.int16 if span // (p - 1) <= np.iinfo(np.int16).max else np.int32
+    # the p-free part w(m) mod p and v_p(m!): w(kp) = w(k), and every q-th m
+    # is divisible by q = p^j
+    unit = np.resize(np.arange(min(p, span), dtype=work), span)  # m mod p
+    unit[0] = 1  # 0! = 1
+    vfact = np.zeros(span, dtype=vtype)
+    q = p
+    while q < span:
+        unit[::p] = unit[:len(unit[::p])]
+        vfact[q::q] += 1
+        q *= p
+    np.cumsum(vfact, out=vfact)
+    # u(m): the prefix products of the w(m) mod p, by doubling spans
+    prod = np.empty_like(unit)
+    step = 1
+    while step < span:
+        np.multiply(unit[step:], unit[:-step], out=prod[step:])
+        np.remainder(prod[step:], p, out=unit[step:])
+        step *= 2
+    del prod
+    # u^-2 = u^(p-3) by Fermat, by repeated squaring on the whole array
+    inv2, base, e = np.ones(size, dtype=work), unit[:size].copy(), p - 3
+    while e:
+        if e & 1:
+            inv2 = inv2 * base % p
+        base = base * base % p
+        e >>= 1
+    # C(2k,k) u(k)^-2 = u(2k) u(k)^-4 mod p when v_p((2k)!) = 2 v_p(k!), else 0
+    central = unit[::2] * inv2 % p * inv2 % p
+    central *= vfact[::2] == 2 * vfact[:size]
+    out = (vfact[:size].copy(), inv2, central)
+    _SUM_CACHE[p] = out
+    return out
+
+
+def _a_mod(n: int, p: int) -> int:
+    """a_n mod p for one n, from the defining sum sum_k C(n,k)^2 C(2k,k) at
+    n alone.  By Legendre's formula C(m,j) = 0 mod p when v_p(m!) >
+    v_p(j!) + v_p((m-j)!), and otherwise C(m,j) = u(m) u(j)^-1 u(m-j)^-1, so
+    the sum reads no other a_m and combines no base-p digits.  Each product
+    of two residues is reduced mod p in the narrowest integer type that
+    holds it, and the n+1 reduced terms are summed in int64; both fit when
+    max(p-1, n+1) (p-1) < 2^63, and past that the bulk table answers."""
+    if max(p - 1, n + 1) * (p - 1) >= 1 << 63:
+        return _a_mod_table(p, n)[n]
+    vfact, inv2, central = _sum_arrays(p, n)
+    head = vfact[:n + 1]
+    unit = head + head[::-1] == vfact[n]  # C(n,k) is a unit mod p
+    # C(n,k)^2 C(2k,k) = u(n)^2 u(k)^-2 u(n-k)^-2 C(2k,k) for those k
+    terms = central[:n + 1][unit] * inv2[n::-1][unit]
+    terms %= p
+    return int(terms.sum(dtype="int64")) * pow(int(inv2[n]), -1, p) % p
 
 
 def truncate_H_mod_p(p: int) -> Poly:
@@ -109,10 +210,12 @@ def truncate_H_mod_p(p: int) -> Poly:
 
 def lucas_check(n: int, p: int) -> bool:
     """Whether a_n = prod a_{n_i} mod p over the base-p digits n_i of n.
-    Both sides come from the bulk mod-p table."""
+    The digit factors a_{n_i} come from the table below p, and a_n from the
+    cached table when that already reaches n, else from _a_mod."""
     if n < 0:
         raise BadIndex("index must be >= 0")
-    table = _a_mod_table(p, n)
+    table = _a_mod_table(p, n if n < p else p - 1)  # checks p before _a_mod runs
+    a_n = table[n] if n < len(table) else _a_mod(n, p)
     prod = 1
     m = n
     while True:
@@ -120,7 +223,7 @@ def lucas_check(n: int, p: int) -> bool:
         m //= p
         if m == 0:
             break
-    return table[n] == prod
+    return a_n == prod
 
 
 # ---------------------------------------------------------------------------

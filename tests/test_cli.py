@@ -238,18 +238,61 @@ def run_any(capsys, argv):
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    # one parser per command, each built on the command's first call
     from rectower import cli
-    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     reused = [run_any(capsys, argv) for argv in REUSED_PARSER_ARGV]
-    parser = cli._PARSER
-    assert parser is not None
+    parsers = dict(cli._PARSERS)
+    assert sorted(parsers) == ["chi", "series", "verify"]
     assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
     fresh = []
     for argv in REUSED_PARSER_ARGV:
-        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_PARSERS", {})
         fresh.append(run_any(capsys, argv))
-        assert cli._PARSER is not parser
+        assert list(cli._PARSERS) == [argv[0]]
+        assert cli._PARSERS[argv[0]] is not parsers[argv[0]]
     assert reused == fresh
+
+
+def full_parser_run(capsys, argv):
+    """What main prints and returns when the full parser reads argv."""
+    from rectower import cli
+    try:
+        args = cli.build_parser().parse_args(list(argv))
+        code = args.func(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COMMAND_NAMES = ("series", "chi", "graph", "search", "feq-check", "series-check", "genus",
+                 "verify", "conjugate")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--p", "7", "extra"),
+    ("search",),
+    ("chi", "--p", "x"),
+    ("verify", "--p", "7"),
+    ("feq-check", "-h"),
+    ("search", "--p", "7"),
+] + [(name, "--help") for name in COMMAND_NAMES])
+def test_one_command_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
+    from rectower import cli
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    assert run_any(capsys, argv) == full_parser_run(capsys, argv)
+    assert list(cli._PARSERS) == [argv[0]]
+
+
+@pytest.mark.parametrize("argv", [(), ("--help",), ("bogus",), ("-h", "search"), ("--p", "7")])
+def test_no_leading_command_gets_the_full_parser(capsys, monkeypatch, argv):
+    from rectower import cli
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    code, out, err = run_any(capsys, argv)
+    assert code == (0 if "--help" in argv or "-h" in argv else 2)
+    assert list(cli._PARSERS) == [None]
+    assert "{" + ",".join(COMMAND_NAMES) + "}" in out + err
 
 
 @pytest.mark.parametrize("argv", [
@@ -273,6 +316,26 @@ def test_graph_cap_is_checked_before_the_field(capsys, monkeypatch, argv):
     assert code == 2 and captured.out == ""
     assert "graphs are capped" in captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("feq-check", "--p", "5", "--ext", "1000"),
+    ("feq-check", "--p", "5", "--ext", "1"),
+    ("feq-check", "--p", "7", "--ext", "2", "--modulus", "1,0,1"),
+])
+def test_feq_check_on_the_series_bridge_builds_no_extension(capsys, monkeypatch, argv):
+    # the bridge reads H_p over F_p: a valid --ext and --modulus change
+    # nothing, and no default modulus of degree --ext is searched for
+    def forbid(p, r):
+        raise RuntimeError("a modulus search")
+
+    p = argv[2]
+    plain = run(capsys, "feq-check", "--p", p)
+    monkeypatch.setattr(FieldCtx, "_default_modulus", staticmethod(forbid))
+    start = time.perf_counter()
+    assert run(capsys, *argv) == plain
+    assert time.perf_counter() - start < 1.0
+    assert plain[0] == 0 and json.loads(plain[1])["holds"] is True
 
 
 # every subcommand with the options it takes, each at a valid value
@@ -309,12 +372,7 @@ def _boundary_cases():
                 for name, default in {**options, option: value}.items():
                     if default is not None:
                         argv += [name, default]
-                marks = ()
-                if command == "feq-check" and option == "--ext" and value == "1000":
-                    # new-tower builds no graph, so nothing caps the field:
-                    # the default modulus search of degree 1000 runs for minutes
-                    marks = pytest.mark.skip(reason="feq-check builds F_{p^ext} with no cap")
-                yield pytest.param(argv, id=" ".join(argv), marks=marks)
+                yield pytest.param(argv, id=" ".join(argv))
 
 
 @pytest.mark.parametrize("argv", list(_boundary_cases()))

@@ -2,14 +2,18 @@
 hypergeometric identities."""
 
 import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rectower import fixtures, series
 from rectower.errors import BadIndex, BadPrime, FormulaMismatch
-from rectower.ff import FieldCtx, legendre, pproportional, psubst
+from rectower.ff import FieldCtx, is_prime, legendre, pproportional, psubst
 from rectower.series import (
     coeff_a,
     functional_equation_holds,
@@ -299,6 +303,107 @@ def test_lucas_check_rejects_negative_index(monkeypatch, warm):
     with pytest.raises(BadIndex):
         lucas_check(-50, 7)
     assert (7 in series._A_MOD_CACHE) is warm
+
+
+# -- H_p below p by the recurrence mod p ---------------------------------------
+
+@lru_cache(maxsize=None)
+def exact_values(n_max):
+    return tuple(series._a_exact(n_max))
+
+
+def test_table_below_p_steps_the_recurrence_mod_p(monkeypatch):
+    exact = exact_values(996)
+    calls = counted_exact(monkeypatch)
+    for p in (q for q in range(5, 998) if is_prime(q)):
+        monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+        assert series._a_mod_table(p, p - 1) == [a % p for a in exact[:p]]
+    assert calls == []  # no exact pass below p
+
+
+def test_table_below_p_grows_to_at_most_p_entries(monkeypatch):
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    calls = counted_exact(monkeypatch)
+    assert len(series._a_mod_table(101, 10)) == 11
+    assert len(series._a_mod_table(101, 11)) == 22  # doubles
+    assert len(series._a_mod_table(101, 60)) == 61
+    assert len(series._a_mod_table(101, 99)) == 101  # doubling stops at p
+    assert calls == []
+    assert len(series._a_mod_table(101, 101)) == 202  # from p on: the exact pass
+    assert calls == [201]
+
+
+# -- a_n mod p at one index, from the defining sum ------------------------------
+
+def empty_caches(monkeypatch):
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    monkeypatch.setattr(series, "_SUM_CACHE", {})
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 29, 31])
+def test_sum_route_equals_exact_residues(monkeypatch, p):
+    empty_caches(monkeypatch)
+    exact = exact_values(3000)
+    assert [series._a_mod(n, p) for n in range(3001)] == [a % p for a in exact]
+    assert series._A_MOD_CACHE == {}  # every value came from the sum
+
+
+@pytest.mark.parametrize("p", [101, 10007])
+def test_sum_route_equals_exact_residues_sampled(monkeypatch, p):
+    empty_caches(monkeypatch)
+    exact = exact_values(10 ** 4)
+    sample = sorted(random.Random(p).sample(range(10 ** 4 + 1), 300)) + [10 ** 4]
+    assert [series._a_mod(n, p) for n in sample] == [exact[n] % p for n in sample]
+    assert series._A_MOD_CACHE == {}
+
+
+PRIMES_BELOW_500 = [p for p in range(5, 500) if is_prime(p)]
+
+
+@given(p=st.sampled_from(PRIMES_BELOW_500), n=st.integers(0, 3999))
+def test_sum_route_property(p, n):
+    with pytest.MonkeyPatch.context() as mp:
+        empty_caches(mp)
+        assert series._a_mod(n, p) == exact_values(3999)[n] % p
+
+
+def test_lucas_check_reads_a_table_that_reaches_n(monkeypatch):
+    # C8's path: a warmed bulk table answers, and the sum is never set up
+    empty_caches(monkeypatch)
+    series._a_mod_table(7, 500)
+    assert all(lucas_check(n, 7) for n in range(501))
+    assert series._SUM_CACHE == {}
+
+
+@pytest.mark.parametrize("p", [7, 13, 29, 101, 10007])
+def test_lucas_check_makes_no_exact_pass(monkeypatch, p):
+    empty_caches(monkeypatch)
+    calls = counted_exact(monkeypatch)
+    assert lucas_check(10 ** 4, p)
+    assert calls == []
+    assert len(series._A_MOD_CACHE[p]) <= p
+    assert series._SHARED_PRIMES not in series._A_MOD_CACHE
+
+
+def test_sum_route_at_the_int64_guard(monkeypatch):
+    # (p-1)^2 < 2^63 just below the guard: the sum runs in int64; just above
+    # it the table answers, here from the recurrence below p
+    below, above = 3037000493, 3037000507
+    assert is_prime(below) and is_prime(above)
+    assert (below - 1) ** 2 < 1 << 63 <= (above - 1) ** 2
+    exact = exact_values(40)
+    for p in (below, above):
+        empty_caches(monkeypatch)
+        assert [series._a_mod(n, p) for n in range(41)] == [a % p for a in exact]
+        assert (p in series._SUM_CACHE) is (p == below)
+        assert lucas_check(40, p)
+
+
+def test_lucas_check_at_a_huge_prime_is_instant(monkeypatch):
+    empty_caches(monkeypatch)
+    start = time.perf_counter()
+    assert lucas_check(5, 10 ** 9 + 7)
+    assert time.perf_counter() - start < 0.1
 
 
 # -- series composition ---------------------------------------------------------
