@@ -12,8 +12,11 @@ polynomials recovered from the correspondence graphs, up to the sign
 (-3/p).
 
 Everything is exact: big integers for the series, fractions for the
-hypergeometric coefficients, and residues for the mod-p identities.  a_n mod
-p comes by one of three routes:
+hypergeometric coefficients, and residues for the mod-p identities.  The
+series identities never expand (1-3x)^{-1} as a dense truncated series: they
+multiply by short numerators and divide by 1 - 3x, a prefix recurrence, so
+each identity is quadratic in its order.  a_n mod p comes by one of three
+routes:
 
 * below p, the bulk table steps the three-term recurrence
   (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} (OEIS A002893) mod p,
@@ -22,8 +25,8 @@ p comes by one of three routes:
   primes 5 to 23 share one exact pass, reduced modulo their product, and
   larger primes take their own;
 * for a single n, ``lucas_check`` evaluates the defining sum mod p at that n
-  alone, with each binomial mod p read off the p-free parts and p-adic
-  valuations of factorials (Legendre's formula).
+  alone, as a blocked int64 dot product, with each binomial mod p read off
+  the p-free parts and p-adic valuations of factorials (Legendre's formula).
 
 None of them splits n into base-p digits, so none depends on the digit
 identity that ``lucas_check`` and ``li_trick_check`` test.
@@ -35,7 +38,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BadIndex, BadPrime, FormulaMismatch
-from .ff import FieldCtx, is_prime, legendre, pproportional, psubst
+from .ff import MAX_TABLE_ENTRIES, FieldCtx, is_prime, legendre, pproportional, psubst
 from .upoly import Poly
 
 
@@ -88,20 +91,21 @@ def _a_mod_table(p: int, n_max: int) -> list:
     on it reduces the exact values of the recurrence.  The primes up to 23
     read those off one shared pass modulo M, cached under the key
     _SHARED_PRIMES.  A cache too short for a request grows to at least twice
-    its length (below p, to at most p entries).  A single a_n has a third
-    route, the defining sum in _a_mod.  No route combines base-p digits, so
-    the tables can test the digit identity."""
+    its length, but by doubling to no more than MAX_TABLE_ENTRIES (below p,
+    p) entries.  A single a_n has a third route, the defining sum in _a_mod.
+    No route combines base-p digits, so the tables can test the digit
+    identity."""
     cached = _A_MOD_CACHE.get(p)
     if cached is not None and len(cached) > n_max:
         return cached  # tables are cached under checked primes only
     _check_prime(p)
-    size = max(n_max + 1, 2 * len(cached) if cached is not None else 0)
+    size = max(n_max + 1, min(2 * len(cached), MAX_TABLE_ENTRIES) if cached is not None else 0)
     if n_max < p:
         out = _a_mod_steps(p, min(size, p))
     elif p in _SHARED_PRIMES:
         shared = _A_MOD_CACHE.get(_SHARED_PRIMES)
         if shared is None or len(shared) < size:
-            grown = max(size, 2 * len(shared) if shared is not None else 0)
+            grown = max(size, min(2 * len(shared), MAX_TABLE_ENTRIES) if shared is not None else 0)
             # M < 2^32: one 4-byte word per residue, not one int object each
             shared = memoryview(bytearray(4 * grown)).cast("I")
             for n, a in enumerate(_a_exact(grown - 1)):
@@ -130,20 +134,22 @@ def _a_mod_steps(p: int, size: int) -> list:
 # ---------------------------------------------------------------------------
 # a_n mod p at one index, from the defining sum
 
-# p -> (v_p(m!), u(m)^-2, C(2m,m) u(m)^-2 mod p) over m < length, where u(m) is
-# m! with its p-power removed, taken mod p; grown by doubling
+# p -> (v_p(m!), v_p(m!) reversed, C(2m,m) u(m)^-2, u(m)^-2 reversed mod p)
+# over m < length, where u(m) is m! with its p-power removed, taken mod p,
+# grown by doubling; the residues in int32 if one dot product over all fits
 _SUM_CACHE: dict = {}
 
 
 def _sum_arrays(p: int, n: int):
-    """The per-prime arrays that _a_mod sums over, reaching at least index n.
-    The caller has checked that (p-1)^2 fits in int64."""
+    """The per-prime arrays that _a_mod sums over, reaching at least index n
+    and spanning factorials through 2n.  The caller has checked that
+    (p-1)^2 fits in int64 and that 2n + 1 <= MAX_TABLE_ENTRIES."""
     import numpy as np  # numpy is loaded by the graph layer before any call
 
     cached = _SUM_CACHE.get(p)
     if cached is not None and len(cached[0]) > n:
         return cached
-    size = max(n + 1, 2 * len(cached[0]) if cached is not None else 0)
+    size = max(n + 1, min(2 * len(cached[0]), (MAX_TABLE_ENTRIES + 1) // 2) if cached else 0)
     span = 2 * size - 1  # C(2k,k) for k < size reads m! up to m = 2(size-1)
     # the narrowest integers that hold a product of two residues, and v_p(m!)
     work = next(t for t in (np.int16, np.int32, np.int64) if (p - 1) ** 2 <= np.iinfo(t).max)
@@ -177,7 +183,9 @@ def _sum_arrays(p: int, n: int):
     # C(2k,k) u(k)^-2 = u(2k) u(k)^-4 mod p when v_p((2k)!) = 2 v_p(k!), else 0
     central = unit[::2] * inv2 % p * inv2 % p
     central *= vfact[::2] == 2 * vfact[:size]
-    out = (vfact[:size].copy(), inv2, central)
+    dot = np.int32 if size * (p - 1) ** 2 <= np.iinfo(np.int32).max else np.int64
+    out = (vfact[:size].copy(), vfact[size - 1::-1].copy(), central.astype(dot),
+           inv2[::-1].astype(dot))
     _SUM_CACHE[p] = out
     return out
 
@@ -186,19 +194,19 @@ def _a_mod(n: int, p: int) -> int:
     """a_n mod p for one n, from the defining sum sum_k C(n,k)^2 C(2k,k) at
     n alone.  By Legendre's formula C(m,j) = 0 mod p when v_p(m!) >
     v_p(j!) + v_p((m-j)!), and otherwise C(m,j) = u(m) u(j)^-1 u(m-j)^-1, so
-    the sum reads no other a_m and combines no base-p digits.  Each product
-    of two residues is reduced mod p in the narrowest integer type that
-    holds it, and the n+1 reduced terms are summed in int64; both fit when
-    max(p-1, n+1) (p-1) < 2^63, and past that the bulk table answers."""
-    if max(p - 1, n + 1) * (p - 1) >= 1 << 63:
+    the sum reads no other a_m and combines no base-p digits.  It is u(n)^2
+    times the dot of [C(n,k) a unit] C(2k,k) u(k)^-2 with u(n-k)^-2, summed
+    in blocks whose products of two residues add up exactly in the arrays'
+    int32 or int64.  That needs (p-1)^2 < 2^63; past it the table answers."""
+    if (p - 1) ** 2 >= 1 << 63:
         return _a_mod_table(p, n)[n]
-    vfact, inv2, central = _sum_arrays(p, n)
-    head = vfact[:n + 1]
-    unit = head + head[::-1] == vfact[n]  # C(n,k) is a unit mod p
-    # C(n,k)^2 C(2k,k) = u(n)^2 u(k)^-2 u(n-k)^-2 C(2k,k) for those k
-    terms = central[:n + 1][unit] * inv2[n::-1][unit]
-    terms %= p
-    return int(terms.sum(dtype="int64")) * pow(int(inv2[n]), -1, p) % p
+    vfact, vrev, central, inv2_rev = _sum_arrays(p, n)
+    lo = len(vrev) - 1 - n
+    terms = central[:n + 1] * (vfact[:n + 1] + vrev[lo:] == vfact[n])  # C(n,k) a unit
+    inv2 = inv2_rev[lo:]  # u(n-k)^-2, and u(n)^-2 first
+    block = ((1 << 8 * inv2.itemsize - 1) - 1) // (p - 1) ** 2  # the dtype's max over (p-1)^2
+    total = sum(int(terms[i:i + block] @ inv2[i:i + block]) for i in range(0, n + 1, block))
+    return total * pow(int(inv2[0]), -1, p) % p
 
 
 def truncate_H_mod_p(p: int) -> Poly:
@@ -211,9 +219,13 @@ def truncate_H_mod_p(p: int) -> Poly:
 def lucas_check(n: int, p: int) -> bool:
     """Whether a_n = prod a_{n_i} mod p over the base-p digits n_i of n.
     The digit factors a_{n_i} come from the table below p, and a_n from the
-    cached table when that already reaches n, else from _a_mod."""
+    cached table when that already reaches n, else from _a_mod.  An n whose
+    check would build more than MAX_TABLE_ENTRIES entries (n + 1 in the
+    table below p, 2n + 1 in the sum's arrays from p on) raises BadIndex."""
     if n < 0:
         raise BadIndex("index must be >= 0")
+    if (n + 1 if n < p else 2 * n + 1) > MAX_TABLE_ENTRIES:
+        raise BadIndex(f"index {n} at p = {p} needs more than {MAX_TABLE_ENTRIES} table entries")
     table = _a_mod_table(p, n if n < p else p - 1)  # checks p before _a_mod runs
     a_n = table[n] if n < len(table) else _a_mod(n, p)
     prod = 1
@@ -242,25 +254,28 @@ def _ser_mul(a, b, order):
     return out
 
 
-def _ser_compose(a, inner, order):
-    """sum a_k inner^k through the order, for an inner series of valuation
-    >= 1 and at least one a_k, by Horner's rule.  The partial sum that
-    inner^k multiplies later only matters through order - k, so each step
-    stops there."""
-    n = min(len(a) - 1, order)  # inner^k has no term through the order for k > order
+def _ser_div_1m3x(s):
+    """s / (1 - 3x), truncated where s is: out[i] = s[i] + 3 out[i-1]."""
+    out = list(s)
+    for i in range(1, len(out)):
+        out[i] += 3 * out[i - 1]
+    return out
+
+
+def _ser_compose_ratio(a, num, e, order):
+    """sum a_k (num / (1-3x)^e)^k through the order, for a short polynomial
+    num of valuation >= 1 and at least one a_k, by Horner's rule: each step
+    multiplies by num and divides by 1 - 3x e times, both linear in the
+    order.  The partial sum that the k-th power multiplies later only
+    matters through order - k, so each step stops there."""
+    n = min(len(a) - 1, order)  # the k-th power has no term through the order for k > order
     comp = [a[n]]
     for k in range(n - 1, -1, -1):
-        comp = _ser_mul(comp, inner, order - k)
+        comp = _ser_mul(num, comp, order - k)  # num outside: its zeros are skipped once
+        for _ in range(e):
+            comp = _ser_div_1m3x(comp)
         comp[0] += a[k]
     return comp + [0] * (order + 1 - len(comp))
-
-
-def _ser_inv_one_minus_3x(order):
-    """(1 - 3x)^{-1} = sum 3^n x^n."""
-    out = [1] * (order + 1)
-    for i in range(1, order + 1):
-        out[i] = out[i - 1] * 3
-    return out
 
 
 def gauss_hypergeom_coeffs(n_terms: int) -> list:
@@ -306,17 +321,7 @@ def hypergeom_identity_check(n: int) -> bool:
     weights = [ck * 27 ** k for k, ck in enumerate(gauss_hypergeom_coeffs(n // 2))]
     if any(w.denominator != 1 for w in weights):
         raise FormulaMismatch("27^k c_k is not an integer for some k")
-    inv13 = _ser_inv_one_minus_3x(n)
-    inv13_cubed = _ser_mul(_ser_mul(inv13, inv13, n), inv13, n)
-    arg = _ser_mul([0, 0, 1, -1], inv13_cubed, n)  # x^2(1-x)/(1-3x)^3, valuation 2
-    total = [0] * (n + 1)
-    power = [1] + [0] * n
-    for k, w in enumerate(weights):
-        if k:
-            power = _ser_mul(power, arg, n)
-        for i, v in enumerate(power):
-            total[i] += w.numerator * v
-    rhs = _ser_mul(inv13, total, n)
+    rhs = _ser_div_1m3x(_ser_compose_ratio([w.numerator for w in weights], [0, 0, 1, -1], 3, n))
     return all(rhs[i] == coeff_a(i) for i in range(n + 1))
 
 
@@ -324,14 +329,12 @@ def series_feq_check(n: int) -> bool:
     """The series functional equation (1-3x)^{-1} H((x^2+x)/(3x-1)) = H(x^2)
     through order n, over exact integers.
 
-    (x^2+x)/(3x-1) = -(x+x^2) sum 3^k x^k has valuation 1, so the
-    composition truncates cleanly."""
+    (x^2+x)/(3x-1) = -(x+x^2)/(1-3x) has valuation 1, so the composition
+    truncates cleanly."""
     if n < 2:
         raise BadIndex("need order >= 2")
-    geom = _ser_inv_one_minus_3x(n)
-    inner = _ser_mul([0, -1, -1], geom, n)
     a = [coeff_a(k) for k in range(n + 1)]
-    lhs = _ser_mul(geom, _ser_compose(a, inner, n), n)
+    lhs = _ser_div_1m3x(_ser_compose_ratio(a, [0, -1, -1], 1, n))
     return all(lhs[k] == (a[k // 2] if k % 2 == 0 else 0) for k in range(n + 1))
 
 
@@ -343,13 +346,9 @@ def li_trick_check(p: int, n: int) -> bool:
     hp = table[:p]
     prod = [1] + [0] * n
     step = 1
-    while step <= n:
-        spread = [0] * (n + 1)
-        for i, c in enumerate(hp):
-            if i * step > n:
-                break
-            spread[i * step] = c
-        prod = [c % p for c in _ser_mul(prod, spread, n)]
+    while step <= n:  # times H_p(x^step): the terms hp[i] x^(i step) through the order
+        prod = [sum(hp[i] * prod[k - i * step] for i in range(min(p, k // step + 1))) % p
+                for k in range(n + 1)]
         step *= p
     return all(prod[k] == table[k] for k in range(n + 1))
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rectower import fixtures, series
+from rectower import cli, fixtures, series
 from rectower.errors import BadIndex, BadPrime, FormulaMismatch
 from rectower.ff import FieldCtx, is_prime, legendre, pproportional, psubst
 from rectower.series import (
@@ -399,6 +399,42 @@ def test_sum_route_at_the_int64_guard(monkeypatch):
         assert lucas_check(40, p)
 
 
+def test_sum_route_across_int64_blocks(monkeypatch):
+    # at p = 2^31 - 1 two products of residues fit in int64, a third may not:
+    # the sum runs as dot products over blocks of two terms
+    p = 2 ** 31 - 1
+    assert is_prime(p) and ((1 << 63) - 1) // (p - 1) ** 2 == 2
+    empty_caches(monkeypatch)
+    exact = exact_values(40)
+    assert [series._a_mod(n, p) for n in range(41)] == [a % p for a in exact]
+    assert series._A_MOD_CACHE == {}
+
+
+def test_lucas_check_refuses_past_the_table_cap(monkeypatch):
+    monkeypatch.setattr(series, "MAX_TABLE_ENTRIES", 100)
+    empty_caches(monkeypatch)
+    assert lucas_check(99, 101)  # 100 table entries below p
+    assert lucas_check(49, 13)  # the sum's arrays span 99 factorials
+    for n, p in ((100, 103), (50, 13), (10 ** 12, 10 ** 9 + 7), (10 ** 12, 13)):
+        empty_caches(monkeypatch)
+        with pytest.raises(BadIndex):
+            lucas_check(n, p)
+        assert series._A_MOD_CACHE == {} and series._SUM_CACHE == {}  # nothing was built
+
+
+def test_doubling_stops_at_the_table_cap(monkeypatch):
+    monkeypatch.setattr(series, "MAX_TABLE_ENTRIES", 100)
+    empty_caches(monkeypatch)
+    exact = exact_values(99)
+    assert lucas_check(30, 13)
+    assert len(series._SUM_CACHE[13][0]) == 31
+    assert lucas_check(40, 13)  # doubling to 62 would span 123 factorials
+    assert [len(a) for a in series._SUM_CACHE[13]] == [50] * 4
+    assert [series._a_mod(n, 13) for n in range(50)] == [a % 13 for a in exact[:50]]
+    assert len(series._a_mod_table(7, 60)) == 61
+    assert series._a_mod_table(7, 61) == [a % 7 for a in exact[:100]]  # not 122 entries
+
+
 def test_lucas_check_at_a_huge_prime_is_instant(monkeypatch):
     empty_caches(monkeypatch)
     start = time.perf_counter()
@@ -406,7 +442,25 @@ def test_lucas_check_at_a_huge_prime_is_instant(monkeypatch):
     assert time.perf_counter() - start < 0.1
 
 
-# -- series composition ---------------------------------------------------------
+# -- series identities by dividing out (1 - 3x) ----------------------------------
+
+def oracle_inverse(order):
+    """(1 - 3x)^{-1} = sum 3^n x^n, as a dense truncated series."""
+    return [3 ** i for i in range(order + 1)]
+
+
+def oracle_compose(a, inner, order):
+    """sum a_k inner^k through the order, for an inner series of valuation
+    >= 1 and at least one a_k, by Horner's rule; the partial sum that inner^k
+    multiplies later only matters through order - k, so each step stops
+    there."""
+    n = min(len(a) - 1, order)
+    comp = [a[n]]
+    for k in range(n - 1, -1, -1):
+        comp = series._ser_mul(comp, inner, order - k)
+        comp[0] += a[k]
+    return comp + [0] * (order + 1 - len(comp))
+
 
 def full_compose(a, inner, order):
     """Horner's rule with every step carried to the full order."""
@@ -423,7 +477,150 @@ def test_truncated_composition_equals_full():
         order = rng.randint(0, 25)
         a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 30))]
         inner = [0] * rng.randint(1, 3) + [rng.randint(-9, 9) for _ in range(rng.randint(0, 30))]
-        assert series._ser_compose(a, inner, order) == full_compose(a, inner, order)
+        assert oracle_compose(a, inner, order) == full_compose(a, inner, order)
+
+
+BIG = st.integers(-(1 << 200), 1 << 200)
+
+
+@given(s=st.lists(BIG, min_size=1, max_size=81))
+def test_division_by_1m3x_is_the_truncated_product(s):
+    order = len(s) - 1
+    assert series._ser_div_1m3x(s) == series._ser_mul(s, oracle_inverse(order), order)
+
+
+@given(a=st.lists(BIG, min_size=1, max_size=30),
+       num=st.lists(st.integers(-9, 9), min_size=1, max_size=3), shift=st.integers(1, 2),
+       e=st.integers(1, 3), order=st.integers(0, 40))
+def test_rational_horner_equals_the_dense_composition(a, num, shift, e, order):
+    num = [0] * shift + num  # valuation >= 1, at most four terms
+    inner = num[:order + 1] + [0] * (order + 1 - len(num))
+    for _ in range(e):
+        inner = series._ser_mul(inner, oracle_inverse(order), order)
+    assert series._ser_compose_ratio(a, num, e, order) == oracle_compose(a, inner, order)
+
+
+def oracle_hypergeom_identity_check(n):
+    """The identity check on dense truncated products: (1-3x)^{-1} and
+    x^2(1-x)/(1-3x)^3 expanded through order n, and the powers of the
+    latter multiplied out."""
+    if n < 1:
+        raise BadIndex("need order >= 1")
+    weights = [ck * 27 ** k for k, ck in enumerate(series.gauss_hypergeom_coeffs(n // 2))]
+    if any(w.denominator != 1 for w in weights):
+        raise FormulaMismatch("27^k c_k is not an integer for some k")
+    inv13 = oracle_inverse(n)
+    inv13_cubed = series._ser_mul(series._ser_mul(inv13, inv13, n), inv13, n)
+    arg = series._ser_mul([0, 0, 1, -1], inv13_cubed, n)
+    total = [0] * (n + 1)
+    power = [1] + [0] * n
+    for k, w in enumerate(weights):
+        if k:
+            power = series._ser_mul(power, arg, n)
+        for i, v in enumerate(power):
+            total[i] += w.numerator * v
+    rhs = series._ser_mul(inv13, total, n)
+    return all(rhs[i] == series.coeff_a(i) for i in range(n + 1))
+
+
+def oracle_series_feq_check(n):
+    """The functional equation on dense truncated products: the inner series
+    -(x+x^2) sum 3^k x^k composed by Horner's rule, then times sum 3^k x^k."""
+    if n < 2:
+        raise BadIndex("need order >= 2")
+    geom = oracle_inverse(n)
+    inner = series._ser_mul([0, -1, -1], geom, n)
+    a = [series.coeff_a(k) for k in range(n + 1)]
+    lhs = series._ser_mul(geom, oracle_compose(a, inner, n), n)
+    return all(lhs[k] == (a[k // 2] if k % 2 == 0 else 0) for k in range(n + 1))
+
+
+def verdict(check, n):
+    try:
+        return check(n)
+    except (BadIndex, FormulaMismatch, IndexError) as exc:
+        return type(exc)
+
+
+def wrong_weight(monkeypatch):
+    exact = series.gauss_hypergeom_coeffs
+
+    def wrong(n_terms):
+        c = exact(n_terms)
+        return c[:3] + [c[3] + 1] + c[4:]  # IndexError below order 6, on both routes
+
+    monkeypatch.setattr(series, "gauss_hypergeom_coeffs", wrong)
+
+
+def non_integral_weight(monkeypatch):
+    exact = series.gauss_hypergeom_coeffs
+    monkeypatch.setattr(series, "gauss_hypergeom_coeffs",
+                        lambda n_terms: exact(n_terms)[:1] + [Fraction(1, 2)])
+
+
+def perturbed_coeff_a(monkeypatch):
+    exact = series.coeff_a
+    monkeypatch.setattr(series, "coeff_a", lambda k: exact(k) + (k == 17))
+
+
+@pytest.mark.parametrize("perturb", [None, wrong_weight, non_integral_weight, perturbed_coeff_a])
+def test_identities_equal_the_dense_oracles(monkeypatch, perturb):
+    if perturb is not None:
+        perturb(monkeypatch)
+    # the cases that must read false at some order: the weights only enter
+    # the hypergeometric identity
+    fails = {hypergeom_identity_check: (wrong_weight, perturbed_coeff_a),
+             series_feq_check: (perturbed_coeff_a,)}
+    pairs = ((hypergeom_identity_check, oracle_hypergeom_identity_check),
+             (series_feq_check, oracle_series_feq_check))
+    for check, oracle in pairs:
+        verdicts = [verdict(check, n) for n in range(1, 101)]
+        assert verdicts == [verdict(oracle, n) for n in range(1, 101)]
+        assert (False in verdicts) is (perturb in fails[check])
+
+
+def test_series_check_multiplies_only_by_short_operands(monkeypatch, capsys):
+    # dense truncated products made the identities cubic in the order
+    mul = series._ser_mul
+    shorter = []
+
+    def guarded(a, b, order):
+        shorter.append(min(len(a), len(b)))
+        return mul(a, b, order)
+
+    monkeypatch.setattr(series, "_ser_mul", guarded)
+    assert cli.main(["series-check", "--order", "60", "--p", "11"]) == 0
+    assert shorter and max(shorter) <= 4
+
+
+def oracle_li_trick_check(p, n):
+    """The truncation congruence with each factor H_p(x^step) spread into a
+    dense series and multiplied in by _ser_mul."""
+    table = series._a_mod_table(p, max(n, p - 1))
+    prod = [1] + [0] * n
+    step = 1
+    while step <= n:
+        spread = [0] * (n + 1)
+        for i, c in enumerate(table[:p]):
+            if i * step > n:
+                break
+            spread[i * step] = c
+        prod = [c % p for c in series._ser_mul(prod, spread, n)]
+        step *= p
+    return all(prod[k] == table[k] for k in range(n + 1))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("wrong", [None, 2, "p+1", "3p+2"])
+def test_li_trick_equals_the_dense_oracle(monkeypatch, p, wrong):
+    if wrong is not None:  # one wrong entry below p, or past it
+        j = {"p+1": p + 1, "3p+2": 3 * p + 2}.get(wrong, wrong)
+        table = list(series._a_mod_table(p, 200))
+        table[j] = (table[j] + 1) % p
+        monkeypatch.setattr(series, "_a_mod_table", lambda q, n_max: table)
+    verdicts = [li_trick_check(p, n) for n in range(81)]
+    assert verdicts == [oracle_li_trick_check(p, n) for n in range(81)]
+    assert all(verdicts) is (wrong is None)
 
 
 def test_series_feq_check_sees_one_wrong_coefficient(monkeypatch):
