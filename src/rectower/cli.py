@@ -40,7 +40,8 @@ def _emit(obj):
 def cmd_series(args) -> int:
     if args.n < 1:
         raise BadIndex(f"--n must be >= 1, got {args.n}")
-    hp = None if args.p is None else [c.coeffs[0] for c in series.truncate_H_mod_p(args.p).coeffs]
+    # H_p's ints off the bulk table, whose cap is checked before it is built
+    hp = None if args.p is None else series._a_mod_table(args.p, args.p - 1)[:args.p]
     # checked as the values come, so a huge --n fails at the first value that
     # could not be printed instead of after computing them all
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit

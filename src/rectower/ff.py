@@ -26,6 +26,7 @@ from functools import lru_cache
 from itertools import product, zip_longest
 
 from .errors import (
+    BadPrime,
     CompositeP,
     DegreeMismatch,
     DivisionByZero,
@@ -54,6 +55,14 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def require_prime(p: int, subject: str = "need") -> int:
+    """p, when it is a prime >= 5; else BadPrime, whose message opens with
+    the subject."""
+    if p < 5 or not is_prime(p):
+        raise BadPrime(f"{subject} a prime >= 5, got {p}")
+    return p
 
 
 def legendre(a: int, p: int) -> int:

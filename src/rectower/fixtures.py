@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from . import feq, genus, series
-from .errors import BadPrime, TowerError
-from .ff import FieldCtx, _pow_mod, is_prime, legendre, padd, pgcd, pmul
+from .errors import TowerError
+from .ff import FieldCtx, _pow_mod, legendre, padd, pgcd, pmul, require_prime
 from .p1 import (
     Mobius,
     ProjPoint,
@@ -111,8 +111,7 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
     field where they are rational) and validate its invariants."""
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
-    if p < 5 or not is_prime(p):
-        raise BadPrime(f"fixtures need a prime >= 5, got {p}")
+    require_prime(p, "fixtures need")
     fx = FIXTURES[name]
     if ctx is None:
         needs_i = "i" in fx.s_exprs and p % 4 != 1
@@ -209,8 +208,7 @@ def _preimage_size(r_f, formal: int, q: int, p: int) -> int:
 def conjugate_check(p: int) -> dict:
     """Conjugating x^2 and (y^2+3y)/(y-1) by sigma = (x-1)/(x-9) and
     tau = (3x+1)/(x-1) must reproduce the new-tower pair over F_p."""
-    if p < 5 or not is_prime(p):
-        raise BadPrime(f"need a prime >= 5, got {p}")
+    require_prime(p)
     sigma = Mobius.parse("(x-1)/(x-9)", p)
     tau = Mobius.parse("(3*x+1)/(x-1)", p)
     f_model = map_parse("x^2", p)

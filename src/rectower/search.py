@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import BadPrime
-from .ff import FieldCtx, is_prime, pgcd
+from .ff import FieldCtx, pgcd, require_prime
 from .p1 import ProjPoint, RatMap
 from .upoly import Poly
 
@@ -69,12 +68,6 @@ class SearchSolution:
         }
 
 
-def _check_p(p: int) -> int:
-    if p < 5 or not is_prime(p):
-        raise BadPrime(f"the search needs a prime >= 5, got {p}")
-    return p
-
-
 def _res2(a2, a1, a0, b2, b1, b0, p):
     """Resultant of two binary quadratics (closed 4x4 Sylvester form)."""
     u = a2 * b0 - a0 * b2
@@ -85,7 +78,7 @@ def candidate_stream(p: int) -> Iterator[SearchParams]:
     """All canonical points of P^5(F_p) whose coefficient pair defines a
     genuine degree-2 map (nonvanishing resultant kills both the constant
     and degree-1 degenerations)."""
-    _check_p(p)
+    require_prime(p, "the search needs")
     rng = range(p)
     for lead in range(6):
         prefix = (0,) * lead + (1,)
@@ -164,7 +157,7 @@ def search(p: int) -> list[SearchSolution]:
     """All solutions, in ``candidate_stream`` order: the candidates on the
     line cut out by the linear conditions (module docstring), each checked
     against all seven."""
-    _check_p(p)
+    require_prime(p, "the search needs")
     out = []
     for a1 in range(p):
         params = SearchParams(1, a1, 0, 0, (2 + a1) % p, p - 1)

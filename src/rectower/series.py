@@ -18,12 +18,10 @@ multiply by short numerators and divide by 1 - 3x, a prefix recurrence, so
 each identity is quadratic in its order.  a_n mod p comes by one of three
 routes:
 
-* below p, the bulk table steps the three-term recurrence
+* below p, the prime's bulk table steps the three-term recurrence
   (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} (OEIS A002893) mod p,
   where every (n+1)^2 is a unit;
-* from p on, the bulk table reduces the exact values of that recurrence: the
-  primes 5 to 23 share one exact pass, reduced modulo their product, and
-  larger primes take their own;
+* from p on, the same table reduces the exact values of that recurrence;
 * for a single n, ``lucas_check`` evaluates the defining sum mod p at that n
   alone, as a blocked int64 dot product, with each binomial mod p read off
   the p-free parts and p-adic valuations of factorials (Legendre's formula).
@@ -35,10 +33,11 @@ identity that ``lucas_check`` and ``li_trick_check`` test.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
-from .errors import BadIndex, BadPrime, FormulaMismatch
-from .ff import MAX_TABLE_ENTRIES, FieldCtx, is_prime, legendre, pproportional, psubst
+from .errors import BadIndex, FormulaMismatch
+from .ff import MAX_TABLE_ENTRIES, FieldCtx, legendre, pproportional, psubst, require_prime
 from .upoly import Poly
 
 
@@ -49,16 +48,17 @@ def coeff_a(n: int) -> int:
     return sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
 
 
-def _check_prime(p: int) -> int:
-    if p < 5 or not is_prime(p):
-        raise BadPrime(f"need a prime >= 5, got {p}")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # a_n mod p in bulk
 
-_A_MOD_CACHE: dict = {}
+_A_MOD_CACHE: dict = {}  # checked prime p -> [a_0, ..., a_n] mod p, only ever appended to
+
+
+def _require_entries(n: int, p: int, by_sum: bool = False) -> None:
+    """BadIndex unless a_n mod p fits in MAX_TABLE_ENTRIES entries: n + 1 in
+    a table, or 2n + 1 in the sum's arrays."""
+    if (2 * n + 1 if by_sum else n + 1) > MAX_TABLE_ENTRIES:
+        raise BadIndex(f"index {n} at p = {p} needs more than {MAX_TABLE_ENTRIES} table entries")
 
 
 def _a_exact(n_max: int):
@@ -77,58 +77,29 @@ def _a_exact(n_max: int):
         yield cur
 
 
-# The primes whose tables share one exact pass: their product M is below
-# 2^30, one CPython digit, so reducing a big a_n by M costs what reducing it by
-# one prime does (a 29th would make M two digits and the pass three times
-# slower).  Larger primes take their own pass modulo p.
-_SHARED_PRIMES = (5, 7, 11, 13, 17, 19, 23)
-_SHARED_M = 5 * 7 * 11 * 13 * 17 * 19 * 23  # 37,182,145
-
-
 def _a_mod_table(p: int, n_max: int) -> list:
-    """a_n mod p for all n <= n_max, for the bulk callers.  Below p the table
-    steps the A002893 recurrence mod p, where every (n+1)^2 is a unit; from p
-    on it reduces the exact values of the recurrence.  The primes up to 23
-    read those off one shared pass modulo M, cached under the key
-    _SHARED_PRIMES.  A cache too short for a request grows to at least twice
-    its length, but by doubling to no more than MAX_TABLE_ENTRIES (below p,
-    p) entries.  A single a_n has a third route, the defining sum in _a_mod.
-    No route combines base-p digits, so the tables can test the digit
-    identity."""
-    cached = _A_MOD_CACHE.get(p)
-    if cached is not None and len(cached) > n_max:
-        return cached  # tables are cached under checked primes only
-    _check_prime(p)
-    size = max(n_max + 1, min(2 * len(cached), MAX_TABLE_ENTRIES) if cached is not None else 0)
-    if n_max < p:
-        out = _a_mod_steps(p, min(size, p))
-    elif p in _SHARED_PRIMES:
-        shared = _A_MOD_CACHE.get(_SHARED_PRIMES)
-        if shared is None or len(shared) < size:
-            grown = max(size, min(2 * len(shared), MAX_TABLE_ENTRIES) if shared is not None else 0)
-            # M < 2^32: one 4-byte word per residue, not one int object each
-            shared = memoryview(bytearray(4 * grown)).cast("I")
-            for n, a in enumerate(_a_exact(grown - 1)):
-                shared[n] = a % _SHARED_M
-            _A_MOD_CACHE[_SHARED_PRIMES] = shared
-        out = [r % p for r in shared[:size]]
-    else:
-        out = [a % p for a in _a_exact(size - 1)]
-    _A_MOD_CACHE[p] = out
-    return out
-
-
-def _a_mod_steps(p: int, size: int) -> list:
-    """a_0, ..., a_{size-1} mod p for size <= p, by the recurrence
-    (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1} taken mod p: each
-    n+1 < p is a unit, so O(p) small-int steps stand in for the exact pass."""
-    out = [1]
-    prev, cur = 0, 1
-    for n in range(size - 1):
+    """a_n mod p for all n <= n_max, for the bulk callers: the prime's cached
+    table, appended to until it holds at least n_max + 1 entries.  Below p it
+    resumes the A002893 recurrence mod p from its last two entries, as every
+    (n+1)^2 is a unit there; from p on it reduces the exact values of one
+    pass of the recurrence through n_max.  A table that would pass
+    MAX_TABLE_ENTRIES raises BadIndex before anything is built.  A single a_n
+    has a third route, the defining sum in _a_mod.  No route combines base-p
+    digits, so the tables can test the digit identity."""
+    table = _A_MOD_CACHE.get(p)
+    if table is not None and len(table) > n_max:
+        return table  # tables are cached under checked primes only
+    require_prime(p)
+    _require_entries(n_max, p)
+    table = _A_MOD_CACHE.setdefault(p, [1])
+    prev, cur = table[-2] if len(table) > 1 else 0, table[-1]
+    for n in range(len(table) - 1, min(n_max, p - 1)):
         step = (10 * n * n + 10 * n + 3) * cur - 9 * n * n * prev
         prev, cur = cur, step * pow(n + 1, -2, p) % p
-        out.append(cur)
-    return out
+        table.append(cur)
+    if n_max >= p:
+        table.extend(a % p for a in islice(_a_exact(n_max), len(table), None))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +168,8 @@ def _a_mod(n: int, p: int) -> int:
     the sum reads no other a_m and combines no base-p digits.  It is u(n)^2
     times the dot of [C(n,k) a unit] C(2k,k) u(k)^-2 with u(n-k)^-2, summed
     in blocks whose products of two residues add up exactly in the arrays'
-    int32 or int64.  That needs (p-1)^2 < 2^63; past it the table answers."""
+    int32 or int64.  That needs (p-1)^2 < 2^63; past it the table answers,
+    which refuses every n >= p there, as p + 1 > MAX_TABLE_ENTRIES."""
     if (p - 1) ** 2 >= 1 << 63:
         return _a_mod_table(p, n)[n]
     vfact, vrev, central, inv2_rev = _sum_arrays(p, n)
@@ -211,21 +183,20 @@ def _a_mod(n: int, p: int) -> int:
 
 def truncate_H_mod_p(p: int) -> Poly:
     """H_p(x): the mod-p truncation of the series at degree p-1."""
-    _check_prime(p)
-    table = _a_mod_table(p, p - 1)
+    table = _a_mod_table(p, p - 1)  # checks p
     return Poly(FieldCtx(p), table[:p])
 
 
 def lucas_check(n: int, p: int) -> bool:
     """Whether a_n = prod a_{n_i} mod p over the base-p digits n_i of n.
     The digit factors a_{n_i} come from the table below p, and a_n from the
-    cached table when that already reaches n, else from _a_mod.  An n whose
-    check would build more than MAX_TABLE_ENTRIES entries (n + 1 in the
-    table below p, 2n + 1 in the sum's arrays from p on) raises BadIndex."""
+    cached table when that already reaches n, else from the defining sum in
+    _a_mod, so no check starts an exact pass.  An n whose check would build
+    more than MAX_TABLE_ENTRIES entries (n + 1 in the table below p, 2n + 1
+    in the sum's arrays from p on) raises BadIndex before anything is built."""
     if n < 0:
         raise BadIndex("index must be >= 0")
-    if (n + 1 if n < p else 2 * n + 1) > MAX_TABLE_ENTRIES:
-        raise BadIndex(f"index {n} at p = {p} needs more than {MAX_TABLE_ENTRIES} table entries")
+    _require_entries(n, p, by_sum=n >= p)
     table = _a_mod_table(p, n if n < p else p - 1)  # checks p before _a_mod runs
     a_n = table[n] if n < len(table) else _a_mod(n, p)
     prod = 1
@@ -341,8 +312,7 @@ def series_feq_check(n: int) -> bool:
 def li_trick_check(p: int, n: int) -> bool:
     """H(x) = H_p(x) H_p(x^p) H_p(x^{p^2}) ... mod p through order n (the
     product form of the truncation congruence; factors stop once p^k > n)."""
-    _check_prime(p)
-    table = _a_mod_table(p, max(n, p - 1))
+    table = _a_mod_table(p, max(n, p - 1))  # checks p
     hp = table[:p]
     prod = [1] + [0] * n
     step = 1
@@ -369,8 +339,7 @@ def poly_feq_check(p: int):
     """The polynomial functional equation for H_p over F_p:
     (3x-1)^{p-1} H_p((x^2+x)/(3x-1)) ~ H_p(x^2).  Returns (holds, constant
     as a field element)."""
-    _check_prime(p)
-    table = _a_mod_table(p, p - 1)
+    table = _a_mod_table(p, p - 1)  # checks p
     hp = table[:p]
     holds, c = functional_equation_holds(hp, [0, 1, 1], [-1, 3], p)
     ctx = FieldCtx(p)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from rectower import series
 from rectower.cli import main
 from rectower.ff import FieldCtx
 
@@ -210,6 +211,40 @@ def test_above_the_graph_cap_stops_before_field_work(capsys, monkeypatch, argv):
     assert code == 2
     assert captured.out == "" and captured.err.startswith("error:")
     assert "graphs are capped" in captured.err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("series", "--n", "1", "--p", "3"), "error: need a prime >= 5, got 3\n"),
+    (("series", "--n", "1", "--p", "4"), "error: need a prime >= 5, got 4\n"),
+    (("series-check", "--p", "9"), "error: need a prime >= 5, got 9\n"),
+    (("search", "--p", "3"), "error: the search needs a prime >= 5, got 3\n"),
+    (("search", "--p", "9"), "error: the search needs a prime >= 5, got 9\n"),
+    (("verify", "--fixture", "new-tower", "--p", "3"),
+     "error: fixtures need a prime >= 5, got 3\n"),
+    (("conjugate", "--p", "3"), "error: need a prime >= 5, got 3\n"),
+    (("conjugate", "--p", "15"), "error: need a prime >= 5, got 15\n"),
+])
+def test_bad_prime_messages(capsys, argv, err):
+    assert run_any(capsys, argv) == (2, "", err)
+
+
+def test_series_p_reads_the_table_without_a_poly(capsys, monkeypatch):
+    def forbid(p):
+        raise RuntimeError("a Poly of p field elements")
+
+    monkeypatch.setattr(series, "truncate_H_mod_p", forbid)
+    code, out = run(capsys, "series", "--n", "3", "--p", "7", "--plain")
+    assert code == 0 and out.splitlines() == ["1, 3, 15", "1, 3, 1, 2, 2, 5, 1"]
+
+
+def test_series_p_above_the_table_cap_builds_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(series, "MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(series, "_A_MOD_CACHE", {})
+    assert run_any(capsys, ["series", "--n", "1", "--p", "97"])[0] == 0  # 97 entries
+    code, out, err = run_any(capsys, ["series", "--n", "1", "--p", "101"])
+    assert (code, out) == (2, "")
+    assert err == "error: index 100 at p = 101 needs more than 100 table entries\n"
+    assert list(series._A_MOD_CACHE) == [97]
 
 
 def test_output_is_deterministic(capsys):

@@ -230,14 +230,14 @@ def test_bulk_table_cache_growth(monkeypatch):
     small = series._a_mod_table(7, 10)
     assert len(small) == 11
     grown = series._a_mod_table(7, 500)
-    assert len(grown) == 501
+    assert grown is small and len(grown) == 501  # appended to, not rebuilt
     monkeypatch.setattr(series, "_A_MOD_CACHE", {})
     assert grown == series._a_mod_table(7, 500)
-    # a request just past the cache doubles it
-    assert len(series._a_mod_table(7, 501)) == 1002
+    # a request just past the cache grows it to exactly n_max + 1 entries
+    assert len(series._a_mod_table(7, 501)) == 502
 
 
-# -- one exact pass for the primes up to 23 ------------------------------------
+# -- tables grown in place: one exact pass per growth past p -------------------
 
 TABLE_ORDERS = {
     "ascending": (10, 500, 3000),
@@ -272,25 +272,25 @@ def counted_exact(monkeypatch):
     return calls
 
 
-def test_lucas_primes_share_one_exact_pass(monkeypatch):
+def test_lucas_primes_take_one_exact_pass_each(monkeypatch):
     monkeypatch.setattr(series, "_A_MOD_CACHE", {})
     calls = counted_exact(monkeypatch)
     for p in (5, 7, 11, 13, 17, 19, 23):  # C8's loop
         series._a_mod_table(p, 10 ** 4)
-    assert calls == [10 ** 4]
-    series._a_mod_table(29, 100)  # above 23: a pass of its own
-    assert calls == [10 ** 4, 100]
+        assert all(lucas_check(n, p) for n in range(0, 10 ** 4 + 1, 97))
+    assert calls == [10 ** 4] * 7
+    assert sorted(series._A_MOD_CACHE) == [5, 7, 11, 13, 17, 19, 23]
 
 
-def test_shared_pass_grows_by_doubling(monkeypatch):
+def test_table_past_p_grows_by_one_exact_pass(monkeypatch):
     monkeypatch.setattr(series, "_A_MOD_CACHE", {})
     calls = counted_exact(monkeypatch)
-    series._a_mod_table(7, 100)
-    series._a_mod_table(11, 100)  # read off the same pass
-    series._a_mod_table(13, 101)  # past it: the shared pass doubles
-    assert calls == [100, 201]
-    assert len(series._a_mod_table(11, 150)) == 202  # 11's own table doubles
-    assert calls == [100, 201]
+    table = series._a_mod_table(11, 100)
+    assert calls == [100] and len(table) == 101
+    assert series._a_mod_table(11, 60) is table  # already long enough
+    assert series._a_mod_table(11, 150) is table and len(table) == 151
+    assert calls == [100, 150]
+    assert table == [a % 11 for a in exact_values(150)]
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -324,13 +324,37 @@ def test_table_below_p_steps_the_recurrence_mod_p(monkeypatch):
 def test_table_below_p_grows_to_at_most_p_entries(monkeypatch):
     monkeypatch.setattr(series, "_A_MOD_CACHE", {})
     calls = counted_exact(monkeypatch)
-    assert len(series._a_mod_table(101, 10)) == 11
-    assert len(series._a_mod_table(101, 11)) == 22  # doubles
-    assert len(series._a_mod_table(101, 60)) == 61
-    assert len(series._a_mod_table(101, 99)) == 101  # doubling stops at p
+    inverted = []  # the n + 1 whose square each recurrence step inverts
+
+    def counted_pow(base, exp, mod):
+        inverted.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(series, "pow", counted_pow, raising=False)
+    for n_max, size in ((10, 11), (11, 12), (60, 61), (30, 61), (99, 100), (100, 101)):
+        assert len(series._a_mod_table(101, n_max)) == size
+    assert inverted == list(range(1, 101))  # one step per new entry, resumed each time
     assert calls == []
-    assert len(series._a_mod_table(101, 101)) == 202  # from p on: the exact pass
-    assert calls == [201]
+    assert len(series._a_mod_table(101, 101)) == 102  # from p on: the exact pass
+    assert calls == [101]
+    assert series._A_MOD_CACHE[101] == [a % 101 for a in exact_values(101)]
+
+
+PRIMES_BELOW_200 = [p for p in range(5, 200) if is_prime(p)]
+
+
+@given(p=st.sampled_from(PRIMES_BELOW_200),
+       sizes=st.lists(st.integers(0, 3 * 199), min_size=1, max_size=4))
+def test_grown_tables_equal_exact_residues(p, sizes):
+    # sizes in [0, 3p] on both sides of p, asked in any order, each read off
+    # or appended to the table the requests before it left
+    exact = exact_values(3 * 199)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_A_MOD_CACHE", {})
+        length = 0
+        for n_max in (size % (3 * p + 1) for size in sizes):
+            length = max(length, n_max + 1)
+            assert series._a_mod_table(p, n_max) == [a % p for a in exact[:length]]
 
 
 # -- a_n mod p at one index, from the defining sum ------------------------------
@@ -382,7 +406,7 @@ def test_lucas_check_makes_no_exact_pass(monkeypatch, p):
     assert lucas_check(10 ** 4, p)
     assert calls == []
     assert len(series._A_MOD_CACHE[p]) <= p
-    assert series._SHARED_PRIMES not in series._A_MOD_CACHE
+    assert all(is_prime(q) and q >= 5 for q in series._A_MOD_CACHE)  # every key a checked prime
 
 
 def test_sum_route_at_the_int64_guard(monkeypatch):
@@ -397,6 +421,18 @@ def test_sum_route_at_the_int64_guard(monkeypatch):
         assert [series._a_mod(n, p) for n in range(41)] == [a % p for a in exact]
         assert (p in series._SUM_CACHE) is (p == below)
         assert lucas_check(40, p)
+
+
+def test_sum_route_past_the_int64_guard_at_p_is_refused(monkeypatch):
+    # the table that would answer there needs p + 1 entries: refused before
+    # its first recurrence step
+    p = 3037000507
+    empty_caches(monkeypatch)
+    monkeypatch.setattr(series, "pow", lambda *args: pytest.fail("a recurrence step"),
+                        raising=False)
+    with pytest.raises(BadIndex):
+        series._a_mod(p, p)
+    assert series._A_MOD_CACHE == {} and series._SUM_CACHE == {}
 
 
 def test_sum_route_across_int64_blocks(monkeypatch):
@@ -431,8 +467,14 @@ def test_doubling_stops_at_the_table_cap(monkeypatch):
     assert lucas_check(40, 13)  # doubling to 62 would span 123 factorials
     assert [len(a) for a in series._SUM_CACHE[13]] == [50] * 4
     assert [series._a_mod(n, 13) for n in range(50)] == [a % 13 for a in exact[:50]]
-    assert len(series._a_mod_table(7, 60)) == 61
-    assert series._a_mod_table(7, 61) == [a % 7 for a in exact[:100]]  # not 122 entries
+    # a bulk table is refused past the cap, with nothing built
+    calls = counted_exact(monkeypatch)
+    assert series._a_mod_table(7, 99) == [a % 7 for a in exact]  # 100 entries
+    for p, n_max in ((7, 100), (11, 100), (101, 100), (211, 150)):
+        with pytest.raises(BadIndex):
+            series._a_mod_table(p, n_max)
+    assert calls == [99] and sorted(series._A_MOD_CACHE) == [7, 13]  # 13's from lucas_check
+    assert len(series._A_MOD_CACHE[7]) == 100
 
 
 def test_lucas_check_at_a_huge_prime_is_instant(monkeypatch):
