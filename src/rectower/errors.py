@@ -77,7 +77,7 @@ class BadPrime(TowerError):
 
 
 class BadIndex(TowerError):
-    """The sequence index is outside the defined range."""
+    """A sequence or vertex index is outside the defined range."""
 
 
 class FieldTooLarge(TowerError):

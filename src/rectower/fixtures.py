@@ -138,34 +138,52 @@ def chi_from_graph(graph: TowerGraph) -> Poly:
     """Characteristic polynomial over F_p of the set of f-values on the
     d-regular component's vertices.
 
-    The Frobenius v -> v^p is applied to all the values' codes at once, on
-    their digit arrays, and the orbits are walked from it.  The value set
-    must be stable under the Frobenius, and each orbit's product of (x - v),
-    of at most r factors, must lie over F_p; both are asserted, not assumed.
-    The orbit products are multiplied as int lists over F_p.
+    The values' codes and their conjugates under the Frobenius v -> v^p come
+    from digit arrays, and each value's orbit size and least conjugate are
+    read off them, so every orbit is split out at once.  The value set must
+    be stable under the Frobenius, and each orbit's product of (x - v), of at
+    most r factors, must lie over F_p; both are asserted, not assumed.  The
+    orbit products of one size s are built together, s array steps of
+    (x - v^(p^i)) on the digit arrays, and the factors are multiplied as int
+    lists over F_p by a balanced product tree.
     """
     ctx = graph.ctx
+    p, q, r = ctx.p, ctx.order, ctx.r
     # the values' distinct codes, ascending; not np.unique: its first call
     # imports numpy.ma, about 37 ms
-    codes = np.flatnonzero(np.bincount(graph.f_codes[graph.regular_vertices()]))
-    if codes[-1] == ctx.order:
+    present = np.bincount(graph.f_codes[graph.regular_vertices()], minlength=q + 1) > 0
+    if present[q]:
         raise TowerError("splitting values contain the point at infinity")
+    codes = np.flatnonzero(present)
     field = FieldArrays(ctx)
-    conjugates = dict(zip(codes.tolist(),
-                          field.codes(field.frobenius(field.digits(codes))).tolist()))
-    chi = [1]
-    while conjugates:
-        first, v = conjugates.popitem()
-        orbit = [ctx.element(first)]
-        while v in conjugates:
-            orbit.append(ctx.element(v))
-            v = conjugates.pop(v)
-        # an orbit that does not close has a conjugate missing from the set
-        factor = prime_field_ints(Poly.from_roots(ctx, orbit).coeffs) if v == first else None
-        if factor is None:
+    # conjugates[i] holds the digits of v^(p^i) for every value v
+    conjugates = [field.digits(codes)]
+    for _ in range(r - 1):
+        conjugates.append(field.frobenius(conjugates[-1]))
+    images = [field.codes(c) for c in conjugates]
+    # an orbit that does not close has a conjugate missing from the set
+    if not present[images[1 % r]].all():
+        raise TowerError("splitting polynomial has coefficients outside F_p")
+    size = np.full(len(codes), r)
+    for i in range(r - 1, 0, -1):  # the least i >= 1 with v^(p^i) = v
+        size[images[i] == codes] = i
+    least = np.minimum.reduce(images)  # each orbit once, at its least value
+    factors = []
+    for s in range(1, r + 1):
+        first = (size == s) & (least == codes)
+        zero = field.digits(np.zeros(first.sum(), dtype=np.int64))
+        poly = [field.digits(np.ones(first.sum(), dtype=np.int64))]  # a value per orbit
+        for i in range(s):  # poly * (x - v^(p^i)), coefficients ascending
+            scaled = [field.mul([d[first] for d in conjugates[i]], c) for c in poly]
+            poly = [[(a - b) % p for a, b in zip(hi, lo)]
+                    for hi, lo in zip([zero] + poly, scaled + [zero])]
+        if any(d.any() for c in poly for d in c[1:]):
             raise TowerError("splitting polynomial has coefficients outside F_p")
-        chi = pmul(chi, factor, ctx.p)
-    return Poly(FieldCtx(ctx.p), chi)
+        factors += np.stack([c[0] for c in poly], axis=1).tolist()
+    while len(factors) > 1:  # a balanced product tree
+        pairs = zip(factors[::2], factors[1::2])
+        factors = [pmul(a, b, p) for a, b in pairs] + factors[len(factors) & ~1:]
+    return Poly(FieldCtx(p), factors[0])
 
 
 def splitting_points(p: int, ctx: FieldCtx) -> list:

@@ -92,11 +92,25 @@ def _a_mod_table(p: int, n_max: int) -> list:
     require_prime(p)
     _require_entries(n_max, p)
     table = _A_MOD_CACHE.setdefault(p, [1])
-    prev, cur = table[-2] if len(table) > 1 else 0, table[-1]
-    for n in range(len(table) - 1, min(n_max, p - 1)):
-        step = (10 * n * n + 10 * n + 3) * cur - 9 * n * n * prev
-        prev, cur = cur, step * pow(n + 1, -2, p) % p
-        table.append(cur)
+    start, stop = len(table) - 1, min(n_max, p - 1)
+    if start < stop:
+        # 1/(n+1) for every step by one inverse (batch inversion): the
+        # running products of the n + 1, inverted once and unwound
+        prefix, run = [], 1
+        for m in range(start + 1, stop + 1):
+            run = run * m % p
+            prefix.append(run)
+        inv = pow(run, -1, p)
+        invs = [0] * len(prefix)
+        for i in range(len(prefix) - 1, 0, -1):
+            invs[i] = inv * prefix[i - 1] % p
+            inv = inv * (start + 1 + i) % p
+        invs[0] = inv
+        prev, cur = table[-2] if len(table) > 1 else 0, table[-1]
+        for n, inv in zip(range(start, stop), invs):
+            step = (10 * n * n + 10 * n + 3) * cur - 9 * n * n * prev
+            prev, cur = cur, step * inv * inv % p
+            table.append(cur)
     if n_max >= p:
         table.extend(a % p for a in islice(_a_exact(n_max), len(table), None))
     return table

@@ -13,8 +13,9 @@ conjugates a^p, ..., a^(p^(r-1)) over a*c, which lies in F_p, and the
 Frobenius is a linear map of the digits.  Only the vertex at infinity goes
 through scalar ``RatMap`` evaluation.  Edges come from a join of the
 f-codes against the g-codes (a stable sort of the vertices by g-code, and
-a count of each code), linear up to the sort in the number of vertices,
-and are kept as arrays: the out-edges of u are
+a count of each code), linear in the number of vertices: the sort is a
+radix sort on 16-bit digits (``_stable_order``), as is the one that groups
+the vertices by component.  Edges are kept as arrays: the out-edges of u are
 ``dst[offsets[u]:offsets[u + 1]]``, in ascending order.  Lines with more
 than ``MAX_VERTICES`` points are refused before any array is built.
 
@@ -43,11 +44,15 @@ grouped by component, a class code per component, the singular witnesses):
 reports are built only for the components asked for, and none for
 ``regular_vertices``.
 
-Path counting uses exact big-integer vector iteration, never matrix powers,
-so memory stays linear in the vertex count.  One walk answers a question at
-every length (``path_counts`` inside a vertex set, ``singular_path_counts``
-from f- to g-ramified points), listing each vertex's steps from
-``successors`` when it first reaches it, so it touches only those vertices.
+Path counting is exact vector iteration, never matrix powers, so memory
+stays linear in the vertex count.  One walk answers a question at every
+length (``path_counts`` inside a vertex set, ``singular_path_counts`` from
+f- to g-ramified points inside the components that hold the former, which
+out-edges never leave).  It relabels its vertex set to 0..k-1, takes the
+edges inside once from the edge arrays, and adds each vertex's count into
+its successors by one array step per length.  The counts are int64 while
+|start| * fan^k < 2^62, fan the largest out-degree inside, which bounds
+every count and total, and exact Python ints past that.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegreeMismatch, FieldTooLarge, NoRegularComponent, UnknownFormat
+from .errors import BadIndex, DegreeMismatch, FieldTooLarge, NoRegularComponent, UnknownFormat
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
 from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber, require_tame
 
@@ -174,10 +179,14 @@ class FieldArrays:
     def horner(self, coeffs, x):
         """The polynomial with ascending int coefficients (at least one) at
         every x."""
-        val = [np.full_like(x[0], coeffs[-1] % self.p)] + [np.zeros_like(x[0])] * (self.r - 1)
-        for c in reversed(coeffs[:-1]):
+        p = self.p
+        if len(coeffs) == 1:
+            return [np.full_like(x[0], coeffs[0] % p)] + [np.zeros_like(x[0])] * (self.r - 1)
+        val = [d * (coeffs[-1] % p) % p for d in x]  # c_n x: a scalar scale, no mul
+        val[0] = (val[0] + coeffs[-2]) % p
+        for c in reversed(coeffs[:-2]):
             val = self.mul(val, x)
-            val[0] = (val[0] + c) % self.p
+            val[0] = (val[0] + c) % p
         return val
 
     def is_zero(self, a):
@@ -196,6 +205,17 @@ class FieldArrays:
         inv = np.array([0] + [pow(k, -1, p) for k in range(1, p)], dtype=np.int64)
         scale = inv[self.mul(a, c)[0]]
         return [d * scale % p for d in c]
+
+
+def _stable_order(keys):
+    """``np.argsort(keys, kind="stable")`` for keys in [0, 2^32), by a least
+    significant digit first radix sort on uint16 digits: numpy sorts 16-bit
+    keys stably by radix, in linear time, where wider keys take a comparison
+    sort.  One pass for keys below 2^16, two up to 2^32."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low digit
+    if len(keys) and keys.max() >> 16:
+        order = order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
 
 
 def _component_labels(n: int, src, dst):
@@ -238,7 +258,7 @@ class TowerGraph:
         # the out-neighbours of u: the vertices whose g-code is u's f-code,
         # ascending, at [lo[u], lo[u] + out_deg[u]) of the vertices sorted
         # by g-code
-        by_g = np.argsort(gcode, kind="stable")
+        by_g = _stable_order(gcode)
         g_count = np.bincount(gcode, minlength=n)
         lo = (np.cumsum(g_count) - g_count)[fcode]
         self._out_deg = g_count[fcode]
@@ -327,7 +347,9 @@ class TowerGraph:
         """The weak components, in order of their least vertex: ``members``
         holds every vertex grouped by component and ascending in each,
         component k is ``members[bounds[k]:bounds[k + 1]]``, ``codes[k]`` is
-        its class code, and ``witnesses`` maps each singular k to its path."""
+        its class code, ``witnesses`` maps each singular k to its path, and
+        ``held`` flags the vertices whose component holds a point ramified
+        for f."""
         n = self.n_vertices
         label = _component_labels(n, self._src, self._dst)
         bad = ((self._out_deg != self.d) | (self._in_deg != self.d)
@@ -335,18 +357,18 @@ class TowerGraph:
         irregular = np.bincount(label[bad], minlength=n) > 0  # by root
         has_ram_f = np.bincount(label[self._ram_f], minlength=n) > 0
         # by component, then by vertex: each component starts at its root
-        members = np.argsort(label, kind="stable")
+        members = _stable_order(label)
         bounds = np.append(np.flatnonzero(label[members] == members), n)
         roots = members[bounds[:-1]]
         codes = np.where(irregular[roots], _OTHER, _REGULAR).astype(np.int8)
         witnesses = {k: path for k in np.flatnonzero(irregular[roots] & has_ram_f[roots]).tolist()
                      if (path := self._singular_witness(members[bounds[k]:bounds[k + 1]]))}
         codes[list(witnesses)] = _SINGULAR
-        return members, bounds, codes, witnesses
+        return members, bounds, codes, witnesses, has_ram_f[label]
 
     def _reports(self, code=None) -> list[ComponentReport]:
         """Reports for the components of class ``code`` (all when None), in order."""
-        members, bounds, codes, witnesses = self._table
+        members, bounds, codes, witnesses, _ = self._table
         keep = np.arange(len(codes)) if code is None else np.flatnonzero(codes == code)
         classes = tuple(ComponentClass)
         return [ComponentReport(self.ctx, members, a, b, classes[c], witnesses.get(k))
@@ -366,7 +388,7 @@ class TowerGraph:
     def regular_vertices(self) -> list[int]:
         """The vertex indices of the d-regular components, component by
         component, each ascending."""
-        members, bounds, codes, _ = self._table
+        members, bounds, codes, _, _ = self._table
         regular = members[np.repeat(codes == _REGULAR, np.diff(bounds))]
         if not len(regular):
             raise NoRegularComponent(f"no d-regular component over {self.ctx!r}")
@@ -402,10 +424,20 @@ class TowerGraph:
         return self.path_counts(n, restrict)[-1]
 
     def path_counts(self, n: int, restrict=None) -> list[int]:
-        """``count_paths(k, restrict)`` for every k = 0..n, from one walk."""
-        inside = None if restrict is None else {
-            v if isinstance(v, int) else self.index(v) for v in restrict}
-        return self._walk(range(self.n_vertices) if inside is None else inside, n, inside)
+        """``count_paths(k, restrict)`` for every k = 0..n, from one walk.
+        ``restrict`` holds points of this graph's line or vertex indices of
+        any integer type; an index off the line raises BadIndex."""
+        import operator  # operator.index takes any integer type, numpy's too
+
+        if restrict is None:
+            return self._walk(n)
+        inside = np.zeros(self.n_vertices, dtype=bool)
+        for v in restrict:
+            i = self.index(v) if isinstance(v, ProjPoint) else operator.index(v)
+            if not 0 <= i < self.n_vertices:
+                raise BadIndex(f"vertex index {i} outside [0, {self.n_vertices - 1}]")
+            inside[i] = True
+        return self._walk(n, np.flatnonzero(inside))
 
     def singular_paths(self, n: int) -> int:
         """Number of directed paths with n >= 1 edges starting at a vertex
@@ -416,29 +448,44 @@ class TowerGraph:
 
     def singular_path_counts(self, n: int) -> list[int]:
         """The number of directed paths with k edges from a vertex ramified
-        for f to one ramified for g, for every k = 0..n, from one walk."""
-        ends = set(np.flatnonzero(self._ram_g).tolist())
-        return self._walk(np.flatnonzero(self._ram_f).tolist(), n, ends=ends)
+        for f to one ramified for g, for every k = 0..n, from one walk inside
+        the components that hold a vertex ramified for f."""
+        held = self._table[4]
+        return self._walk(n, np.flatnonzero(held), self._ram_f, self._ram_g)
 
-    def _walk(self, start, n: int, inside=None, ends=None) -> list[int]:
-        """The numbers of directed paths with 0, 1, ..., n edges from a
-        vertex of ``start``, each step along an edge into ``inside`` (every
-        edge when it is None), that end in ``ends`` (anywhere when None)."""
+    def _walk(self, n: int, inside=None, start=None, ends=None) -> list[int]:
+        """The numbers of directed paths with 0, 1, ..., n edges inside the
+        ascending vertex array ``inside`` (every vertex when None), from
+        where the flags ``start`` hold (anywhere when None) to where the
+        flags ``ends`` hold (anywhere when None), as Python ints.  Each step
+        adds every count into its successors, in int64 while |start| * fan^k
+        < 2^62 bounds every count and sum, fan the largest out-degree inside,
+        and in exact Python ints past that."""
         if n < 0:
             raise ValueError("path length must be >= 0")
-        steps = {}  # a reached vertex's steps into ``inside``, listed once
-        counts, totals = dict.fromkeys(start, 1), []
+        src, dst, size = self._src, self._dst, self.n_vertices
+        if inside is not None:  # relabel inside to 0..size-1, and keep the edges inside
+            local = np.full(size, -1, dtype=np.int64)
+            size = len(inside)
+            local[inside] = np.arange(size)
+            deg = self._out_deg[inside]
+            src = np.repeat(np.arange(size), deg)
+            first = np.repeat(self._offsets[inside] - np.cumsum(deg) + deg, deg)
+            dst = local[dst[first + np.arange(len(src))]]
+            src, dst = src[dst >= 0], dst[dst >= 0]
+            start, ends = (None if f is None else f[inside] for f in (start, ends))
+        counts = np.ones(size, dtype=np.int64) if start is None else start.astype(np.int64)
+        fan = int(np.bincount(src, minlength=1).max())
+        bound, totals = int(counts.sum()), []
         while True:
-            totals.append(sum(counts.values()) if ends is None
-                          else sum(c for v, c in counts.items() if v in ends))
+            totals.append(int((counts if ends is None else counts[ends]).sum()))
             if len(totals) > n:
                 return totals
-            nxt = {}
-            for u, c in counts.items():
-                if u not in steps:
-                    steps[u] = [v for v in self.successors(u) if inside is None or v in inside]
-                for v in steps[u]:
-                    nxt[v] = nxt.get(v, 0) + c
+            bound *= fan
+            if bound >= 1 << 62 and counts.dtype != object:
+                counts = counts.astype(object)  # exact Python ints from here on
+            nxt = np.zeros(size, dtype=counts.dtype)
+            np.add.at(nxt, dst, counts[src])
             counts = nxt
 
 

@@ -12,7 +12,7 @@ from rectower import cli, feq, fixtures, p1, series
 from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
 from rectower.ff import FieldCtx, is_prime, legendre, pmul, psubst
 from rectower.p1 import RatMap, map_parse
-from rectower.tgraph import ComponentClass, ComponentReport, TowerGraph
+from rectower.tgraph import ComponentClass, ComponentReport, FieldArrays, TowerGraph
 from rectower.upoly import Poly, prime_field_ints
 
 
@@ -484,11 +484,11 @@ def _fixture_graph(name, p, ext):
     return bound, TowerGraph(bound.f, bound.g, ctx)
 
 
-def _chi_oracle(bound, graph):
+def _chi_oracle(f, graph):
     """prod (x - v) over F_{p^r}, v over the f-values on the d-regular
     components, evaluated point by point, and brought down to F_p."""
     ctx = graph.ctx
-    values = {bound.f.eval(v) for c in graph.regular_components() for v in c.vertices}
+    values = {f.eval(v) for c in graph.regular_components() for v in c.vertices}
     chi = Poly.one(ctx)
     for v in values:
         chi = chi * Poly(ctx, (-v.x, ctx.one()))
@@ -499,12 +499,24 @@ def _chi_oracle(bound, graph):
 @pytest.mark.parametrize("name, p, ext",
                          [(name, p, 2) for p in range(5, 48) if is_prime(p)
                           for name in ("new-tower", "gs-tower")]
-                         + [("new-tower", 5, 4), ("gs-tower", 5, 4)])  # orbits of up to 4
+                         + [("new-tower", 5, 4), ("gs-tower", 5, 4),  # orbits of up to 4
+                            ("new-tower", 7, 4)])
 def test_chi_from_orbits_matches_linear_factors(name, p, ext):
     bound, graph = _fixture_graph(name, p, ext)
     chi = fixtures.chi_from_graph(graph)
-    assert chi == _chi_oracle(bound, graph)
+    assert chi == _chi_oracle(bound.f, graph)
     assert chi.degree == p - 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 47])
+def test_chi_over_the_prime_field_from_orbits_of_one(p):
+    # x^2 against y^2: every {P, -P} with P != 0, inf is a 2-regular
+    # component over F_p, and the f-values are the (p - 1) / 2 nonzero squares
+    f = map_parse("x^2", p)
+    graph = TowerGraph(f, map_parse("y^2", p), FieldCtx(p))
+    chi = fixtures.chi_from_graph(graph)
+    assert chi == _chi_oracle(f, graph)
+    assert chi.degree == (p - 1) // 2
 
 
 def test_chi_over_the_prime_field_has_no_regular_component():
@@ -522,5 +534,14 @@ def test_chi_rejects_a_value_set_missing_a_conjugate():
     assert conjugate in codes[regular]
     codes[codes == conjugate] = ctx.element_index(value)  # drop the conjugate
     graph.f_codes = codes
+    with pytest.raises(TowerError, match="coefficients outside F_p"):
+        fixtures.chi_from_graph(graph)
+
+
+def test_chi_rejects_an_orbit_product_outside_the_prime_field(monkeypatch):
+    # with the Frobenius taken as the identity every value is an orbit of its
+    # own, so the set is closed, yet x - v for v outside F_p has a digit above
+    _, graph = _fixture_graph("new-tower", 7, 2)
+    monkeypatch.setattr(FieldArrays, "frobenius", lambda self, a: a)
     with pytest.raises(TowerError, match="coefficients outside F_p"):
         fixtures.chi_from_graph(graph)

@@ -1,6 +1,7 @@
 """Integer series, mod-p truncations, digit congruences, and the
 hypergeometric identities."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -324,16 +325,18 @@ def test_table_below_p_steps_the_recurrence_mod_p(monkeypatch):
 def test_table_below_p_grows_to_at_most_p_entries(monkeypatch):
     monkeypatch.setattr(series, "_A_MOD_CACHE", {})
     calls = counted_exact(monkeypatch)
-    inverted = []  # the n + 1 whose square each recurrence step inverts
+    inverted = []  # what each growth inverts: the product of the n + 1 it steps over
 
     def counted_pow(base, exp, mod):
-        inverted.append(base)
+        inverted.append((base, exp, mod))
         return pow(base, exp, mod)
 
     monkeypatch.setattr(series, "pow", counted_pow, raising=False)
     for n_max, size in ((10, 11), (11, 12), (60, 61), (30, 61), (99, 100), (100, 101)):
         assert len(series._a_mod_table(101, n_max)) == size
-    assert inverted == list(range(1, 101))  # one step per new entry, resumed each time
+    # one inverse per growth, resumed each time: n + 1 = 1..10, 11, 12..60, 61..99, 100
+    spans = [(1, 11), (11, 12), (12, 61), (61, 100), (100, 101)]
+    assert inverted == [(math.prod(range(a, b)) % 101, -1, 101) for a, b in spans]
     assert calls == []
     assert len(series._a_mod_table(101, 101)) == 102  # from p on: the exact pass
     assert calls == [101]

@@ -11,6 +11,7 @@ import pytest
 
 from rectower import cli, fixtures
 from rectower.errors import (
+    BadIndex,
     BadPrime,
     DegreeMismatch,
     FieldTooLarge,
@@ -18,7 +19,7 @@ from rectower.errors import (
     TowerError,
     UnknownFormat,
 )
-from rectower.ff import FieldCtx
+from rectower.ff import FieldCtx, is_prime
 from rectower.p1 import (
     ProjPoint,
     fiber_counts,
@@ -31,6 +32,7 @@ from rectower.tgraph import (
     ComponentClass,
     TowerGraph,
     _point,
+    _stable_order,
     graph_export,
     graph_json_obj,
 )
@@ -476,3 +478,83 @@ def test_reports_on_request_match_the_class_filters(name, p, r):
     else:
         with pytest.raises(NoRegularComponent):
             graph.regular_vertices()
+
+
+# -- the array walk against a dict walk ------------------------------------------
+
+def _dict_walk(graph, start, n, inside=None, ends=None):
+    """The numbers of directed paths with 0, 1, ..., n edges from a vertex of
+    ``start``, each step along an edge into ``inside`` (every edge when it is
+    None), that end in ``ends`` (anywhere when None): exact Python ints in
+    dicts keyed by vertex, one dict per step."""
+    steps = {}
+    counts, totals = dict.fromkeys(start, 1), []
+    while True:
+        totals.append(sum(counts.values()) if ends is None
+                      else sum(c for v, c in counts.items() if v in ends))
+        if len(totals) > n:
+            return totals
+        nxt = {}
+        for u, c in counts.items():
+            if u not in steps:
+                steps[u] = [v for v in graph.successors(u) if inside is None or v in inside]
+            for v in steps[u]:
+                nxt[v] = nxt.get(v, 0) + c
+        counts = nxt
+
+
+WALK_PRIMES = [p for p in range(5, 48) if is_prime(p)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", WALK_PRIMES)
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_array_walk_matches_dict_walk(name, p, r):
+    # n = 70 takes every walk past 2^62 paths, from int64 counts to Python ints
+    fx = fixtures.FIXTURES[name]
+    graph = TowerGraph(map_parse(fx.f_expr, p), map_parse(fx.g_expr, p), FieldCtx(p, r))
+    n = 70
+    regular = [v for c in graph.regular_components() for v in c.indices]
+    ram_f = np.flatnonzero(graph._ram_f).tolist()
+    ram_g = set(np.flatnonzero(graph._ram_g).tolist())
+    walks = [
+        (graph.path_counts(n, regular), _dict_walk(graph, regular, n, set(regular))),
+        (graph.singular_path_counts(n), _dict_walk(graph, ram_f, n, ends=ram_g)),
+        (graph.path_counts(n), _dict_walk(graph, range(graph.n_vertices), n)),
+    ]
+    for counts, oracle in walks:
+        assert counts == oracle
+        assert all(type(c) is int for c in counts)
+        json.dumps(counts)  # np.int64 is not serializable
+    assert graph.n_vertices * max(graph.out_deg) ** n >= 1 << 62  # the bound switched dtype
+    assert graph.count_paths(n) == walks[2][1][-1]
+
+
+def test_path_counts_take_numpy_indices():
+    graph = TowerGraph(F, G, F25)
+    regular = graph.regular_vertices()
+    expected = graph.path_counts(6, regular)
+    assert graph.path_counts(6, np.array(regular)) == expected
+    assert graph.path_counts(6, [np.int32(v) for v in regular]) == expected
+    assert graph.path_counts(6, graph.regular_components()[0].vertices) == expected
+    assert all(type(c) is int for c in graph.path_counts(6, np.array(regular)))
+
+
+@pytest.mark.parametrize("index", [26, 10 ** 9, -1, np.int64(26), np.int64(-3)])
+def test_path_counts_refuse_an_index_off_the_line(index):
+    graph = TowerGraph(F, G, F25)
+    with pytest.raises(BadIndex, match=r"^vertex index -?\d+ outside \[0, 25\]$"):
+        graph.path_counts(3, [0, index])
+
+
+@pytest.mark.parametrize("high", [1, 2 ** 8, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 20, 2 ** 22])
+def test_stable_order_is_the_stable_argsort(high):
+    rng = np.random.default_rng(high)
+    # few distinct keys, so that ties are many, always with 0 and high - 1
+    pool = np.append(rng.integers(0, high, size=min(high, 50)), [0, high - 1])
+    keys = rng.choice(pool, size=5000)
+    assert np.array_equal(_stable_order(keys), np.argsort(keys, kind="stable"))
+
+
+def test_stable_order_of_nothing():
+    assert np.array_equal(_stable_order(np.zeros(0, dtype=np.int64)), np.zeros(0, dtype=np.int64))
