@@ -13,6 +13,7 @@ import sys
 from . import fixtures, genus, search, series, tgraph
 from .errors import BadIndex, NoRegularComponent, TowerError
 from .ff import FieldCtx, legendre
+from .upoly import prime_field_ints
 
 
 def _parse_modulus(text):
@@ -26,11 +27,9 @@ def _parse_modulus(text):
 
 
 def _fixture_graph(args):
-    """The fixture bound over F_{p^ext} from --p/--ext/--modulus, and its graph."""
-    tgraph.require_graph_size(args.p, args.ext)  # before the field's modulus search
-    ctx = FieldCtx(args.p, args.ext, _parse_modulus(args.modulus))
-    bound = fixtures.load_fixture(args.fixture, args.p, ctx=ctx, check=False)
-    return bound, tgraph.TowerGraph(bound.f, bound.g, bound.ctx)
+    """fixtures.fixture_graph from --fixture/--p/--ext/--modulus."""
+    tgraph.require_graph_size(args.p, args.ext)  # a capped call names the cap, not a bad --modulus
+    return fixtures.fixture_graph(args.fixture, args.p, args.ext, _parse_modulus(args.modulus))
 
 
 def _emit(obj):
@@ -65,16 +64,16 @@ def cmd_series(args) -> int:
 
 def cmd_chi(args) -> int:
     bound, graph = _fixture_graph(args)
-    chi = fixtures.chi_from_graph(graph)
+    chi = prime_field_ints(fixtures.chi_from_graph(graph).coeffs)
     out = {
         "p": args.p,
         "fixture": args.fixture,
-        "chi": [c.coeffs[0] for c in chi.coeffs],
-        "degree": chi.degree,
+        "chi": chi,
+        "degree": len(chi) - 1,
         "legendre_minus3": legendre(-3, args.p),
     }
     if bound.fixture.series_bridge:
-        out["series_bridge"] = chi * out["legendre_minus3"] == series.truncate_H_mod_p(args.p)
+        out["series_bridge"] = chi == fixtures.series_bridge(args.p)
     _emit(out)
     return 0
 
@@ -103,11 +102,12 @@ def cmd_feq_check(args) -> int:
         if args.ext < 1 or modulus is not None:
             FieldCtx(args.p, args.ext, modulus)
         bound = fixtures.load_fixture(args.fixture, args.p, ctx=FieldCtx(args.p), check=False)
-        chi = None
+        h = fixtures.series_bridge(args.p)
     else:
         bound, graph = _fixture_graph(args)
-        chi = fixtures.chi_from_graph(graph)
-    holds, constant = fixtures.functional_equation(bound, chi)
+        h = prime_field_ints(fixtures.chi_from_graph(graph).coeffs)
+    holds, constant = series.functional_equation_holds(
+        h, bound.f.num_coeffs, bound.f.den_coeffs, args.p)
     _emit({"fixture": args.fixture, "p": args.p, "holds": holds,
            "constant": None if constant is None else str(constant)})
     return 0 if holds else 1

@@ -299,20 +299,18 @@ def _pow_mod(f, e: int, m, p):
     return out
 
 
-def _has_root(m, p: int) -> bool:
-    """Whether the polynomial m (ascending coefficients) vanishes somewhere on F_p."""
-    return any(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p == 0 for x in range(p))
-
-
 def _is_irreducible(m, p: int) -> bool:
     """Irreducibility of a monic polynomial m over F_p.
 
-    Degree <= 3 reduces to having no root; otherwise the standard test:
-    x^(p^r) = x mod m and gcd(x^(p^(r/l)) - x, m) = 1 for every prime l | r.
+    A root in F_p, a linear factor, is scanned for first; degree <= 3 needs
+    no more.  Otherwise the standard test: x^(p^r) = x mod m and
+    gcd(x^(p^(r/l)) - x, m) = 1 for every prime l | r.
     """
     r = len(m) - 1
+    if any(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p == 0 for x in range(p)):
+        return False
     if r <= 3:
-        return not _has_root(m, p)
+        return True
     frob = [[0, 1]]  # frob[k] = x^(p^k) mod m
     for _ in range(r):
         frob.append(_pow_mod(frob[-1], p, m, p))
@@ -353,9 +351,9 @@ class FieldCtx:
             if modulus is not None:
                 raise DegreeMismatch("prime field takes no modulus")
             self.modulus = None
+        elif modulus is None:  # irreducible by construction
+            self.modulus = tuple(self._default_modulus(p, r))
         else:
-            if modulus is None:
-                modulus = self._default_modulus(p, r)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise DegreeMismatch(
@@ -369,12 +367,11 @@ class FieldCtx:
 
     @staticmethod
     def _default_modulus(p, r):
-        # c0 varies slowest, so skipping c0 = 0 keeps the order; a root in F_p
-        # is a linear factor, found far more cheaply than by the Rabin test
+        # c0 varies slowest, so skipping c0 = 0 (the root 0) keeps the order
         for c0 in range(1, p):
             for mid in product(range(p), repeat=r - 1):
                 cand = [c0, *mid, 1]
-                if not _has_root(cand, p) and _is_irreducible(cand, p):
+                if _is_irreducible(cand, p):
                     return cand
         raise ReducibleModulus(f"no irreducible of degree {r} over F_{p}")  # unreachable
 

@@ -13,8 +13,10 @@ never the tower's name:
 * ``type-a-toy``: y^2 = x^2+x, a complete loop at infinity with equal
   restricted differents, so no splitting set can exist (``rho_expr`` None).
 
-Loading a fixture re-checks its completeness and divisorial invariants on
-the spot, so a broken fixture table cannot silently poison a pipeline.
+``load_fixture`` re-checks a fixture's completeness and divisorial
+invariants only with check=True, which no command passes (``verify`` reports
+them as checks).  ``fixture_graph`` binds a fixture and builds its graph, and
+``series_bridge`` forms (-3/p) H_p, for every command that needs them.
 
 The splitting polynomial chi is read off the graph: the distinct f-value
 codes, kept by the build, at ``TowerGraph.regular_vertices()``.  Given the
@@ -46,10 +48,9 @@ from .p1 import (
     map_preimage,  # noqa: F401  the tests' preimage oracle; benchmark/tracing.py wraps it here
     mobius_conjugate,
     point_parse,
-    ratfun_parse,
 )
 from .tgraph import FieldArrays, TowerGraph, require_graph_size
-from .upoly import Poly, RatFun, prime_field_ints
+from .upoly import Poly, prime_field_ints
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class BoundFixture:
     g: RatMap
     s: list
     s0: list
-    rho: Optional[RatFun]
 
 
 def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) -> BoundFixture:
@@ -120,8 +120,7 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
     g = map_parse(fx.g_expr, p)
     s = [point_parse(e, ctx) for e in fx.s_exprs]
     s0 = [point_parse(e, ctx) for e in fx.s0_exprs]
-    rho = ratfun_parse(fx.rho_expr, ctx) if fx.rho_expr else None
-    bound = BoundFixture(fx, ctx, f, g, s, s0, rho)
+    bound = BoundFixture(fx, ctx, f, g, s, s0)
     if check:
         fwd, bwd = feq.is_complete(f, g, s, ctx)
         if not (fwd and bwd):
@@ -129,6 +128,14 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
         if not feq.divisorial_check(f, g, s0, ctx):
             raise TowerError(f"fixture {name}: divisorial identity fails over {ctx!r}")
     return bound
+
+
+def fixture_graph(name: str, p: int, ext: int = 2, modulus=None):
+    """(bound, graph): the fixture bound over F_{p^ext} and its graph."""
+    require_graph_size(p, ext)  # before the field: a modulus search is slow at large ext
+    ctx = FieldCtx(p, ext, modulus)
+    bound = load_fixture(name, p, ctx=ctx, check=False)
+    return bound, TowerGraph(bound.f, bound.g, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +201,11 @@ def splitting_points(p: int, ctx: FieldCtx) -> list:
                   key=lambda q: q.sort_key())
 
 
-def functional_equation(bound: BoundFixture, chi: Optional[Poly]):
-    """Whether den^(p-1) h(num/den) ~ h(x^2) over F_p for f = num/den, with h
-    = (-3/p) H_p given the series bridge (chi may then be None), else chi.
-    Returns (holds, constant); both sides are linear in h."""
-    p = bound.ctx.p
-    h = series.truncate_H_mod_p(p) * legendre(-3, p) if bound.fixture.series_bridge else chi
-    return series.functional_equation_holds(
-        [c.coeffs[0] for c in h.coeffs], bound.f.num_coeffs, bound.f.den_coeffs, p)
+def series_bridge(p: int) -> list:
+    """(-3/p) H_p as ascending ints mod p: the splitting polynomial chi of a
+    series-bridge fixture.  It is monic, as H_p leads with (-3/p)."""
+    eps = legendre(-3, p)
+    return [c * eps % p for c in prime_field_ints(series.truncate_H_mod_p(p).coeffs)]
 
 
 def _rational_radical(h, q: int, p: int):
@@ -256,11 +260,8 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     """Run every end-to-end consistency check the fixture's facts call for
     and report one pass/fail entry per check."""
     checks: list = []
-    require_graph_size(p, ext)  # before the field: a modulus search is slow at large ext
-    ctx = FieldCtx(p, ext, modulus)
-    bound = load_fixture(name, p, ctx=ctx, check=False)
-    fx, f, g = bound.fixture, bound.f, bound.g
-    graph = TowerGraph(f, g, ctx)
+    bound, graph = fixture_graph(name, p, ext, modulus)
+    fx, ctx, f, g = bound.fixture, bound.ctx, bound.f, bound.g
 
     fwd, bwd = feq.is_complete(f, g, bound.s, ctx)
     _check(checks, "singular-support-complete", fwd and bwd,
@@ -290,34 +291,33 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
            verdict_detail)
 
     try:
-        chi = chi_from_graph(graph)
-        _check(checks, "chi-degree", chi.degree == p - 1, f"deg {chi.degree}")
+        chi = prime_field_ints(chi_from_graph(graph).coeffs)
+        _check(checks, "chi-degree", len(chi) == p, f"deg {len(chi) - 1}")
     except TowerError as exc:
         _check(checks, "chi-degree", False, str(exc))
         return _finish(name, p, ext, checks)
 
+    h = series_bridge(p) if fx.series_bridge else chi  # the equation's polynomial
     if fx.series_bridge:
-        eps, hp = legendre(-3, p), series.truncate_H_mod_p(p)
-        _check(checks, "chi-series-bridge", chi * eps == hp, f"(-3/p) = {eps}")
+        _check(checks, "chi-series-bridge", chi == h, f"(-3/p) = {legendre(-3, p)}")
     if fx.chain:
         _check(checks, "singular-chain-shape", _gs_chain_ok(graph, ctx, fx.chain),
                f"{len(graph.singular_components())} singular components")
-    holds, const = functional_equation(bound, chi)
+    holds, const = series.functional_equation_holds(h, f.num_coeffs, f.den_coeffs, p)
     _check(checks, "functional-equation", holds, f"constant {const}")
     if not fx.series_bridge:
         return _finish(name, p, ext, checks)
 
-    # T0 is the set of roots of H_p over F_q, R = gcd(H_p, x^q - x); chi = R
-    # makes it the set of f-values on the d-regular vertices
-    r = _rational_radical(prime_field_ints(hp.coeffs), ctx.order, p)
+    # T0 is the set of roots of H_p over F_q, R = gcd(h, x^q - x) for h =
+    # (-3/p) H_p; chi = R makes it the set of f-values on the d-regular vertices
+    r = _rational_radical(h, ctx.order, p)
     k = len(r) - 1
     s, t, const, r_f = feq.splitting_criterion(f, g, bound.s0, r, ctx)
     _check(checks, "splitting-values-rational", k == p - 1, f"{k} of {p - 1}")
     _check(checks, "regularness-criterion", const is not None, f"s={s} t={t} constant={const}")
     size = _preimage_size(r_f, f.d * k, ctx.order, p)
     _check(checks, "splitting-set-is-regular-component",
-           r == prime_field_ints(chi.coeffs) and size == regs[0].size == f.d * k,
-           f"preimage size {size}")
+           r == chi and size == regs[0].size == f.d * k, f"preimage size {size}")
     genus_ok = all(genus.genus_sum(n) == genus.genus_closed(n) for n in range(2, 25))
     _check(checks, "genus-formulas-agree", genus_ok)
     paths = graph.path_counts(9, regs[0].indices)

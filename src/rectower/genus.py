@@ -65,9 +65,9 @@ class GenusReport:
 
 
 def _is_fixture_tower(graph: TowerGraph) -> bool:
-    p = graph.ctx.p
-    return (graph.f == map_parse("(x^2+x)/(3*x-1)", p)
-            and graph.g == map_parse("y^2", p))
+    from .fixtures import FIXTURES  # imported here: fixtures imports this module
+    fx, p = FIXTURES["new-tower"], graph.ctx.p
+    return graph.f == map_parse(fx.f_expr, p) and graph.g == map_parse(fx.g_expr, p)
 
 
 def asymptotic_report(p: int, n_max: int, graph: TowerGraph) -> list[GenusReport]:

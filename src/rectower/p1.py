@@ -230,9 +230,9 @@ def _tokenize(expr: str):
         ch = expr[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in "0123456789":  # not str.isdigit, which takes "²" where int() fails
             j = i
-            while j < len(expr) and expr[j].isdigit():
+            while j < len(expr) and expr[j] in "0123456789":
                 j += 1
             tokens.append(("int", int(expr[i:j])))
             i = j

@@ -307,7 +307,7 @@ def hypergeom_identity_check(n: int) -> bool:
     if any(w.denominator != 1 for w in weights):
         raise FormulaMismatch("27^k c_k is not an integer for some k")
     rhs = _ser_div_1m3x(_ser_compose_ratio([w.numerator for w in weights], [0, 0, 1, -1], 3, n))
-    return all(rhs[i] == coeff_a(i) for i in range(n + 1))
+    return rhs == list(_a_exact(n))
 
 
 def series_feq_check(n: int) -> bool:
@@ -318,7 +318,7 @@ def series_feq_check(n: int) -> bool:
     truncates cleanly."""
     if n < 2:
         raise BadIndex("need order >= 2")
-    a = [coeff_a(k) for k in range(n + 1)]
+    a = list(_a_exact(n))
     lhs = _ser_div_1m3x(_ser_compose_ratio(a, [0, -1, -1], 1, n))
     return all(lhs[k] == (a[k // 2] if k % 2 == 0 else 0) for k in range(n + 1))
 

@@ -13,7 +13,7 @@ from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT
 from rectower.ff import FieldCtx, is_prime, legendre, pmul, psubst
 from rectower.p1 import RatMap, map_parse
 from rectower.tgraph import ComponentClass, ComponentReport, FieldArrays, TowerGraph
-from rectower.upoly import Poly, prime_field_ints
+from rectower.upoly import Poly, prime_field_ints, ratfun_proportional
 
 
 def test_fixture_names():
@@ -24,7 +24,24 @@ def test_load_validates_invariants():
     bound = fixtures.load_fixture("new-tower", 5)
     assert bound.ctx.order == 5
     assert len(bound.s) == 6 and len(bound.s0) == 4
-    assert bound.rho is not None
+
+
+@pytest.mark.parametrize("name, p", [(name, p) for p in range(5, 48) if is_prime(p)
+                                     for name in ("new-tower", "gs-tower")])
+def test_rho_is_the_criterion_function(name, p):
+    # the table's rho is exactly the function with div(rho) = D_f(S0) - D_g(S0)
+    # that the functional criterion computes, not only up to a constant
+    ctx = FieldCtx(p, 2)
+    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    _, rho = feq._s0_half(bound.f, bound.g, bound.s0, ctx)
+    assert ratfun_proportional(rho, p1.ratfun_parse(bound.fixture.rho_expr, ctx)) == ctx.one()
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
+def test_series_bridge_is_the_monic_signed_truncation(p):
+    bridge = fixtures.series_bridge(p)
+    assert bridge == prime_field_ints((series.truncate_H_mod_p(p) * legendre(-3, p)).coeffs)
+    assert bridge[-1] == 1 and len(bridge) == p
 
 
 def test_load_gs_needs_i():

@@ -54,7 +54,7 @@ def test_parse_rejects_constant():
 
 
 def test_parse_syntax_errors():
-    for bad in ("x+*2", "x^", "(x+1", "x+z", "x+y"):
+    for bad in ("x+*2", "x^", "(x+1", "x+z", "x+y", "x²"):
         with pytest.raises(MapSyntaxError):
             map_parse(bad, 5)
 

@@ -211,7 +211,8 @@ def pascal_a_mod_table(p, n_max):
 
 
 def test_recurrence_matches_definition():
-    assert list(series._a_exact(200)) == [coeff_a(n) for n in range(201)]
+    # through order 240, where the series identities read a_n off _a_exact
+    assert list(series._a_exact(240)) == [coeff_a(n) for n in range(241)]
     assert list(series._a_exact(0)) == [1]
 
 
@@ -604,8 +605,12 @@ def non_integral_weight(monkeypatch):
 
 
 def perturbed_coeff_a(monkeypatch):
-    exact = series.coeff_a
+    # a_17 off by one both in the defining sum, which the oracles read, and
+    # in the recurrence's pass, which the checks read
+    exact, recurrence = series.coeff_a, series._a_exact
     monkeypatch.setattr(series, "coeff_a", lambda k: exact(k) + (k == 17))
+    monkeypatch.setattr(series, "_a_exact",
+                        lambda n: (a + (k == 17) for k, a in enumerate(recurrence(n))))
 
 
 @pytest.mark.parametrize("perturb", [None, wrong_weight, non_integral_weight, perturbed_coeff_a])
@@ -669,11 +674,11 @@ def test_li_trick_equals_the_dense_oracle(monkeypatch, p, wrong):
 
 
 def test_series_feq_check_sees_one_wrong_coefficient(monkeypatch):
-    exact = series.coeff_a
+    exact = series._a_exact  # the check reads a_0, ..., a_n off one pass
 
-    def perturbed(k):
-        return exact(k) + (k == 17)
+    def perturbed(n):
+        return (a + (k == 17) for k, a in enumerate(exact(n)))
 
     assert series_feq_check(40)
-    monkeypatch.setattr(series, "coeff_a", perturbed)
+    monkeypatch.setattr(series, "_a_exact", perturbed)
     assert not series_feq_check(40)
