@@ -65,6 +65,22 @@ def require_prime(p: int, subject: str = "need") -> int:
     return p
 
 
+def reduce_array(a, p: int, in_place: bool = False):
+    """a mod p, entries in [0, p), for a numpy integer array a whose entries
+    lie in [p - 2^63, 2^63) (int64; in [p - 2^31, 2^31) for int32).  It is
+    a - (a // p) * p by array operators: numpy's floor division by a scalar
+    is about twice as fast as its ``%``, and ``%`` slows further on mixed
+    signs.  In place, a itself is reduced and returned."""
+    q = a // p
+    if in_place:
+        q *= p
+        a -= q
+        return a
+    q *= -p
+    q += a
+    return q
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {+1, 0, -1}, computed as a^((p-1)/2) mod p."""
     if p == 2 or not is_prime(p):
@@ -302,13 +318,22 @@ def _pow_mod(f, e: int, m, p):
 def _is_irreducible(m, p: int) -> bool:
     """Irreducibility of a monic polynomial m over F_p.
 
-    A root in F_p, a linear factor, is scanned for first; degree <= 3 needs
-    no more.  Otherwise the standard test: x^(p^r) = x mod m and
-    gcd(x^(p^(r/l)) - x, m) = 1 for every prime l | r.
+    A quadratic over odd p is irreducible when its discriminant is not a
+    square, one Legendre symbol.  Otherwise a root in F_p, a linear factor,
+    is scanned for first by Horner's rule; degree <= 3 needs no more.  Past
+    that the standard test: x^(p^r) = x mod m and gcd(x^(p^(r/l)) - x, m) =
+    1 for every prime l | r.
     """
     r = len(m) - 1
-    if any(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p == 0 for x in range(p)):
-        return False
+    if r == 2 and p > 2:
+        return legendre(m[1] * m[1] - 4 * m[0], p) == -1
+    top = m[::-1]
+    for x in range(p):
+        acc = 0
+        for c in top:
+            acc = acc * x + c
+        if acc % p == 0:
+            return False
     if r <= 3:
         return True
     frob = [[0, 1]]  # frob[k] = x^(p^k) mod m

@@ -40,6 +40,7 @@ import numpy as np
 from . import feq, genus, series
 from .errors import TowerError
 from .ff import FieldCtx, _pow_mod, legendre, padd, pgcd, pmul, require_prime
+from .fieldarrays import FieldArrays
 from .p1 import (
     Mobius,
     ProjPoint,
@@ -49,7 +50,7 @@ from .p1 import (
     mobius_conjugate,
     point_parse,
 )
-from .tgraph import FieldArrays, TowerGraph, require_graph_size
+from .tgraph import TowerGraph, require_graph_size
 from .upoly import Poly, prime_field_ints
 
 

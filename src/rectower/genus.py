@@ -81,14 +81,17 @@ def asymptotic_report(p: int, n_max: int, graph: TowerGraph) -> list[GenusReport
         raise ValueError("graph characteristic differs from p")
     if not _is_fixture_tower(graph):
         raise ValueError("genus formulas only apply to the tower y^2 = (x^2+x)/(3x-1)")
-    rows = []
+    rows, d, tail = [], None, 0  # tail = sum_{i=2}^n 2^{n-i} delta_i, the sum in genus_sum
     for n, n_lower in enumerate(graph.path_counts(n_max - 1, graph.regular_vertices()), start=1):
         g = genus_closed(n)
+        if n >= 2:
+            d = delta(n)
+            tail = 2 * tail + d
         rows.append(GenusReport(
             n=n,
-            delta=delta(n) if n >= 2 else None,
+            delta=d,
             genus_closed=g,
-            genus_sum=genus_sum(n) if n >= 2 else None,
+            genus_sum=1 + (n - 2) * 2 ** (n - 1) - tail if n >= 2 else None,
             n_lower=n_lower,
             ratio=(n_lower / g) if g else None,
         ))

@@ -37,7 +37,8 @@ from itertools import islice
 from math import comb
 
 from .errors import BadIndex, FormulaMismatch
-from .ff import MAX_TABLE_ENTRIES, FieldCtx, legendre, pproportional, psubst, require_prime
+from .ff import (MAX_TABLE_ENTRIES, FieldCtx, legendre, pproportional, psubst, reduce_array,
+                 require_prime)
 from .upoly import Poly
 
 
@@ -150,23 +151,30 @@ def _sum_arrays(p: int, n: int):
         vfact[q::q] += 1
         q *= p
     np.cumsum(vfact, out=vfact)
-    # u(m): the prefix products of the w(m) mod p, by doubling spans
+    # u(m): the prefix products of the w(m) mod p, by doubling spans; a
+    # step writes the other array, whose first step entries, settled, it copies
     prod = np.empty_like(unit)
     step = 1
     while step < span:
         np.multiply(unit[step:], unit[:-step], out=prod[step:])
-        np.remainder(prod[step:], p, out=unit[step:])
+        reduce_array(prod[step:], p, in_place=True)
+        prod[:step] = unit[:step]
+        unit, prod = prod, unit
         step *= 2
     del prod
     # u^-2 = u^(p-3) by Fermat, by repeated squaring on the whole array
     inv2, base, e = np.ones(size, dtype=work), unit[:size].copy(), p - 3
     while e:
         if e & 1:
-            inv2 = inv2 * base % p
-        base = base * base % p
+            inv2 *= base
+            reduce_array(inv2, p, in_place=True)
+        base *= base
+        reduce_array(base, p, in_place=True)
         e >>= 1
     # C(2k,k) u(k)^-2 = u(2k) u(k)^-4 mod p when v_p((2k)!) = 2 v_p(k!), else 0
-    central = unit[::2] * inv2 % p * inv2 % p
+    central = reduce_array(unit[::2] * inv2, p, in_place=True)
+    central *= inv2
+    reduce_array(central, p, in_place=True)
     central *= vfact[::2] == 2 * vfact[:size]
     dot = np.int32 if size * (p - 1) ** 2 <= np.iinfo(np.int32).max else np.int64
     out = (vfact[:size].copy(), vfact[size - 1::-1].copy(), central.astype(dot),

@@ -4,20 +4,25 @@ The graph of a correspondence f(P) = g(Q) has the rational points of the
 line as vertices and an oriented edge P -> Q whenever f(P) = g(Q).  Vertex
 n < q is element n of ``FieldCtx.elements()``, whose digits base p are its
 coefficients; vertex q is infinity.  The build evaluates f, g and their
-Wronskians over the whole field at once: the affine points are held as
-int64 arrays of base-p digits, Horner's rule runs on those arrays with
-every product reduced mod p and mod the field modulus, so the arithmetic is
+Wronskians over blocks of ``BLOCK`` field elements, into arrays allocated
+once, so its temporaries are bounded by the block, not by q: a block's
+affine points are held as int64 arrays of base-p digits
+(``fieldarrays.FieldArrays``), Horner's rule runs on those arrays with each
+product reduced once mod p and mod the field modulus, so the arithmetic is
 exact, and each value is encoded as its element index (q for infinity).
-Division goes through the norm: a^-1 is the product c of a's other
-conjugates a^p, ..., a^(p^(r-1)) over a*c, which lies in F_p, and the
-Frobenius is a linear map of the digits.  Only the vertex at infinity goes
-through scalar ``RatMap`` evaluation.  Edges come from a join of the
-f-codes against the g-codes (a stable sort of the vertices by g-code, and
-a count of each code), linear in the number of vertices: the sort is a
-radix sort on 16-bit digits (``_stable_order``), as is the one that groups
-the vertices by component.  Edges are kept as arrays: the out-edges of u are
-``dst[offsets[u]:offsets[u + 1]]``, in ascending order.  Lines with more
-than ``MAX_VERTICES`` points are refused before any array is built.
+Division goes through the norm without forming an inverse: N/D is N*c over
+the norm D*c, which lies in F_p, for c the product of D's other conjugates
+D^p, ..., D^(p^(r-1)), and the Frobenius is a linear map of the digits.
+Only the vertex at infinity goes through scalar ``RatMap`` evaluation.
+Edges come from a join of the f-codes against the g-codes (a stable sort of
+the vertices by g-code, and a count of each code), linear in the number of
+vertices: the sort is a radix sort on 16-bit digits (``_stable_order``), as
+are the ones that group vertices by component.  Edges are kept as arrays:
+the out-edges of u are ``dst[offsets[u]:offsets[u + 1]]``, in ascending
+order.  The codes, degrees, offsets and edge arrays are int32 while the
+edge count, at most d(q + 1), stays below 2^31, and int64 past that.
+Lines with more than ``MAX_VERTICES`` points are refused before any array
+is built.
 
 The graph holds index arrays only.  The Python views of them (the
 ``ProjPoint`` vertices, the ``out_adj`` lists, the degree and ramification
@@ -38,11 +43,16 @@ with the least vertex of its component.  They are classified as
 
 A component is d-regular when none of its vertices is flagged bad (a degree
 other than d, or ramified), which one array reduction decides for all of
-them; the witness search runs only in the other components that hold a
-point ramified for f.  The partition is one table per graph (the vertices
-grouped by component, a class code per component, the singular witnesses):
-reports are built only for the components asked for, and none for
-``regular_vertices``.
+them.  The labels and these per-label classes are computed once per graph;
+the d-regular vertex set is read off them with an order on its own vertices
+only, and so are the regular reports and the singular walk's vertex set.
+Every vertex is grouped by component, and witnesses are searched (only in
+the other components that hold a point ramified for f), only when
+``components()``, ``singular_components()`` or an export asks.  Reports are
+built only for the components asked for.
+
+The exports label each vertex once from its digits and write the edges
+straight from the edge arrays, with no points and no adjacency lists.
 
 Path counting is exact vector iteration, never matrix powers, so memory
 stays linear in the vertex count.  One walk answers a question at every
@@ -67,9 +77,11 @@ import numpy as np
 
 from .errors import BadIndex, DegreeMismatch, FieldTooLarge, NoRegularComponent, UnknownFormat
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
+from .fieldarrays import FieldArrays
 from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber, require_tame
 
 MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
+BLOCK = 1 << 16  # field elements per block of the build, which bounds its temporaries
 
 
 def require_graph_size(p: int, r: int):
@@ -106,7 +118,7 @@ class ComponentReport:
                  cls: ComponentClass, path: Optional[list]):
         self.cls = cls
         self._ctx = ctx
-        self._members = members  # every component's vertices; this one's at [start:stop]
+        self._members = members  # vertices grouped by component; this one's at [start:stop]
         self._start, self._stop = start, stop
         self._path = path
 
@@ -129,84 +141,6 @@ class ComponentReport:
         return None if self._path is None else [_point(self._ctx, v) for v in self._path]
 
 
-class FieldArrays:
-    """Elements of F_{p^r} as r int64 arrays of base-p digits (ascending
-    powers of the generator), one entry per element, for arrays of any
-    length.  Element n of ``FieldCtx.elements()`` has digits (n // p^i) % p.
-
-    A value is a list of r arrays with entries in [0, p).  Before each
-    reduction an entry is below 2r*p^2 in absolute value, far inside int64
-    because q < 2^22."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.p, self.r, self.q = ctx.p, ctx.r, ctx.order
-        self.modulus = ctx.modulus
-        # the Frobenius is F_p-linear: the digits of (x^i)^p for each i
-        self._frobenius = [ctx.element(self.p ** i).frobenius().coeffs for i in range(self.r)]
-
-    def digits(self, codes):
-        """The elements with the given indices."""
-        return [codes // self.p ** i % self.p for i in range(self.r)]
-
-    def codes(self, a):
-        """Element indices of the values."""
-        out = a[-1]
-        for c in reversed(a[:-1]):
-            out = out * self.p + c
-        return out
-
-    def mul(self, a, b):
-        p, r = self.p, self.r
-        prod = [0] * (2 * r - 1)
-        for i in range(r):
-            for j in range(r):
-                prod[i + j] = prod[i + j] + a[i] * b[j]
-        # reduce x^k for k >= r using x^r = -(m_{r-1}x^{r-1} + ... + m_0)
-        for k in range(2 * r - 2, r - 1, -1):
-            c = prod[k] % p
-            for i in range(r):
-                prod[k - r + i] = prod[k - r + i] - c * self.modulus[i]
-        return [c % p for c in prod[:r]]
-
-    def frobenius(self, a):
-        """a^p, as a linear map of the digits."""
-        out = [np.zeros_like(a[0]) for _ in range(self.r)]
-        for i, image in enumerate(self._frobenius):
-            for j, c in enumerate(image):
-                out[j] = out[j] + a[i] * c
-        return [c % self.p for c in out]
-
-    def horner(self, coeffs, x):
-        """The polynomial with ascending int coefficients (at least one) at
-        every x."""
-        p = self.p
-        if len(coeffs) == 1:
-            return [np.full_like(x[0], coeffs[0] % p)] + [np.zeros_like(x[0])] * (self.r - 1)
-        val = [d * (coeffs[-1] % p) % p for d in x]  # c_n x: a scalar scale, no mul
-        val[0] = (val[0] + coeffs[-2]) % p
-        for c in reversed(coeffs[:-2]):
-            val = self.mul(val, x)
-            val[0] = (val[0] + c) % p
-        return val
-
-    def is_zero(self, a):
-        return np.logical_and.reduce([c == 0 for c in a])
-
-    def inverse(self, a):
-        """The inverse where a is nonzero, 0 where a is zero: the product c
-        of a's other conjugates a^p, ..., a^(p^(r-1)), over the norm a*c,
-        which lies in F_p."""
-        p = self.p
-        c = [np.ones_like(a[0])] + [np.zeros_like(a[0])] * (self.r - 1)
-        conjugate = a
-        for _ in range(self.r - 1):
-            conjugate = self.frobenius(conjugate)
-            c = self.mul(c, conjugate)
-        inv = np.array([0] + [pow(k, -1, p) for k in range(1, p)], dtype=np.int64)
-        scale = inv[self.mul(a, c)[0]]
-        return [d * scale % p for d in c]
-
-
 def _stable_order(keys):
     """``np.argsort(keys, kind="stable")`` for keys in [0, 2^32), by a least
     significant digit first radix sort on uint16 digits: numpy sorts 16-bit
@@ -221,7 +155,7 @@ def _stable_order(keys):
 def _component_labels(n: int, src, dst):
     """Each vertex's least weakly connected vertex, over the edges
     src[i] -> dst[i]: min-label hooking and pointer jumping."""
-    label = np.arange(n)
+    label = np.arange(n, dtype=src.dtype)
     while len(src):
         ls, ld = label[src], label[dst]
         unsettled = ls != ld  # an edge whose ends share a root stays so
@@ -248,50 +182,63 @@ class TowerGraph:
         self.g = g
         self.ctx = ctx
         self.d = f.d
-        n = ctx.order + 1
+        q = ctx.order
+        n = q + 1
+        # every index array in int32 when the edge count, at most d per
+        # vertex, stays below 2^31
+        idx = np.int32 if self.d * n < 1 << 31 else np.int64
         field = FieldArrays(ctx)
-        x = field.digits(np.arange(ctx.order, dtype=np.int64))
+        fcode, gcode = np.empty(n, dtype=idx), np.empty(n, dtype=idx)
+        self._ram_f, self._ram_g = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        wf, wg = f.wronskian_coeffs(), g.wronskian_coeffs()
+        for lo in range(0, q, BLOCK):
+            hi = min(lo + BLOCK, q)
+            x = field.digits(np.arange(lo, hi, dtype=np.int64))
+            fcode[lo:hi] = self._value_codes(f, field, x)
+            gcode[lo:hi] = self._value_codes(g, field, x)
+            self._ram_f[lo:hi] = self._ram_flags(wf, field, x)
+            self._ram_g[lo:hi] = self._ram_flags(wg, field, x)
         inf = ProjPoint.infinity(ctx)
+        for codes, flags, m in ((fcode, self._ram_f, f), (gcode, self._ram_g, g)):
+            t = m.eval(inf)
+            codes[q] = q if t.is_infinity else ctx.element_index(t.x)
+            flags[q] = point_multiplicity_in_fiber(m, inf) >= 2
+        self.f_codes = fcode
 
-        self.f_codes = fcode = self._value_codes(f, field, x, inf)
-        gcode = self._value_codes(g, field, x, inf)
         # the out-neighbours of u: the vertices whose g-code is u's f-code,
-        # ascending, at [lo[u], lo[u] + out_deg[u]) of the vertices sorted
-        # by g-code
-        by_g = _stable_order(gcode)
-        g_count = np.bincount(gcode, minlength=n)
-        lo = (np.cumsum(g_count) - g_count)[fcode]
+        # ascending, at [first[u], first[u] + out_deg[u]) of the vertices
+        # sorted by g-code
+        by_g = _stable_order(gcode).astype(idx)
+        g_count = np.bincount(gcode, minlength=n).astype(idx)
         self._out_deg = g_count[fcode]
-        self._in_deg = np.bincount(fcode, minlength=n)[gcode]
-        self._offsets = np.zeros(n + 1, dtype=np.int64)
+        self._in_deg = np.bincount(fcode, minlength=n).astype(idx)[gcode]
+        self._offsets = np.zeros(n + 1, dtype=idx)
         np.cumsum(self._out_deg, out=self._offsets[1:])
-        self._src = np.repeat(np.arange(n), self._out_deg)
-        self._dst = by_g[np.arange(len(self._src)) + (lo - self._offsets[:-1])[self._src]]
+        first = np.cumsum(g_count, dtype=idx)
+        first -= g_count
+        shift = first[fcode]
+        shift -= self._offsets[:-1]
+        self._src = np.repeat(np.arange(n, dtype=idx), self._out_deg)
+        position = np.arange(len(self._src), dtype=idx)
+        position += shift[self._src]
+        self._dst = by_g[position]
 
-        self._ram_f = self._ram_flags(f, field, x, inf)
-        self._ram_g = self._ram_flags(g, field, x, inf)
+    @staticmethod
+    def _value_codes(m: RatMap, field: FieldArrays, x):
+        """Element index of m at every affine point x of a block, with q
+        standing for infinity."""
+        p, den = field.p, m.den_coeffs
+        if len(den) == 1:  # a constant denominator: no pole, its inverse in the numerator
+            scale = pow(den[0], -1, p)
+            return field.codes(field.horner([c * scale % p for c in m.num_coeffs], x))
+        return field.quotient_codes(field.horner(m.num_coeffs, x), field.horner(den, x))
 
-    def _value_codes(self, m: RatMap, field: FieldArrays, x, inf: ProjPoint):
-        """Element index of m at every vertex, with q standing for infinity."""
-        q = self.ctx.order
-        num = field.horner(m.N, x)
-        if len(m.den_coeffs) == 1:  # a constant denominator: no pole, one scalar inverse
-            scale = pow(m.den_coeffs[0], -1, field.p)
-            codes = field.codes([c * scale % field.p for c in num])
-        else:
-            den = field.horner(m.D, x)
-            codes = np.where(field.is_zero(den), q,
-                             field.codes(field.mul(num, field.inverse(den))))
-        t = m.eval(inf)
-        at_inf = q if t.is_infinity else self.ctx.element_index(t.x)
-        return np.append(codes, at_inf)
-
-    def _ram_flags(self, m: RatMap, field: FieldArrays, x, inf: ProjPoint):
-        """Vertex flags for ramification of m, via its Wronskian (tame here:
-        the map degree is below the characteristic)."""
-        w = m.wronskian_coeffs()
-        flags = field.is_zero(field.horner(w, x)) if w else np.zeros(field.q, dtype=bool)
-        return np.append(flags, point_multiplicity_in_fiber(m, inf) >= 2)
+    @staticmethod
+    def _ram_flags(w, field: FieldArrays, x):
+        """Flags for ramification at every affine point x of a block, via the
+        map's Wronskian w (tame here: the map degree is below the
+        characteristic)."""
+        return field.is_zero(field.horner(w, x)) if w else False
 
     # -- basic accessors -----------------------------------------------------
 
@@ -343,32 +290,51 @@ class TowerGraph:
     # -- components ---------------------------------------------------------------
 
     @cached_property
-    def _table(self):
-        """The weak components, in order of their least vertex: ``members``
-        holds every vertex grouped by component and ascending in each,
-        component k is ``members[bounds[k]:bounds[k + 1]]``, ``codes[k]`` is
-        its class code, ``witnesses`` maps each singular k to its path, and
-        ``held`` flags the vertices whose component holds a point ramified
-        for f."""
+    def _classes(self):
+        """Each vertex's component label (its component's least vertex), and
+        per label whether the component is irregular (some vertex of it has
+        a degree other than d or is ramified) and whether it holds a point
+        ramified for f."""
         n = self.n_vertices
         label = _component_labels(n, self._src, self._dst)
         bad = ((self._out_deg != self.d) | (self._in_deg != self.d)
                | self._ram_f | self._ram_g)
-        irregular = np.bincount(label[bad], minlength=n) > 0  # by root
+        irregular = np.bincount(label[bad], minlength=n) > 0
         has_ram_f = np.bincount(label[self._ram_f], minlength=n) > 0
-        # by component, then by vertex: each component starts at its root
+        return label, irregular, has_ram_f
+
+    @cached_property
+    def _regular(self):
+        """The vertices of the d-regular components, grouped by component in
+        order of their least vertex and ascending in each, and the bounds of
+        the groups: read off the labels, with no order on the other
+        vertices."""
+        label, irregular, _ = self._classes
+        regular = np.flatnonzero(~irregular[label])
+        regular = regular[_stable_order(label[regular])]
+        # each component starts at its least vertex, its label
+        return regular, np.append(np.flatnonzero(label[regular] == regular), len(regular))
+
+    @cached_property
+    def _table(self):
+        """All the weak components, in order of their least vertex:
+        ``members`` holds every vertex grouped by component and ascending in
+        each, component k is ``members[bounds[k]:bounds[k + 1]]``,
+        ``codes[k]`` is its class code, and ``witnesses`` maps each singular
+        k to its path."""
+        label, irregular, has_ram_f = self._classes
         members = _stable_order(label)
-        bounds = np.append(np.flatnonzero(label[members] == members), n)
+        bounds = np.append(np.flatnonzero(label[members] == members), self.n_vertices)
         roots = members[bounds[:-1]]
         codes = np.where(irregular[roots], _OTHER, _REGULAR).astype(np.int8)
         witnesses = {k: path for k in np.flatnonzero(irregular[roots] & has_ram_f[roots]).tolist()
                      if (path := self._singular_witness(members[bounds[k]:bounds[k + 1]]))}
         codes[list(witnesses)] = _SINGULAR
-        return members, bounds, codes, witnesses, has_ram_f[label]
+        return members, bounds, codes, witnesses
 
     def _reports(self, code=None) -> list[ComponentReport]:
         """Reports for the components of class ``code`` (all when None), in order."""
-        members, bounds, codes, witnesses, _ = self._table
+        members, bounds, codes, witnesses = self._table
         keep = np.arange(len(codes)) if code is None else np.flatnonzero(codes == code)
         classes = tuple(ComponentClass)
         return [ComponentReport(self.ctx, members, a, b, classes[c], witnesses.get(k))
@@ -380,7 +346,9 @@ class TowerGraph:
         return self._reports()
 
     def regular_components(self) -> list[ComponentReport]:
-        return self._reports(_REGULAR)
+        regular, bounds = self._regular
+        return [ComponentReport(self.ctx, regular, a, b, ComponentClass.D_REGULAR, None)
+                for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
     def singular_components(self) -> list[ComponentReport]:
         return self._reports(_SINGULAR)
@@ -388,8 +356,7 @@ class TowerGraph:
     def regular_vertices(self) -> list[int]:
         """The vertex indices of the d-regular components, component by
         component, each ascending."""
-        members, bounds, codes, _, _ = self._table
-        regular = members[np.repeat(codes == _REGULAR, np.diff(bounds))]
+        regular = self._regular[0]
         if not len(regular):
             raise NoRegularComponent(f"no d-regular component over {self.ctx!r}")
         return regular.tolist()
@@ -450,8 +417,8 @@ class TowerGraph:
         """The number of directed paths with k edges from a vertex ramified
         for f to one ramified for g, for every k = 0..n, from one walk inside
         the components that hold a vertex ramified for f."""
-        held = self._table[4]
-        return self._walk(n, np.flatnonzero(held), self._ram_f, self._ram_g)
+        label, _, has_ram_f = self._classes
+        return self._walk(n, np.flatnonzero(has_ram_f[label]), self._ram_f, self._ram_g)
 
     def _walk(self, n: int, inside=None, start=None, ends=None) -> list[int]:
         """The numbers of directed paths with 0, 1, ..., n edges inside the
@@ -511,9 +478,32 @@ def graph_export(graph: TowerGraph, fmt: str, include_edges: bool = False) -> st
     raise UnknownFormat(f"unknown export format {fmt!r}")
 
 
+def _vertex_labels(ctx: FieldCtx) -> list[str]:
+    """``ProjPoint.label()`` of every vertex over ctx, in index order, each
+    made once from the digits: the plain form joins one term per nonzero
+    digit, built digit by digit for all the elements at once, and a power of
+    the generator, where x generates, is read off the field's dlog table."""
+    p, r = ctx.p, ctx.r
+    labels = [""]  # the labels of the elements below p^i
+    for i in range(r):
+        var = "a" if i == 1 else f"a^{i}"
+        terms = [""] + [str(c) if i == 0 else var if c == 1 else f"{c}*{var}" for c in range(1, p)]
+        labels = [lo + "+" + t if lo and t else lo or t for t in terms for lo in labels]
+    labels = [s or "0" for s in labels]
+    dlog = ctx._dlog_table()
+    for coeffs, k in (dlog or {}).items():
+        labels[sum(c * p ** i for i, c in enumerate(coeffs))] = f"a^{k}"
+    labels.append("inf")
+    return labels
+
+
 def graph_json_obj(graph: TowerGraph, include_edges: bool = False) -> dict:
     ctx = graph.ctx
-    n_regular = len(graph.regular_components())
+    members, bounds, codes, _ = graph._table
+    labels = _vertex_labels(ctx)
+    names = [labels[v] for v in members.tolist()]  # grouped by component
+    classes = tuple(ComponentClass)
+    n_regular = int((codes == _REGULAR).sum())
     obj = {
         "p": ctx.p,
         "r": ctx.r,
@@ -521,36 +511,30 @@ def graph_json_obj(graph: TowerGraph, include_edges: bool = False) -> dict:
         "f": str(graph.f),
         "g": str(graph.g),
         "components": [
-            {
-                "class": c.cls.value,
-                "vertices": [v.label() for v in c.vertices],
-                "size": c.size,
-            }
-            for c in graph.components()
+            {"class": classes[c].value, "vertices": names[a:b], "size": b - a}
+            for a, b, c in zip(bounds[:-1].tolist(), bounds[1:].tolist(), codes.tolist())
         ],
         "regular_components": n_regular,
         # theory predicts at most one; more than one is worth flagging
         "anomalous_regular_multiplicity": n_regular > 1,
     }
     if include_edges:
-        obj["edges"] = [
-            [graph.vertices[u].label(), graph.vertices[v].label()]
-            for u in range(graph.n_vertices)
-            for v in graph.out_adj[u]
-        ]
+        obj["edges"] = [[labels[u], labels[v]]
+                        for u, v in zip(graph._src.tolist(), graph._dst.tolist())]
     return obj
 
 
 def _export_dot(graph: TowerGraph) -> str:
+    members, bounds, codes, _ = graph._table
+    labels = _vertex_labels(graph.ctx)
+    cls = np.empty(graph.n_vertices, dtype=np.int8)
+    cls[members] = np.repeat(codes, np.diff(bounds))
+    colors = [_DOT_COLORS[c] for c in ComponentClass]
     lines = ["digraph tower {", "  rankdir=LR;"]
-    comp_of = {v: c.cls for c in graph.components() for v in c.indices}
-    for i, p in enumerate(graph.vertices):
-        shape = _DOT_SHAPES[graph.ram_f[i], graph.ram_g[i]]
-        color = _DOT_COLORS[comp_of[i]]
-        lines.append(
-            f'  n{i} [label="{p.label()}", shape={shape}, style=filled, fillcolor={color}];')
-    for u in range(graph.n_vertices):
-        for v in graph.out_adj[u]:
-            lines.append(f"  n{u} -> n{v};")
+    rows = zip(labels, cls.tolist(), graph._ram_f.tolist(), graph._ram_g.tolist())
+    for i, (label, c, rf, rg) in enumerate(rows):
+        lines.append(f'  n{i} [label="{label}", shape={_DOT_SHAPES[rf, rg]}, style=filled, '
+                     f'fillcolor={colors[c]}];')
+    lines.extend(f"  n{u} -> n{v};" for u, v in zip(graph._src.tolist(), graph._dst.tolist()))
     lines.append("}")
     return "\n".join(lines)

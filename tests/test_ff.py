@@ -20,6 +20,7 @@ from rectower.ff import (
     FAST_MIN_LEN,
     MAX_TABLE_ENTRIES,
     FieldCtx,
+    _is_irreducible,
     _pow_mod,
     is_prime,
     legendre,
@@ -30,6 +31,7 @@ from rectower.ff import (
     pmul,
     ptrim,
     psubst,
+    reduce_array,
 )
 from rectower.upoly import Poly
 
@@ -110,6 +112,45 @@ def test_default_modulus_is_first_irreducible_in_order(p, r):
     first = next(list(low) + [1] for low in itertools.product(range(p), repeat=r)
                  if _rabin_irreducible(list(low) + [1], p))
     assert list(FieldCtx(p, r).modulus) == first
+
+
+def _root_scan_irreducible(m, p):
+    """The former low-degree test: no x in F_p is a root, each power by pow."""
+    return not any(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p == 0 for x in range(p))
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
+def test_low_degree_irreducibility_matches_the_root_scan(p):
+    # every monic quadratic and cubic: one Legendre symbol for quadratics
+    # over odd p, a Horner scan otherwise
+    for r in (2, 3):
+        for low in itertools.product(range(p), repeat=r):
+            m = list(low) + [1]
+            assert _is_irreducible(m, p) == _root_scan_irreducible(m, p), (m, p)
+
+
+REDUCE_MODULI = st.sampled_from([2, 3, 5, 7, 2039, 4194301, (1 << 31) - 1])
+
+
+@given(REDUCE_MODULI, st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1, max_size=40),
+       st.booleans())
+def test_reduce_array_is_the_remainder_within_its_bound(p, entries, in_place):
+    import numpy as np
+
+    # the bound: entries in [p - 2^63, 2^63); the extremes always included
+    entries = [max(e, p - (1 << 63)) for e in entries] + [p - (1 << 63), (1 << 63) - 1, -1, 0]
+    a = np.array(entries, dtype=np.int64)
+    expected = a % p
+    out = reduce_array(a, p, in_place=in_place)
+    assert out.dtype == np.int64 and np.array_equal(out, expected)
+    assert (out is a) == in_place
+
+
+def test_reduce_array_on_int32():
+    import numpy as np
+
+    a = np.array([5 - (1 << 31), -1, 0, 4, (1 << 31) - 1], dtype=np.int32)  # the int32 bound
+    assert np.array_equal(reduce_array(a, 5), a % 5)
 
 
 def test_prime_field_division():

@@ -11,8 +11,9 @@ import pytest
 from rectower import cli, feq, fixtures, p1, series
 from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
 from rectower.ff import FieldCtx, is_prime, legendre, pmul, psubst
+from rectower.fieldarrays import FieldArrays
 from rectower.p1 import RatMap, map_parse
-from rectower.tgraph import ComponentClass, ComponentReport, FieldArrays, TowerGraph
+from rectower.tgraph import ComponentClass, ComponentReport, TowerGraph
 from rectower.upoly import Poly, prime_field_ints, ratfun_proportional
 
 
@@ -171,23 +172,26 @@ def _count_graph_work(monkeypatch):
 
 def test_verify_walks_twice_and_groups_once(monkeypatch):
     # one walk for the regular component's path counts at every length and
-    # one for the singular counts (eight separate walks before), one
-    # component table per graph, and a report only for the regular component
-    # that verify asks for, not one per component
+    # one for the singular counts (eight separate walks before), no table of
+    # all the components (the regular set and the singular walk read the
+    # labels) until one is asked for, and then one, and a report only for
+    # the regular component that verify asks for, not one per component
     walks, tables, reports = _count_graph_work(monkeypatch)
     assert fixtures.verify_fixture("new-tower", 23)["ok"]
-    assert len(walks) == 2
-    assert len(tables) == 1 and set(walks) == set(tables)
+    assert len(walks) == 2 and len(set(walks)) == 1
+    assert tables == []
     assert [r.cls for r in reports] == [ComponentClass.D_REGULAR]
-    assert len(tables[0].components()) == 192  # one report per component made before
+    assert len(walks[0].components()) == 192  # one report per component made before
+    assert tables == walks[:1]
 
 
 @pytest.mark.parametrize("argv", [["chi", "--p", "89"], ["genus", "--p", "97", "--n-max", "60"]])
 def test_chi_and_genus_make_no_component_reports(monkeypatch, capsys, argv):
-    # both read the regular vertices straight from the component table
+    # both read the regular vertices off the component labels: no table of
+    # all the components and no report
     walks, tables, reports = _count_graph_work(monkeypatch)
     assert cli.main(argv) == 0
-    assert len(tables) == 1 and reports == []
+    assert tables == [] and reports == []
 
 
 def test_verify_gs_tower():

@@ -71,6 +71,13 @@ def test_report_carries_both_genus_routes():
         GenusReport(n=3, delta=2, genus_closed=3, genus_sum=4, n_lower=0, ratio=None)
 
 
+def test_report_rows_keep_the_summation_route_to_200():
+    # the rows carry the sum as a running tail; each must be genus_sum(n)
+    rows = asymptotic_report(5, 200, _graph(5))
+    assert [r.genus_sum for r in rows] == [None] + [genus_sum(n) for n in range(2, 201)]
+    assert [r.delta for r in rows] == [None] + [delta(n) for n in range(2, 201)]
+
+
 def test_report_refuses_other_towers():
     graph = TowerGraph(map_parse("(x^2+1)/(2*x)", 5), map_parse("y^2", 5),
                        FieldCtx(5, 2))

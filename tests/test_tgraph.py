@@ -5,11 +5,12 @@ import gc
 import json
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rectower import cli, fixtures
+from rectower import cli, fixtures, tgraph
 from rectower.errors import (
     BadIndex,
     BadPrime,
@@ -31,8 +32,10 @@ from rectower.tgraph import (
     MAX_VERTICES,
     ComponentClass,
     TowerGraph,
+    _component_labels,
     _point,
     _stable_order,
+    _vertex_labels,
     graph_export,
     graph_json_obj,
 )
@@ -197,6 +200,19 @@ def test_dot_export():
     assert full.startswith("digraph") and full.endswith("}")
     assert full == graph_export(TowerGraph(F, G, F25), "dot")
     assert "box" in full and "diamond" in full
+
+
+@pytest.mark.parametrize("p,r,modulus", [
+    (5, 1, None), (7, 1, None), (5, 2, None), (5, 2, [2, 1, 1]), (7, 2, [3, 1, 1]),
+    (3, 3, None), (3, 3, [1, 2, 0, 1]), (5, 3, None), (2, 4, [1, 1, 0, 0, 1]), (3, 4, None)])
+def test_vertex_labels_are_the_point_labels(p, r, modulus):
+    # x generates the unit group for the given moduli (and the default one
+    # of F_27), so those fields label by powers of the generator, the others
+    # by coefficients
+    ctx = FieldCtx(p, r, modulus)
+    assert (ctx._dlog_table() is not None) == (modulus is not None or (p, r) == (3, 3))
+    expected = [_point(ctx, v).label() for v in range(ctx.order + 1)]
+    assert _vertex_labels(ctx) == expected
 
 
 def test_unknown_format():
@@ -381,26 +397,71 @@ def test_chi_makes_points_for_the_fixture_only(monkeypatch, capsys):
     assert 0 < len(made) < 89
 
 
-def inverse_based_codes(self, m, field, x, inf):
-    """Every map's values through the field inverse of its denominator, the
-    general path, also where the denominator is a constant."""
-    q = self.ctx.order
-    num, den = field.horner(m.N, x), field.horner(m.D, x)
-    codes = np.where(field.is_zero(den), q, field.codes(field.mul(num, field.inverse(den))))
-    t = m.eval(inf)
-    return np.append(codes, q if t.is_infinity else self.ctx.element_index(t.x))
+def _scalar_edges(f, g, points):
+    """The f-codes at the points, by scalar RatMap.eval, and the out-neighbours
+    of each point: every Q with g(Q) = f(P), ascending."""
+    ctx = points[0].ctx
+    f_codes, g_codes = ([ctx.order if t.is_infinity else ctx.element_index(t.x)
+                         for t in (m.eval(v) for v in points)] for m in (f, g))
+    buckets = {}
+    for j, c in enumerate(g_codes):
+        buckets.setdefault(c, []).append(j)
+    return f_codes, [buckets.get(c, []) for c in f_codes]
 
 
 @pytest.mark.parametrize("p", [5, 13, 89])
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
-def test_constant_denominator_codes_match_inverse(monkeypatch, name, p):
+def test_constant_denominator_codes_match_inverse(name, p):
+    # the value codes of both maps over F_{p^2} against scalar RatMap.eval,
+    # which divides by the field inverse of the denominator, where the build
+    # scales the numerator (a constant denominator: g, and f of type-a-toy)
+    # or divides through the norm; the graph keeps g's codes as its edges
     bound = fixtures.load_fixture(name, p, ctx=FieldCtx(p, 2), check=False)
-    fast = TowerGraph(bound.f, bound.g, bound.ctx)
-    monkeypatch.setattr(TowerGraph, "_value_codes", inverse_based_codes)
-    slow = TowerGraph(bound.f, bound.g, bound.ctx)
-    assert np.array_equal(fast.f_codes, slow.f_codes)
-    assert np.array_equal(fast._src, slow._src) and np.array_equal(fast._dst, slow._dst)
-    assert fast.out_adj == slow.out_adj
+    ctx, graph = bound.ctx, TowerGraph(bound.f, bound.g, bound.ctx)
+    points = [ProjPoint.affine(x) for x in ctx.elements()] + [ProjPoint.infinity(ctx)]
+    f_codes, out_adj = _scalar_edges(bound.f, bound.g, points)
+    assert graph.f_codes.tolist() == f_codes
+    assert graph.out_adj == out_adj
+
+
+# every prime to 31 for r = 1, 2; to 11 for r = 3, as scalar evaluation
+# takes about 0.25 ms a point (a minute and a half for r = 3 to 31)
+SCALAR_CASES = [(name, p, r) for name in sorted(fixtures.FIXTURES)
+                for p in range(5, 32) if is_prime(p) for r in (1, 2, 3) if r < 3 or p <= 11]
+
+
+@pytest.mark.parametrize("name,p,r", SCALAR_CASES)
+def test_build_matches_scalar_evaluation(name, p, r):
+    # the codes, ramification flags and edges of the block build against
+    # scalar RatMap.eval and the multiplicity of each point in its own fiber,
+    # which share no code with FieldArrays
+    fx = fixtures.FIXTURES[name]
+    f, g = map_parse(fx.f_expr, p), map_parse(fx.g_expr, p)
+    ctx = FieldCtx(p, r)
+    graph = TowerGraph(f, g, ctx)
+    points = [ProjPoint.affine(x) for x in ctx.elements()] + [ProjPoint.infinity(ctx)]
+    f_codes, out_adj = _scalar_edges(f, g, points)
+    assert graph.f_codes.tolist() == f_codes
+    assert graph.out_adj == out_adj
+    heads = Counter(w for adj in out_adj for w in adj)
+    assert graph.in_deg == [heads[v] for v in range(len(points))]
+    for m, flags in ((f, graph.ram_f), (g, graph.ram_g)):
+        assert flags == [point_multiplicity_in_fiber(m, v) >= 2 for v in points]
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (5, 2), (7, 2), (5, 3)])
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_block_build_equals_one_block(monkeypatch, name, p, r):
+    # blocks of 7 elements: several blocks and a ragged tail (q = 5 is one
+    # short block), against the whole field in one block
+    fx = fixtures.FIXTURES[name]
+    f, g, ctx = map_parse(fx.f_expr, p), map_parse(fx.g_expr, p), FieldCtx(p, r)
+    whole = TowerGraph(f, g, ctx)
+    monkeypatch.setattr(tgraph, "BLOCK", 7)
+    blocks = TowerGraph(f, g, ctx)
+    for attr in ("f_codes", "_ram_f", "_ram_g", "_out_deg", "_in_deg", "_offsets", "_src", "_dst"):
+        a, b = getattr(whole, attr), getattr(blocks, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
 
 def _enumerated_paths(out_adj, starts, k, inside=None):
@@ -478,6 +539,35 @@ def test_reports_on_request_match_the_class_filters(name, p, r):
     else:
         with pytest.raises(NoRegularComponent):
             graph.regular_vertices()
+
+
+def _table_regular_vertices(graph):
+    """The former route to the regular set: every vertex sorted by component
+    label, a class per component, and the regular components' runs."""
+    n = graph.n_vertices
+    label = _component_labels(n, graph._src, graph._dst)
+    bad = ((graph._out_deg != graph.d) | (graph._in_deg != graph.d)
+           | graph._ram_f | graph._ram_g)
+    irregular = np.bincount(label[bad], minlength=n) > 0
+    members = np.argsort(label, kind="stable")
+    bounds = np.append(np.flatnonzero(label[members] == members), n)
+    regular = ~irregular[members[bounds[:-1]]]
+    return members[np.repeat(regular, np.diff(bounds))].tolist()
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [p for p in range(5, 48) if is_prime(p)])
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_regular_vertices_match_the_table_order(name, p, r):
+    fx = fixtures.FIXTURES[name]
+    graph = TowerGraph(map_parse(fx.f_expr, p), map_parse(fx.g_expr, p), FieldCtx(p, r))
+    expected = _table_regular_vertices(graph)
+    if expected:
+        assert graph.regular_vertices() == expected
+    else:
+        with pytest.raises(NoRegularComponent):
+            graph.regular_vertices()
+    assert [v for c in graph.regular_components() for v in c.indices] == expected
 
 
 # -- the array walk against a dict walk ------------------------------------------
