@@ -26,10 +26,15 @@ def _parse_modulus(text):
                          f"(ascending), got {text!r}") from exc
 
 
+def _graph_modulus(args):
+    """--modulus, parsed after the graph cap check: a capped call names the cap."""
+    tgraph.require_graph_size(args.p, args.ext)
+    return _parse_modulus(args.modulus)
+
+
 def _fixture_graph(args):
     """fixtures.fixture_graph from --fixture/--p/--ext/--modulus."""
-    tgraph.require_graph_size(args.p, args.ext)  # a capped call names the cap, not a bad --modulus
-    return fixtures.fixture_graph(args.fixture, args.p, args.ext, _parse_modulus(args.modulus))
+    return fixtures.fixture_graph(args.fixture, args.p, args.ext, _graph_modulus(args))
 
 
 def _emit(obj):
@@ -133,7 +138,7 @@ def cmd_genus(args) -> int:
 
 def cmd_verify(args) -> int:
     report = fixtures.verify_fixture(args.fixture, args.p, ext=args.ext,
-                                     modulus=_parse_modulus(args.modulus))
+                                     modulus=_graph_modulus(args))
     _emit(report)
     return 0 if report["ok"] else 1
 

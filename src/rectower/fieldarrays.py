@@ -31,8 +31,19 @@ class FieldArrays:
 
     @cached_property
     def _inverses(self):
-        """1/k mod p at index k, and 0 at 0."""
-        return np.array([0] + [pow(k, -1, self.p) for k in range(1, self.p)], dtype=np.int64)
+        """1/k mod p at index k, and 0 at 0 (p > 2): k^(p-2) for every k at
+        once, by repeated squaring of the array of residues."""
+        p = self.p
+        out, base = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64)
+        e = p - 2
+        while e:
+            if e & 1:
+                out *= base
+                reduce_array(out, p, in_place=True)
+            base *= base
+            reduce_array(base, p, in_place=True)
+            e >>= 1
+        return out
 
     def digits(self, codes):
         """The elements with the given indices."""

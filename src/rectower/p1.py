@@ -11,10 +11,20 @@ Points carry their field context; maps carry only the characteristic, so
 one map can be evaluated over every extension of its prime field.  A fiber
 is rational over the working field or reports the mass it misses there:
 ``fiber_counts`` for one target, ``map_preimage`` for a set of targets.
+
+Maps, functions and points are written in one grammar (``parse_fraction``):
+integer literals, one variable (x or y), + - * /, signs, brackets,
+^k with k an integer literal, and an implicit coefficient, where 3x^2 is
+one factor (2x/7x^2 is 2x/(7x^2)).  Nothing else is read: not **, not a
+power of a power such as x^2^3, not 2^-1 or 3(x), and not Python's other
+literals (0x10, 1_0, 1.5, 1e3).  Leading zeros are read as int() reads
+them, and x^(2) is x^2.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 from types import MappingProxyType
 from typing import Optional
 
@@ -218,169 +228,71 @@ class Mobius(RatMap):
 
 
 # ---------------------------------------------------------------------------
-# expression parsing
+# expression parsing (the grammar is in the module docstring)
 
-_GRAMMAR_VARS = ("x", "y")
-
-
-def _tokenize(expr: str):
-    tokens = []
-    i = 0
-    while i < len(expr):
-        ch = expr[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "0123456789":  # not str.isdigit, which takes "²" where int() fails
-            j = i
-            while j < len(expr) and expr[j] in "0123456789":
-                j += 1
-            tokens.append(("int", int(expr[i:j])))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        elif ch.isalpha():
-            tokens.append(("var", ch))
-            i += 1
-        else:
-            raise MapSyntaxError(f"unexpected character {ch!r} in {expr!r}")
-    tokens.append(("end", None))
-    return tokens
+_CHARS = frozenset("0123456789xy+-*/^() ")
+_IMPLICIT = re.compile(r"(\d+) ?([xy](?: ?\^ ?\d+)?)")  # 3x^2 -> (3*x^2)
+_LEADING_ZEROS = re.compile(r"\b0+(?=\d)")  # 07 -> 7
+_FIELD_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
 
-class _RatParser:
-    """Recursive-descent parser for integer-coefficient rational expressions.
+def parse_fraction(expr: str, p: int):
+    """(num, den) of an expression as ascending coefficient lists mod p, read
+    by Python's ``ast`` with ^ as **.  Fractions combine as a/b + c/d =
+    (ad + cb)/bd with nothing cancelled: a map prints the forms written."""
+    text = " ".join(expr.split())
+    if not _CHARS.issuperset(text) or "**" in text:
+        raise MapSyntaxError(f"{expr!r} has a character outside the grammar")
+    if "x" in text and "y" in text:
+        raise MapSyntaxError(f"expressions are univariate: {expr!r} mixes x and y")
+    if "x" in text or "y" in text:
+        text = _IMPLICIT.sub(r"(\1*\2)", text)
+    text = _LEADING_ZEROS.sub("", text).replace("^", "**")
 
-    Works on (num, den) pairs of ascending coefficient lists mod p, so
-    fractional constants like 1/9 and products like (x-1)*(x+1) come out
-    exactly.  One variable per expression, from {x, y}.
-    """
+    def walk(node):
+        kind, op = type(node), type(getattr(node, "op", None))
+        if kind is ast.Constant and type(node.value) is int:
+            return [node.value % p], [1]
+        if kind is ast.Name and node.id in ("x", "y"):
+            return [0, 1], [1]
+        if kind is ast.UnaryOp and op in (ast.UAdd, ast.USub):
+            num, den = walk(node.operand)
+            return (num if op is ast.UAdd else [-c % p for c in num]), den
+        if op is ast.Pow and type(node.right) is ast.Constant and type(node.right.value) is int:
+            e = node.right.value
+            if type(node.left) is ast.Name and node.left.id in ("x", "y"):  # x^e, no products
+                return [0] * e + [1], [1]
+            num, den = walk(node.left)
+            return ppow(num, e, p), ppow(den, e, p)
+        if kind is ast.BinOp and op in _FIELD_OPS:
+            (an, ad), (bn, bd) = walk(node.left), walk(node.right)
+            if op is ast.Mult:
+                return pmul(an, bn, p), pmul(ad, bd, p)
+            if op is ast.Div:
+                if not any(bn):
+                    raise MapSyntaxError(f"division by zero in {expr!r}")
+                return pmul(an, bd, p), pmul(ad, bn, p)
+            if op is ast.Sub:
+                bn = [-c % p for c in bn]
+            return padd(pmul(an, bd, p), pmul(bn, ad, p), p), pmul(ad, bd, p)
+        raise MapSyntaxError(f"{expr!r} is outside the grammar")
 
-    def __init__(self, expr: str, p: int):
-        self.tokens = _tokenize(expr)
-        self.pos = 0
-        self.p = p
-        self.var_seen = None
-        self.expr = expr
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise MapSyntaxError(f"expected {kind} at token {self.pos} in {self.expr!r}")
-        self.pos += 1
-        return tok
-
-    # -- (num, den) arithmetic over F_p ----------------------------------------
-
-    def _add(self, u, v):
-        an, ad = u
-        bn, bd = v
-        return (padd(pmul(an, bd, self.p), pmul(bn, ad, self.p), self.p),
-                pmul(ad, bd, self.p))
-
-    def _neg(self, u):
-        return ([(-c) % self.p for c in u[0]], u[1])
-
-    def parse(self):
-        value = self.expr_rule()
-        self.take("end")
-        num, den = value
-        if not den:
-            raise MapSyntaxError(f"zero denominator in {self.expr!r}")
-        return num, den
-
-    def expr_rule(self):
-        value = self.term_rule()
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            rhs = self.term_rule()
-            value = self._add(value, rhs if op == "+" else self._neg(rhs))
-        return value
-
-    def term_rule(self):
-        value = self.unary_rule()
-        while self.peek()[0] in "*/":
-            op = self.take()[0]
-            rhs = self.unary_rule()
-            if op == "*":
-                value = (pmul(value[0], rhs[0], self.p), pmul(value[1], rhs[1], self.p))
-            else:
-                if not rhs[0]:
-                    raise MapSyntaxError(f"division by zero in {self.expr!r}")
-                value = (pmul(value[0], rhs[1], self.p), pmul(value[1], rhs[0], self.p))
-        return value
-
-    def unary_rule(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return self._neg(self.unary_rule())
-        if self.peek()[0] == "+":
-            self.take()
-            return self.unary_rule()
-        return self.power_rule()
-
-    def power_rule(self):
-        base = self.atom_rule()
-        if self.peek()[0] == "^":
-            self.take()
-            e = self.take("int")[1]
-            num, den = ppow(base[0], e, self.p), ppow(base[1], e, self.p)
-            if not den:
-                raise MapSyntaxError(f"zero denominator in {self.expr!r}")
-            return (num, den)
-        return base
-
-    def atom_rule(self):
-        kind, val = self.peek()
-        if kind == "int":
-            self.take()
-            # implicit product: 3x, 3x^2
-            if self.peek()[0] == "var":
-                var = self.var_atom()
-                return (pmul([val % self.p], var[0], self.p), [1])
-            return ([val % self.p], [1])
-        if kind == "var":
-            return self.var_atom()
-        if kind == "(":
-            self.take()
-            inner = self.expr_rule()
-            self.take(")")
-            return inner
-        raise MapSyntaxError(f"unexpected token in {self.expr!r}")
-
-    def var_atom(self):
-        _, name = self.take("var")
-        if name not in _GRAMMAR_VARS:
-            raise MapSyntaxError(f"unknown variable {name!r} (use one of x, y)")
-        if self.var_seen is None:
-            self.var_seen = name
-        elif self.var_seen != name:
-            raise MapSyntaxError("expressions are univariate: mixed variables")
-        coeffs = [0, 1]
-        if self.peek()[0] == "^":
-            self.take()
-            e = self.take("int")[1]
-            coeffs = [0] * e + [1]
-        return (coeffs, [1])
-
-
-def _ctx_p(ctx_or_p) -> int:
-    return ctx_or_p.p if isinstance(ctx_or_p, FieldCtx) else int(ctx_or_p)
+    try:
+        return walk(ast.parse(text, mode="eval").body)
+    except (SyntaxError, RecursionError):
+        raise MapSyntaxError(f"cannot parse {expr!r}") from None
 
 
 def map_parse(expr: str, ctx_or_p) -> RatMap:
     """Parse a map expression such as "(x^2+x)/(3*x-1)" or "y^2"."""
-    num, den = _RatParser(expr, _ctx_p(ctx_or_p)).parse()
-    return RatMap.from_affine(_ctx_p(ctx_or_p), num, den)
+    p = ctx_or_p.p if isinstance(ctx_or_p, FieldCtx) else int(ctx_or_p)
+    return RatMap.from_affine(p, *parse_fraction(expr, p))
 
 
 def ratfun_parse(expr: str, ctx: FieldCtx):
     """Parse an expression into a reduced RatFun over the given context."""
     from .upoly import RatFun
-    num, den = _RatParser(expr, ctx.p).parse()
+    num, den = parse_fraction(expr, ctx.p)
     return RatFun(Poly(ctx, num), Poly(ctx, den))
 
 
@@ -395,7 +307,7 @@ def point_parse(expr: str, ctx: FieldCtx) -> ProjPoint:
         if root is None:
             raise InsufficientField(f"no square root of -1 in {ctx!r}")
         return ProjPoint.affine(-root if s == "-i" else root)
-    num, den = _RatParser(s, ctx.p).parse()
+    num, den = parse_fraction(s, ctx.p)
     if len(num) > 1 or len(den) > 1:
         raise MapSyntaxError(f"{expr!r} is not a point literal")
     n = ctx.lift(num[0] if num else 0)

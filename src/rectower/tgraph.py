@@ -75,7 +75,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadIndex, DegreeMismatch, FieldTooLarge, NoRegularComponent, UnknownFormat
+from .errors import (BadIndex, DegreeMismatch, FieldMismatch, FieldTooLarge, NoRegularComponent,
+                     UnknownFormat)
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
 from .fieldarrays import FieldArrays
 from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber, require_tame
@@ -284,7 +285,7 @@ class TowerGraph:
     def index(self, point: ProjPoint) -> int:
         """Position of a point of this graph's line among the vertices."""
         if point.ctx.key() != self.ctx.key():
-            raise KeyError(point)
+            raise FieldMismatch(f"point {point} lies over {point.ctx!r}, not {self.ctx!r}")
         return self.ctx.order if point.is_infinity else self.ctx.element_index(point.x)
 
     # -- components ---------------------------------------------------------------

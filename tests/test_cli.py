@@ -198,6 +198,11 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     ("verify", "--fixture", "new-tower", "--p", "2053"),
     ("verify", "--fixture", "gs-tower", "--p", "2053"),
     ("chi", "--p", "2053"),
+    # with a malformed --modulus too: every graph command names the cap first
+    ("verify", "--fixture", "gs-tower", "--p", "2053", "--ext", "2", "--modulus", "1,x,1"),
+    ("graph", "--fixture", "gs-tower", "--p", "2053", "--ext", "2", "--modulus", "1,x,1"),
+    ("chi", "--fixture", "gs-tower", "--p", "2053", "--ext", "2", "--modulus", "1,x,1"),
+    ("genus", "--n-max", "3", "--p", "2053", "--ext", "2", "--modulus", "1,x,1"),
 ])
 def test_above_the_graph_cap_stops_before_field_work(capsys, monkeypatch, argv):
     # square roots answer at q = 2053^2, so the graph's cap is what stops

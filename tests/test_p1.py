@@ -1,10 +1,14 @@
 """Projective points, map parsing/evaluation, fibers, ramification, and
 Moebius conjugation."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rectower.divisor import Divisor, restricted_different
 from rectower.errors import (
@@ -16,6 +20,7 @@ from rectower.errors import (
 )
 from rectower.feq import divisorial_check
 from rectower.ff import FieldCtx, FieldElem, is_prime
+from rectower.fixtures import FIXTURES
 from rectower.p1 import (
     Mobius,
     ProjPoint,
@@ -24,6 +29,7 @@ from rectower.p1 import (
     fiber_counts,
     map_parse,
     mobius_conjugate,
+    parse_fraction,
     point_parse,
     ramification,
 )
@@ -54,13 +60,167 @@ def test_parse_rejects_constant():
 
 
 def test_parse_syntax_errors():
-    for bad in ("x+*2", "x^", "(x+1", "x+z", "x+y", "x²"):
+    for bad in ("x+*2", "x^", "(x+1", "x+z", "x+y", "x²",
+                "x**2", "x^2^3", "2^-1", "0x10", "1_0", "1.5", "1e3", "x2", "xy", "3(x)"):
         with pytest.raises(MapSyntaxError):
             map_parse(bad, 5)
 
 
 def test_parse_implicit_coefficient():
     assert map_parse("3x^2", 5) == map_parse("3*x^2", 5)
+    # an implicit coefficient and its power are one factor
+    assert parse_fraction("2x/7x^2", 11) == ([0, 2], [0, 0, 7])
+    assert parse_fraction("1 /3 x", 11) == ([1], [0, 3])
+
+
+def test_parse_quirks():
+    # a parenthesised exponent is still an integer literal; leading zeros
+    # read as int() reads them; a divisor that is a multiple of p is zero
+    assert parse_fraction("x^(2)", 7) == parse_fraction("x^2", 7)
+    assert parse_fraction("07x^02", 11) == parse_fraction("7x^2", 11)
+    for bad, p in (("(1/7)^0", 7), ("14/(18/11)", 11)):
+        with pytest.raises(MapSyntaxError, match="division by zero"):
+            parse_fraction(bad, p)
+
+
+# (num, den) of every fixture and conjugate_check string at p = 5, 7, 11, 97,
+# recorded from the recursive-descent parser that preceded parse_fraction:
+# unreduced and untrimmed, as a map prints its forms
+CONJUGATE_STRINGS = ("(x-1)/(x-9)", "(3*x+1)/(x-1)", "x^2", "(y^2+3*y)/(y-1)")
+PINNED_FORMS = {
+    "(x^2+x)/(3*x-1)": [([0, 1, 1], [4, 3]), ([0, 1, 1], [6, 3]), ([0, 1, 1], [10, 3]),
+                        ([0, 1, 1], [96, 3])],
+    "y^2": [([0, 0, 1], [1])] * 4,
+    "0": [([0], [1])] * 4,
+    "1": [([1], [1])] * 4,
+    "-1": [([4], [1]), ([6], [1]), ([10], [1]), ([96], [1])],
+    "1/3": [([1], [3])] * 4,
+    "-1/3": [([4], [3]), ([6], [3]), ([10], [3]), ([96], [3])],
+    "1/9": [([1], [4]), ([1], [2]), ([1], [9]), ([1], [9])],
+    "(x-1)*(x+1/3)/x": [([4, 3, 3], [0, 3]), ([6, 5, 3], [0, 3]), ([10, 9, 3], [0, 3]),
+                        ([96, 95, 3], [0, 3])],
+    "(x^2+1)/(2*x)": [([1, 0, 1], [0, 2])] * 4,
+    "(x-1)*(x+1)/x": [([4, 0, 1], [0, 1]), ([6, 0, 1], [0, 1]), ([10, 0, 1], [0, 1]),
+                      ([96, 0, 1], [0, 1])],
+    "x^2+x": [([0, 1, 1], [1])] * 4,
+    "(x-1)/(x-9)": [([4, 1], [1, 1]), ([6, 1], [5, 1]), ([10, 1], [2, 1]), ([96, 1], [88, 1])],
+    "(3*x+1)/(x-1)": [([1, 3], [4, 1]), ([1, 3], [6, 1]), ([1, 3], [10, 1]), ([1, 3], [96, 1])],
+    "x^2": [([0, 0, 1], [1])] * 4,
+    "(y^2+3*y)/(y-1)": [([0, 3, 1], [4, 1]), ([0, 3, 1], [6, 1]), ([0, 3, 1], [10, 1]),
+                        ([0, 3, 1], [96, 1])],
+}
+
+
+def test_fixture_and_conjugate_strings_parse_to_pinned_forms():
+    written = set(CONJUGATE_STRINGS)
+    for fx in FIXTURES.values():
+        written |= {fx.f_expr, fx.g_expr, fx.rho_expr, *fx.s_exprs, *fx.s0_exprs}
+    assert written - {None, "inf", "i", "-i"} == set(PINNED_FORMS)
+    for expr, forms in PINNED_FORMS.items():
+        assert [parse_fraction(expr, p) for p in (5, 7, 11, 97)] == forms, expr
+
+
+# -- expression trees with their text, for the parse property --------------------
+# A node is (text, precedence, tree); precedence 1 is a sum, 2 a product, 3 a
+# negation, 4 a power or an implicit coefficient, 5 an atom.  A child is
+# bracketed where its precedence is below its slot's, so brackets are few.
+
+def _wrap(node, prec):
+    return node[0] if node[1] >= prec else f"({node[0]})"
+
+
+def _implicit(k, e):
+    return (f"{k}x" if e == 1 else f"{k}x^{e}", 4, ("kx", k, e))
+
+
+def _binary(op, a, b, spaced):
+    prec = 1 if op in "+-" else 2
+    sep = " " if spaced else ""
+    return (f"{_wrap(a, prec)}{sep}{op}{sep}{_wrap(b, prec + 1)}", prec, (op, a[2], b[2]))
+
+
+@st.composite
+def _trees(draw, depth=4):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(
+            st.integers(0, 30).map(lambda k: (str(k), 5, ("int", k))),
+            st.just(("x", 5, ("kx", 1, 1))),
+            st.builds(_implicit, st.integers(0, 12), st.integers(1, 4))))
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "^", "()"]))
+    a = draw(_trees(depth - 1))
+    if kind == "neg":
+        return "-" + _wrap(a, 3), 3, ("neg", a[2])
+    if kind == "^":
+        e = draw(st.integers(0, 4))
+        return f"{_wrap(a, 5)}^{e}", 4, ("^", a[2], e)
+    if kind == "()":
+        return f"({a[0]})", 5, a[2]
+    return _binary(kind, a, draw(_trees(depth - 1)), draw(st.booleans()))
+
+
+def _degrees(tree):
+    """Bounds on the degrees of the unreduced numerator and denominator."""
+    kind = tree[0]
+    if kind in ("int", "kx"):
+        return (0 if kind == "int" else tree[2]), 0
+    if kind == "neg":
+        return _degrees(tree[1])
+    if kind == "^":
+        n, d = _degrees(tree[1])
+        return n * tree[2], d * tree[2]
+    (an, ad), (bn, bd) = _degrees(tree[1]), _degrees(tree[2])
+    if kind == "*":
+        return an + bn, ad + bd
+    if kind == "/":
+        return an + bd, ad + bn
+    return max(an + bd, bn + ad), ad + bd
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _value(tree, t):
+    """The tree at the field element t, or None where a divisor vanishes."""
+    kind, lift = tree[0], t.ctx.lift
+    if kind == "int":
+        return lift(tree[1])
+    if kind == "kx":
+        return lift(tree[1]) * t ** tree[2]
+    a = _value(tree[1], t)
+    if kind == "neg":
+        return None if a is None else -a
+    if kind == "^":
+        return None if a is None else a ** tree[2]
+    b = _value(tree[2], t)
+    if a is None or b is None or (kind == "/" and b.is_zero()):
+        return None
+    return _OPS[kind](a, b)
+
+
+@functools.cache
+def _generic_point(p):
+    """A generator of F_{p^32}: a nonzero polynomial over F_p of degree
+    below 32 does not vanish there."""
+    return FieldCtx(p, 32).gen()
+
+
+@settings(max_examples=300)
+@given(node=_trees(), p=st.sampled_from([7, 11, 13]), var=st.sampled_from("xy"))
+def test_parse_agrees_with_the_tree_at_every_point(node, p, var):
+    text, _, tree = node
+    assume(max(_degrees(tree)) < 32)
+    text = text.replace("x", var)
+    if _value(tree, _generic_point(p)) is None:  # a divisor is the zero function
+        with pytest.raises(MapSyntaxError):
+            parse_fraction(text, p)
+        return
+    num, den = parse_fraction(text, p)
+    f_p = FieldCtx(p)
+    for t in range(p):
+        want = _value(tree, f_p.lift(t))
+        if want is not None:
+            n, d = (sum(c * t ** i for i, c in enumerate(cs)) % p for cs in (num, den))
+            assert d and f_p.lift(n) == want * d, (text, t)
 
 
 def test_eval_fixture_points():

@@ -15,12 +15,14 @@ from rectower.errors import (
     BadIndex,
     BadPrime,
     DegreeMismatch,
+    FieldMismatch,
     FieldTooLarge,
     NoRegularComponent,
     TowerError,
     UnknownFormat,
 )
 from rectower.ff import FieldCtx, is_prime
+from rectower.fieldarrays import FieldArrays
 from rectower.p1 import (
     ProjPoint,
     fiber_counts,
@@ -464,6 +466,13 @@ def test_block_build_equals_one_block(monkeypatch, name, p, r):
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
 
+@pytest.mark.parametrize("p", [p for p in range(5, 201) if is_prime(p)] + [100003])
+def test_inverse_table_is_the_modular_inverse(p):
+    table = FieldArrays(FieldCtx(p))._inverses
+    assert table.dtype == np.int64
+    assert table.tolist() == [0] + [pow(k, -1, p) for k in range(1, p)]
+
+
 def _enumerated_paths(out_adj, starts, k, inside=None):
     """Every directed path with k edges from a vertex of starts, each step
     into ``inside`` (anywhere when None), listed one by one."""
@@ -635,6 +644,18 @@ def test_path_counts_refuse_an_index_off_the_line(index):
     graph = TowerGraph(F, G, F25)
     with pytest.raises(BadIndex, match=r"^vertex index -?\d+ outside \[0, 25\]$"):
         graph.path_counts(3, [0, index])
+
+
+def test_a_point_of_another_field_is_a_field_mismatch():
+    f49 = FieldCtx(7, 2)
+    graph = TowerGraph(map_parse("(x^2+x)/(3*x-1)", 7), map_parse("y^2", 7), f49)
+    three = point_parse("3", FieldCtx(7))
+    message = r"^point 3 lies over F_7, not F_7\^2\(mod "
+    with pytest.raises(FieldMismatch, match=message):
+        graph.index(three)
+    with pytest.raises(FieldMismatch, match=message):
+        graph.path_counts(3, [three])
+    assert graph.index(point_parse("3", f49)) == 3
 
 
 @pytest.mark.parametrize("high", [1, 2 ** 8, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 20, 2 ** 22])
