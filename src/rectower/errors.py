@@ -37,10 +37,6 @@ class ZeroFunction(TowerError):
     """The zero rational function is not a valid argument here."""
 
 
-class ConstantMap(TowerError):
-    """A nonconstant map is required."""
-
-
 class MapSyntaxError(TowerError):
     """A map or polynomial expression failed to parse."""
 

@@ -18,6 +18,12 @@ substitution, ``pmod`` by a Newton inverse of the reversed divisor cached
 per modulus, and ``psubst`` composes by divide and conquer, so x^q mod h
 costs O(M(n) log q).  An operation whose two sizes have a geometric mean
 below FAST_MIN_LEN takes the schoolbook path instead, which is faster there.
+
+Every power in the package, of ints, numpy arrays, F_p[x] lists, F_{p^r}
+coefficient tuples and ``Poly``s, is taken by ``power``: left-to-right
+square-and-multiply (ibid. §4.3), so every product that is not a squaring
+multiplies by the base itself, which stays short while the running power
+grows.
 """
 
 from __future__ import annotations
@@ -81,6 +87,21 @@ def reduce_array(a, p: int, in_place: bool = False):
     return q
 
 
+def power(x, e: int, mul, one):
+    """x^e for e >= 0 under an associative product mul with identity one, by
+    left-to-right square-and-multiply.  The first product is mul(one, x), and
+    x is only ever mul's second operand, so mul may overwrite and return its
+    first operand (one, then the running power) but never x."""
+    if not e:
+        return one
+    out = mul(one, x)
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {+1, 0, -1}, computed as a^((p-1)/2) mod p."""
     if p == 2 or not is_prime(p):
@@ -133,7 +154,8 @@ def _kronecker_mul(f, g, p, n):
     """f*g by Kronecker substitution: each polynomial becomes one big int
     with a slot of k bytes per coefficient, wide enough for the n*(p-1)^2
     bound on a product coefficient, so one int product does the work.
-    Coefficients must fit in int64; the slots are packed by numpy."""
+    numpy packs the slots from int64 coefficients; a list with one outside
+    int64 is first reduced mod p in Python."""
     # imported here: loaded ahead of the package's other modules, numpy
     # raised the peak RSS of a fresh `import rectower.cli` by about 0.3 MB
     import numpy as np
@@ -141,7 +163,11 @@ def _kronecker_mul(f, g, p, n):
     k = ((n * (p - 1) ** 2).bit_length() + 7) // 8
 
     def pack(h):
-        digits = (np.array(h, dtype=np.int64) % p).astype("<u8")
+        try:
+            digits = np.array(h, dtype=np.int64)
+        except OverflowError:
+            digits = np.array([c % p for c in h], dtype=np.int64)
+        digits = (digits % p).astype("<u8")
         return int.from_bytes(digits.view(np.uint8).reshape(-1, 8)[:, :k].tobytes(), "little")
 
     x = pack(f)
@@ -153,15 +179,8 @@ def _kronecker_mul(f, g, p, n):
 
 
 def ppow(f, e: int, p):
-    """f^e for e >= 0, by repeated squaring."""
-    out, base = [1], f
-    while e:
-        if e & 1:
-            out = pmul(out, base, p)
-        e >>= 1
-        if e:
-            base = pmul(base, base, p)
-    return out
+    """f^e for e >= 0."""
+    return power(f, e, lambda a, b: pmul(a, b, p), [1])
 
 
 def pmod(f, m, p):
@@ -242,22 +261,22 @@ def psubst(h, a, b, p):
     powers memoized; ranges shorter than FAST_MIN_LEN run Horner's rule."""
     powers = {}
 
-    def power(base, e):
+    def memo_power(base, e):
         key = (base is a, e)
         if key not in powers:
             powers[key] = ppow(base, e, p) if e < 2 else pmul(
-                power(base, e // 2), power(base, e - e // 2), p)
+                memo_power(base, e // 2), memo_power(base, e - e // 2), p)
         return powers[key]
 
     def part(lo, hi):
         if hi - lo + 1 < FAST_MIN_LEN:
             out = []
             for k in range(lo, hi + 1):
-                out = padd(pmul(out, b, p), [h[k] * c for c in power(a, k - lo)], p)
+                out = padd(pmul(out, b, p), [h[k] * c for c in memo_power(a, k - lo)], p)
             return out
         mid = (lo + hi + 1) // 2
-        return padd(pmul(part(lo, mid - 1), power(b, hi - mid + 1), p),
-                    pmul(power(a, mid - lo), part(mid, hi), p), p)
+        return padd(pmul(part(lo, mid - 1), memo_power(b, hi - mid + 1), p),
+                    pmul(memo_power(a, mid - lo), part(mid, hi), p), p)
 
     return part(0, len(h) - 1) if h else []
 
@@ -306,40 +325,30 @@ def presultant(f, g, p) -> int:
 
 
 def _pow_mod(f, e: int, m, p):
-    """f^e reduced mod m for e >= 1, by left-to-right square-and-multiply."""
-    out = pmod(f, m, p)
-    for bit in bin(e)[3:]:
-        out = pmod(pmul(out, out, p), m, p)
-        if bit == "1":
-            out = pmod(pmul(out, f, p), m, p)
-    return out
+    """f^e reduced mod m for e >= 1."""
+    return power(f, e, lambda a, b: pmod(pmul(a, b, p), m, p), [1])
 
 
 def _is_irreducible(m, p: int) -> bool:
     """Irreducibility of a monic polynomial m over F_p.
 
     A quadratic over odd p is irreducible when its discriminant is not a
-    square, one Legendre symbol.  Otherwise a root in F_p, a linear factor,
-    is scanned for first by Horner's rule; degree <= 3 needs no more.  Past
-    that the standard test: x^(p^r) = x mod m and gcd(x^(p^(r/l)) - x, m) =
-    1 for every prime l | r.
+    square, one Legendre symbol.  Otherwise Rabin's test: x^(p^r) = x mod m
+    and gcd(x^(p^(r/l)) - x, m) = 1 for every prime l | r.  Its first
+    Frobenius power x^p gives a root in F_p, a linear factor, first, as
+    gcd(x^p - x, m) != 1; degree <= 3 needs no more.
     """
     r = len(m) - 1
     if r == 2 and p > 2:
         return legendre(m[1] * m[1] - 4 * m[0], p) == -1
-    top = m[::-1]
-    for x in range(p):
-        acc = 0
-        for c in top:
-            acc = acc * x + c
-        if acc % p == 0:
-            return False
+    frob = [[0, 1], _pow_mod([0, 1], p, m, p)]  # frob[k] = x^(p^k) mod m
+    minus_x = [0, -1]
+    if len(pgcd(m, padd(frob[1], minus_x, p), p)) > 1:
+        return False
     if r <= 3:
         return True
-    frob = [[0, 1]]  # frob[k] = x^(p^k) mod m
-    for _ in range(r):
+    for _ in range(r - 1):
         frob.append(_pow_mod(frob[-1], p, m, p))
-    minus_x = [0, -1]
     if padd(frob[r], minus_x, p):
         return False
     l = 2
@@ -503,15 +512,8 @@ class FieldCtx:
         return tuple(c % p for c in prod[:self.r])
 
     def _pow(self, a, e: int):
-        """a^e for a coefficient tuple a and e >= 0, by square-and-multiply."""
-        out = self.one().coeffs
-        while e:
-            if e & 1:
-                out = self._mul(out, a)
-            e >>= 1
-            if e:
-                a = self._mul(a, a)
-        return out
+        """a^e for a coefficient tuple a and e >= 0."""
+        return power(a, e, self._mul, self.one().coeffs)
 
     def sqrt(self, x: "FieldElem"):
         """A square root of x in this field, or None.  The returned root is

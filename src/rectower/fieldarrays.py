@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ff import FieldCtx, reduce_array
+from .ff import FieldCtx, power, reduce_array
 
 
 class FieldArrays:
@@ -32,18 +32,11 @@ class FieldArrays:
     @cached_property
     def _inverses(self):
         """1/k mod p at index k, and 0 at 0 (p > 2): k^(p-2) for every k at
-        once, by repeated squaring of the array of residues."""
+        once, each product taken in place on the running power."""
         p = self.p
-        out, base = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64)
-        e = p - 2
-        while e:
-            if e & 1:
-                out *= base
-                reduce_array(out, p, in_place=True)
-            base *= base
-            reduce_array(base, p, in_place=True)
-            e >>= 1
-        return out
+        return power(np.arange(p, dtype=np.int64), p - 2,
+                     lambda a, b: reduce_array(np.multiply(a, b, out=a), p, in_place=True),
+                     np.ones(p, dtype=np.int64))
 
     def digits(self, codes):
         """The elements with the given indices."""

@@ -38,7 +38,7 @@ from .errors import (
     MapSyntaxError,
 )
 from .ff import FieldCtx, FieldElem, is_prime, padd, pmul, ppow, presultant, psubst, ptrim
-from .upoly import Poly
+from .upoly import Poly, RatFun
 
 
 class ProjPoint:
@@ -291,7 +291,6 @@ def map_parse(expr: str, ctx_or_p) -> RatMap:
 
 def ratfun_parse(expr: str, ctx: FieldCtx):
     """Parse an expression into a reduced RatFun over the given context."""
-    from .upoly import RatFun
     num, den = parse_fraction(expr, ctx.p)
     return RatFun(Poly(ctx, num), Poly(ctx, den))
 
@@ -307,9 +306,9 @@ def point_parse(expr: str, ctx: FieldCtx) -> ProjPoint:
         if root is None:
             raise InsufficientField(f"no square root of -1 in {ctx!r}")
         return ProjPoint.affine(-root if s == "-i" else root)
-    num, den = parse_fraction(s, ctx.p)
-    if len(num) > 1 or len(den) > 1:
+    if "x" in s or "y" in s:
         raise MapSyntaxError(f"{expr!r} is not a point literal")
+    num, den = parse_fraction(s, ctx.p)
     n = ctx.lift(num[0] if num else 0)
     d = ctx.lift(den[0])
     return ProjPoint.affine(n / d)

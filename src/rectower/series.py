@@ -37,8 +37,8 @@ from itertools import islice
 from math import comb
 
 from .errors import BadIndex, FormulaMismatch
-from .ff import (MAX_TABLE_ENTRIES, FieldCtx, legendre, pproportional, psubst, reduce_array,
-                 require_prime)
+from .ff import (MAX_TABLE_ENTRIES, FieldCtx, legendre, power, pproportional, psubst,
+                 reduce_array, require_prime)
 from .upoly import Poly
 
 
@@ -162,15 +162,10 @@ def _sum_arrays(p: int, n: int):
         unit, prod = prod, unit
         step *= 2
     del prod
-    # u^-2 = u^(p-3) by Fermat, by repeated squaring on the whole array
-    inv2, base, e = np.ones(size, dtype=work), unit[:size].copy(), p - 3
-    while e:
-        if e & 1:
-            inv2 *= base
-            reduce_array(inv2, p, in_place=True)
-        base *= base
-        reduce_array(base, p, in_place=True)
-        e >>= 1
+    # u^-2 = u^(p-3) by Fermat, each product taken in place on the running power
+    inv2 = power(unit[:size], p - 3,
+                 lambda a, b: reduce_array(np.multiply(a, b, out=a), p, in_place=True),
+                 np.ones(size, dtype=work))
     # C(2k,k) u(k)^-2 = u(2k) u(k)^-4 mod p when v_p((2k)!) = 2 v_p(k!), else 0
     central = reduce_array(unit[::2] * inv2, p, in_place=True)
     central *= inv2

@@ -68,6 +68,7 @@ every count and total, and exact Python ints past that.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from enum import Enum
 from functools import cached_property
@@ -395,8 +396,6 @@ class TowerGraph:
         """``count_paths(k, restrict)`` for every k = 0..n, from one walk.
         ``restrict`` holds points of this graph's line or vertex indices of
         any integer type; an index off the line raises BadIndex."""
-        import operator  # operator.index takes any integer type, numpy's too
-
         if restrict is None:
             return self._walk(n)
         inside = np.zeros(self.n_vertices, dtype=bool)

@@ -15,13 +15,12 @@ from itertools import zip_longest
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
-    ConstantMap,
     DivisionByZero,
     FieldMismatch,
     ZeroFunction,
     ZeroPolynomial,
 )
-from .ff import FieldCtx, FieldElem, presultant, psubst
+from .ff import FieldCtx, FieldElem, power, presultant, psubst
 
 if TYPE_CHECKING:  # pragma: no cover
     from .p1 import RatMap
@@ -136,23 +135,11 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "Poly":
-        acc, base = Poly.one(self.ctx), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return power(self, e, Poly.__mul__, Poly.one(self.ctx))
 
     def pow_mod(self, e: int, m: "Poly") -> "Poly":
-        """self^e mod m by square-and-multiply; exponent may be huge."""
-        acc, base = Poly.one(self.ctx) % m, self % m
-        while e:
-            if e & 1:
-                acc = (acc * base) % m
-            base = (base * base) % m
-            e >>= 1
-        return acc
+        """self^e mod m; exponent may be huge."""
+        return power(self % m, e, lambda a, b: (a * b) % m, Poly.one(self.ctx) % m)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -362,8 +349,6 @@ def compose_rational(phi: RatFun, m: "RatMap") -> RatFun:
     ctx = phi.ctx
     if m.p != ctx.p:
         raise FieldMismatch("map and function over different characteristics")
-    if m.d < 1:
-        raise ConstantMap("composition requires a nonconstant map")
     top = max(phi.num.degree, phi.den.degree)
 
     def substituted(f: Poly) -> Poly:

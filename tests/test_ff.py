@@ -29,6 +29,7 @@ from rectower.ff import (
     pinvmod,
     pmod,
     pmul,
+    ppow,
     ptrim,
     psubst,
     reduce_array,
@@ -119,14 +120,22 @@ def _root_scan_irreducible(m, p):
     return not any(sum(c * pow(x, i, p) for i, c in enumerate(m)) % p == 0 for x in range(p))
 
 
-@pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
+@pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)] + [101])
 def test_low_degree_irreducibility_matches_the_root_scan(p):
-    # every monic quadratic and cubic: one Legendre symbol for quadratics
-    # over odd p, a Horner scan otherwise
-    for r in (2, 3):
-        for low in itertools.product(range(p), repeat=r):
-            m = list(low) + [1]
-            assert _is_irreducible(m, p) == _root_scan_irreducible(m, p), (m, p)
+    # every monic quadratic and cubic (500 random cubics at p = 101): one
+    # Legendre symbol for quadratics over odd p, else a root found as
+    # gcd(x^p - x, m) != 1; every monic quartic at p <= 7 against Rabin's
+    # test alone, which the root test only shortcuts there
+    if p < 32:
+        low_degree = [list(low) + [1] for r in (2, 3) for low in itertools.product(range(p), repeat=r)]
+    else:
+        rng = random.Random(p)
+        low_degree = [[rng.randrange(p) for _ in range(3)] + [1] for _ in range(500)]
+    for m in low_degree:
+        assert _is_irreducible(m, p) == _root_scan_irreducible(m, p), (m, p)
+    quartics = [list(low) + [1] for low in itertools.product(range(p), repeat=4)] if p <= 7 else []
+    for m in quartics:
+        assert _is_irreducible(m, p) == _rabin_irreducible(m, p), (m, p)
 
 
 REDUCE_MODULI = st.sampled_from([2, 3, 5, 7, 2039, 4194301, (1 << 31) - 1])
@@ -226,10 +235,13 @@ def test_enumeration_is_exhaustive():
 
 
 def test_pow_with_large_exponent():
-    ctx = FieldCtx(5, 2, F25_MODULUS)
-    a = ctx.gen()
-    assert a ** (24 * 10 ** 12 + 5) == a ** 5
-    assert a ** -1 == a.inverse()
+    for ctx in (FieldCtx(5, 2, F25_MODULUS), FieldCtx(7, 3)):
+        a = ctx.gen() + 1
+        assert a ** 0 == ctx.one()
+        assert a ** 1 == a
+        assert a ** 5 == a * a * a * a * a
+        assert a ** ((ctx.order - 1) * 10 ** 12 + 5) == a ** 5
+        assert a ** -1 == a.inverse()
 
 
 def test_serialization_forms():
@@ -526,6 +538,38 @@ def test_pmod_at_large_degree(lf, lm):
     rng, p = random.Random(lf + lm), 2039
     f, m = _rand(rng, lf, p), _rand(rng, lm - 1, p) + [1 + rng.randrange(p - 1)]
     assert pmod(f, m, p) == school_pmod(f, m, p)
+
+
+@pytest.mark.parametrize("p", [5, 97, 2039])
+def test_ppow_is_repeated_pmul(p):
+    rng = random.Random(p)
+    for f in ([], [3], _rand(rng, 5, p), _rand(rng, 2 * FAST_MIN_LEN, p)):
+        for e in (0, 1, 2, 17):
+            want = [1]
+            for _ in range(e):
+                want = pmul(want, f, p)
+            assert ppow(f, e, p) == want, (f, e)
+
+
+def test_pow_mod_with_a_64_bit_exponent():
+    rng, p = random.Random(64), 97
+    m = _rand(rng, 2 * FAST_MIN_LEN, p) + [1]
+    f = _rand(rng, 3 * FAST_MIN_LEN, p)
+    e = (1 << 64) - 59
+    assert _pow_mod(f, e, m, p) == school_pow_mod(f, e, m, p)
+
+
+@pytest.mark.parametrize("n", [FAST_MIN_LEN - 1, FAST_MIN_LEN + 1, 5 * FAST_MIN_LEN])
+def test_kernel_takes_coefficients_outside_int64(n):
+    # entries of +-2^70 (plus a residue) on both sides of the schoolbook/fast
+    # crossover: every path reduces them as the schoolbook product does
+    rng, p = random.Random(n), 7
+    f, g = ([rng.choice((1, -1)) * 2 ** 70 + rng.randrange(p) for _ in range(n)] for _ in range(2))
+    assert pmul(f, g, p) == school_pmul(f, g, p)
+    assert pmul(f, f, p) == ppow(f, 2, p) == school_pmul(f, f, p)
+    m = [1] * (n // 2) + [3]
+    assert pmod(f * 10, m, p) == school_pmod(f * 10, m, p)
+    assert psubst([1, 2, 3], f * 5, [1], p) == school_psubst([1, 2, 3], f * 5, [1], p)
 
 
 def test_psubst_and_pow_mod_at_large_degree():

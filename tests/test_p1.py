@@ -372,6 +372,13 @@ def test_point_parse_literals():
         point_parse("i", FieldCtx(7))  # -1 is not a square mod 7
 
 
+def test_point_parse_refuses_any_variable():
+    # a point literal names no variable, also where its terms cancel
+    for bad in ("x", "x-x+1", "y^0*3", "x/x", "2*y/y"):
+        with pytest.raises(MapSyntaxError, match="not a point literal"):
+            point_parse(bad, FieldCtx(7))
+
+
 def _i_by_scan(ctx):
     """The first e in element order with e^2 = -1, by scanning the field:
     how "i" was once parsed, kept as the oracle."""
