@@ -160,11 +160,11 @@ def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> Fun
 def splitting_criterion(f: RatMap, g: RatMap, s0, r, ctx: FieldCtx):
     """``regularness_check`` on F_p int lists for T0 = the roots of r, a
     monic squarefree polynomial over F_p that splits over ctx, such as
-    gcd(h, x^q - x); no root of r is found.  phi = r^s / prod (x - sigma)^t
-    over the affine points sigma of S0 has divisor s T0 - t S0 up to a
-    constant, which cancels in rho^t (phi o f) ~ phi o g.  Returns s, t, the
-    constant (None when the sides are not proportional) and r o f with its
-    denominator cleared, of formal degree deg(f) deg(r)."""
+    ``ff.pradical``'s gcd(h, x^q - x); no root of r is found.  phi = r^s /
+    prod (x - sigma)^t over the affine points sigma of S0 has divisor
+    s T0 - t S0 up to a constant, which cancels in rho^t (phi o f) ~ phi o g.
+    Returns s, t, the constant (None when the sides are not proportional)
+    and r o f with its denominator cleared, of formal degree deg(f) deg(r)."""
     s0_points, rho = _s0_half(f, g, s0, ctx)
     p = ctx.p
     root_of_r = Poly(ctx, r).eval

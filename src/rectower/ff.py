@@ -11,7 +11,7 @@ pure; contexts and elements can be shared freely between callers.
 
 The module also holds the package's dense polynomial arithmetic over F_p on
 ascending int coefficient lists (``ptrim``, ``padd``, ``pmul``, ``ppow``,
-``pmod``, ``pgcd``, ``pinvmod``, ``psubst``, ``pproportional``,
+``pmod``, ``pgcd``, ``pradical``, ``pinvmod``, ``psubst``, ``pproportional``,
 ``presultant``).  Its kernel is subquadratic (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 8-9): ``pmul`` multiplies by Kronecker
 substitution, ``pmod`` by a Newton inverse of the reversed divisor cached
@@ -330,37 +330,35 @@ def _pow_mod(f, e: int, m, p):
 
 
 def _is_irreducible(m, p: int) -> bool:
-    """Irreducibility of a monic polynomial m over F_p.
+    """Irreducibility of a monic polynomial m of degree r >= 1 over F_p.
 
     A quadratic over odd p is irreducible when its discriminant is not a
-    square, one Legendre symbol.  Otherwise Rabin's test: x^(p^r) = x mod m
-    and gcd(x^(p^(r/l)) - x, m) = 1 for every prime l | r.  Its first
-    Frobenius power x^p gives a root in F_p, a linear factor, first, as
-    gcd(x^p - x, m) != 1; degree <= 3 needs no more.
+    square, one Legendre symbol.  Otherwise m is irreducible iff it has no
+    factor of degree k <= r/2, iff gcd(m, x^(p^k) - x) = 1 for each such k,
+    since x^(p^k) - x is the product of the monic irreducibles of degree
+    dividing k; each Frobenius power x^(p^k) mod m is the p-th power of the
+    last.  A constant is refused (DegreeMismatch).
     """
     r = len(m) - 1
+    if r < 1:
+        raise DegreeMismatch(f"irreducibility needs degree >= 1, got {list(m)}")
     if r == 2 and p > 2:
         return legendre(m[1] * m[1] - 4 * m[0], p) == -1
-    frob = [[0, 1], _pow_mod([0, 1], p, m, p)]  # frob[k] = x^(p^k) mod m
-    minus_x = [0, -1]
-    if len(pgcd(m, padd(frob[1], minus_x, p), p)) > 1:
-        return False
-    if r <= 3:
-        return True
-    for _ in range(r - 1):
-        frob.append(_pow_mod(frob[-1], p, m, p))
-    if padd(frob[r], minus_x, p):
-        return False
-    l = 2
-    rr = r
-    while rr > 1:
-        while rr % l:
-            l += 1
-        if len(pgcd(m, padd(frob[r // l], minus_x, p), p)) > 1:
+    frob = [0, 1]
+    for _ in range(r // 2):
+        frob = _pow_mod(frob, p, m, p)
+        if len(pgcd(m, padd(frob, [0, -1], p), p)) > 1:
             return False
-        while rr % l == 0:
-            rr //= l
     return True
+
+
+def pradical(h, q: int, p: int):
+    """The monic gcd(h, x^q - x) for nonzero h in F_p[x] and q a power of p:
+    the product of x - a over the distinct roots a of h in F_q, since
+    x^q - x is the product of x - a over F_q."""
+    radical = pgcd(h, padd(_pow_mod([0, 1], q, h, p), [0, -1], p), p)
+    inv = pow(radical[-1], p - 2, p)
+    return [c * inv % p for c in radical]
 
 
 class FieldCtx:

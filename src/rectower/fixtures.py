@@ -22,12 +22,12 @@ The splitting polynomial chi is read off the graph: the distinct f-value
 codes, kept by the build, at ``TowerGraph.regular_vertices()``.  Given the
 series bridge, ``verify`` checks the splitting values T0, the roots of H_p
 over F_q, on F_p int lists and finds none of them: R = gcd(H_p, x^q - x)
-has them as its roots, ``feq.splitting_criterion`` runs the regularness
-criterion on R, and |f^{-1}(T0)| is the number of roots in F_q of R o f
-(plus infinity when its degree drops), which must be the regular
-component's size when R = chi.  ``splitting_points`` (the roots of H_p
-over F_{p^r}), ``feq.regularness_check`` and ``p1.map_preimage`` are the
-tests' oracles for these checks, not a path of ``verify``.
+(``ff.pradical``) has them as its roots, ``feq.splitting_criterion`` runs
+the regularness criterion on R, and |f^{-1}(T0)| is the number of roots in
+F_q of R o f (plus infinity when its degree drops), which must be the
+regular component's size when R = chi.  ``splitting_points`` (the roots of
+H_p over F_{p^r}), ``feq.regularness_check`` and ``p1.map_preimage`` are
+the tests' oracles for these checks, not a path of ``verify``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import feq, genus, series
 from .errors import TowerError
-from .ff import FieldCtx, _pow_mod, legendre, padd, pgcd, pmul, require_prime
+from .ff import FieldCtx, legendre, pmul, pradical, require_prime
 from .fieldarrays import FieldArrays
 from .p1 import (
     Mobius,
@@ -209,20 +209,10 @@ def series_bridge(p: int) -> list:
     return [c * eps % p for c in prime_field_ints(series.truncate_H_mod_p(p).coeffs)]
 
 
-def _rational_radical(h, q: int, p: int):
-    """The monic gcd(h, x^q - x) for h in F_p[x] (ascending ints, nonzero):
-    the product of x - a over the distinct roots a of h in F_q, since
-    x^q - x is the product of x - a over F_q."""
-    xq = _pow_mod([0, 1], q, h, p)
-    radical = pgcd(h, padd(xq, [0, -1], p), p)
-    inv = pow(radical[-1], p - 2, p)
-    return [c * inv % p for c in radical]
-
-
 def _preimage_size(r_f, formal: int, q: int, p: int) -> int:
     """|f^{-1}(T0)| for T0 the roots in F_q of r, from r o f of the given formal
     degree: its distinct roots in F_q, and infinity when its degree drops."""
-    return len(_rational_radical(r_f, q, p)) - 1 + (len(r_f) - 1 < formal)
+    return len(pradical(r_f, q, p)) - 1 + (len(r_f) - 1 < formal)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
 
     # T0 is the set of roots of H_p over F_q, R = gcd(h, x^q - x) for h =
     # (-3/p) H_p; chi = R makes it the set of f-values on the d-regular vertices
-    r = _rational_radical(h, ctx.order, p)
+    r = pradical(h, ctx.order, p)
     k = len(r) - 1
     s, t, const, r_f = feq.splitting_criterion(f, g, bound.s0, r, ctx)
     _check(checks, "splitting-values-rational", k == p - 1, f"{k} of {p - 1}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from types import MappingProxyType
 from typing import Optional
 
@@ -143,8 +144,9 @@ class RatMap:
     def wronskian_coeffs(self):
         """num'*den - num*den' as integer coefficients mod p.
 
-        Its affine roots are exactly the affine ramification points (tame
-        case, which holds throughout since d < p here).
+        Its affine roots are exactly the affine ramification points, and its
+        degree gives the index at infinity (tame case: d < p; see
+        ``ramification``).
         """
         p = self.p
         num, den = self.num_coeffs, self.den_coeffs
@@ -385,39 +387,34 @@ def fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
 
 
 def point_multiplicity_in_fiber(m: RatMap, point: ProjPoint) -> int:
-    """Ramification index e_m(point): multiplicity of the point inside the
-    fiber over its own image."""
+    """Ramification index e_m(point), by the fiber route: the multiplicity of
+    the point in the fiber form over its own image.  ``ramification`` reads
+    the indices off the Wronskian instead; this is the tests' oracle."""
     f = _fiber_form(m, m.eval(point), point.ctx)
     return m.d - f.degree if point.is_infinity else f.multiplicity(point.x)
 
 
 def ramification(m: RatMap, ctx: FieldCtx, strict: bool = True):
-    """All points with ramification index e >= 2, as {point: e}.
+    """All points with ramification index e >= 2, as {point: e}, read off the
+    Wronskian W = num'*den - num*den' alone (Dedekind's different theorem,
+    tame case: p > d, so W != 0 and no index is divisible by p).  An affine
+    point has e = 1 + its multiplicity in W, and infinity e = 2d - 1 - deg W.
 
-    Affine candidates are the roots of the Wronskian num'*den - num*den';
-    if that polynomial does not split over ctx, some ramification point is
-    missing and InsufficientField is raised (with strict=False the rational
-    part is returned instead, which is enough to test disjointness from a
-    set of rational points).  Needs p > d, so that no index is divisible by p.
+    If W does not split over ctx, some ramification point is missing and
+    InsufficientField is raised (with strict=False the rational part is
+    returned instead, which is enough to test disjointness from a set of
+    rational points).
     """
     require_tame(m, "ramification")
     w = Poly(ctx, m.wronskian_coeffs())
-    out = {}
-    if not w.is_zero() and w.degree >= 1:
-        roots = w.roots()
-        if strict and len(roots) < w.degree:
-            raise InsufficientField(
-                f"ramification locus of {m} is not rational over {ctx!r}",
-                missing=w.degree - len(roots))
-        for x in set(roots):
-            pt = ProjPoint.affine(x)
-            e = point_multiplicity_in_fiber(m, pt)
-            if e >= 2:
-                out[pt] = e
-    inf = ProjPoint.infinity(ctx)
-    e = point_multiplicity_in_fiber(m, inf)
-    if e >= 2:
-        out[inf] = e
+    roots = w.roots()
+    if strict and len(roots) < w.degree:
+        raise InsufficientField(
+            f"ramification locus of {m} is not rational over {ctx!r}",
+            missing=w.degree - len(roots))
+    out = {ProjPoint.affine(x): 1 + k for x, k in Counter(roots).items()}
+    if w.degree < 2 * m.d - 2:
+        out[ProjPoint.infinity(ctx)] = 2 * m.d - 1 - w.degree
     return out
 
 

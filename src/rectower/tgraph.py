@@ -13,7 +13,7 @@ exact, and each value is encoded as its element index (q for infinity).
 Division goes through the norm without forming an inverse: N/D is N*c over
 the norm D*c, which lies in F_p, for c the product of D's other conjugates
 D^p, ..., D^(p^(r-1)), and the Frobenius is a linear map of the digits.
-Only the vertex at infinity goes through scalar ``RatMap`` evaluation.
+At infinity the value is one ``RatMap.eval``, the flag deg W < 2d - 2.
 Edges come from a join of the f-codes against the g-codes (a stable sort of
 the vertices by g-code, and a count of each code), linear in the number of
 vertices: the sort is a radix sort on 16-bit digits (``_stable_order``), as
@@ -80,7 +80,7 @@ from .errors import (BadIndex, DegreeMismatch, FieldMismatch, FieldTooLarge, NoR
                      UnknownFormat)
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
 from .fieldarrays import FieldArrays
-from .p1 import ProjPoint, RatMap, point_multiplicity_in_fiber, require_tame
+from .p1 import ProjPoint, RatMap, require_tame
 
 MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
 BLOCK = 1 << 16  # field elements per block of the build, which bounds its temporaries
@@ -201,10 +201,10 @@ class TowerGraph:
             self._ram_f[lo:hi] = self._ram_flags(wf, field, x)
             self._ram_g[lo:hi] = self._ram_flags(wg, field, x)
         inf = ProjPoint.infinity(ctx)
-        for codes, flags, m in ((fcode, self._ram_f, f), (gcode, self._ram_g, g)):
+        for codes, flags, m, w in ((fcode, self._ram_f, f, wf), (gcode, self._ram_g, g, wg)):
             t = m.eval(inf)
             codes[q] = q if t.is_infinity else ctx.element_index(t.x)
-            flags[q] = point_multiplicity_in_fiber(m, inf) >= 2
+            flags[q] = len(w) - 1 < 2 * self.d - 2  # e_inf = 2d - 1 - deg w >= 2
         self.f_codes = fcode
 
         # the out-neighbours of u: the vertices whose g-code is u's f-code,

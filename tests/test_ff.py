@@ -125,7 +125,7 @@ def test_low_degree_irreducibility_matches_the_root_scan(p):
     # every monic quadratic and cubic (500 random cubics at p = 101): one
     # Legendre symbol for quadratics over odd p, else a root found as
     # gcd(x^p - x, m) != 1; every monic quartic at p <= 7 against Rabin's
-    # test alone, which the root test only shortcuts there
+    # test alone, where a quadratic factor is found as gcd(x^(p^2) - x, m) != 1
     if p < 32:
         low_degree = [list(low) + [1] for r in (2, 3) for low in itertools.product(range(p), repeat=r)]
     else:
@@ -136,6 +136,26 @@ def test_low_degree_irreducibility_matches_the_root_scan(p):
     quartics = [list(low) + [1] for low in itertools.product(range(p), repeat=4)] if p <= 7 else []
     for m in quartics:
         assert _is_irreducible(m, p) == _rabin_irreducible(m, p), (m, p)
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_higher_degree_irreducibility_matches_rabin(p):
+    # 100 seeded random monic polynomials of each degree 5-8 against
+    # Rabin's test alone
+    rng = random.Random(p)
+    cases = [[rng.randrange(p) for _ in range(r)] + [1] for r in range(5, 9) for _ in range(100)]
+    for m in cases:
+        assert _is_irreducible(m, p) == _rabin_irreducible(m, p), (m, p)
+    # the draws hold irreducibles and reducibles at every p
+    assert 0 < sum(_is_irreducible(m, p) for m in cases) < len(cases)
+
+
+def test_irreducibility_of_linear_and_constant_shapes():
+    assert _is_irreducible([3, 1], 5)
+    assert all(_is_irreducible([c, 1], p) for p in (2, 5, 101) for c in range(min(p, 7)))
+    for m in ([1], [3], []):
+        with pytest.raises(DegreeMismatch):
+            _is_irreducible(m, 5)
 
 
 REDUCE_MODULI = st.sampled_from([2, 3, 5, 7, 2039, 4194301, (1 << 31) - 1])

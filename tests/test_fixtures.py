@@ -10,7 +10,7 @@ import pytest
 
 from rectower import cli, feq, fixtures, p1, series
 from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
-from rectower.ff import FieldCtx, is_prime, legendre, pmul, psubst
+from rectower.ff import FieldCtx, is_prime, legendre, pmul, pradical, psubst
 from rectower.fieldarrays import FieldArrays
 from rectower.p1 import RatMap, map_parse
 from rectower.tgraph import ComponentClass, ComponentReport, TowerGraph
@@ -277,7 +277,7 @@ def _new_tower(p, ext):
 
 def _radical_of_hp(p, ctx):
     hp = prime_field_ints(series.truncate_H_mod_p(p).coeffs)
-    return fixtures._rational_radical(hp, ctx.order, p)
+    return pradical(hp, ctx.order, p)
 
 
 @pytest.mark.parametrize("p, ext", [(p, 2) for p in range(5, 48) if is_prime(p)]
@@ -454,7 +454,7 @@ def test_root_count_is_the_number_of_distinct_roots(p, r):
               pmul(linear(1, 1), rand(3), p),
               quadratic, cubic, pmul(quadratic, quadratic, p)]         # irreducible
     for h in cases:
-        radical = fixtures._rational_radical(h, ctx.order, p)
+        radical = pradical(h, ctx.order, p)
         assert Poly(ctx, radical) == Poly.from_roots(ctx, set(Poly(ctx, h).roots())), h
 
 
@@ -489,7 +489,7 @@ def test_preimage_size_counts_the_preimage(p, f_expr):
     for h in ([1, 0, 1], [2, 1, 1, 1], pmul([0, 1], [-1, 0, 1], p),
               prime_field_ints(series.truncate_H_mod_p(p).coeffs)):
         for h in (h, pmul(h, shift, p)) if shift else (h,):
-            r = fixtures._rational_radical(h, ctx.order, p)
+            r = pradical(h, ctx.order, p)
             t0 = [p1.ProjPoint.affine(x) for x in Poly(ctx, r).roots()]
             pre, _ = fixtures.map_preimage(f, t0, ctx)
             r_f = psubst(r, f.num_coeffs, f.den_coeffs, p)

@@ -30,6 +30,7 @@ from rectower.p1 import (
     map_parse,
     mobius_conjugate,
     parse_fraction,
+    point_multiplicity_in_fiber,
     point_parse,
     ramification,
 )
@@ -306,6 +307,36 @@ def test_ramification_needs_tame_characteristic():
     with pytest.raises(BadPrime):
         divisorial_check(map_parse("x^2+x", 2), map_parse("y^2", 2), [pt("1", f2)], f2)
     assert ramification(map_parse("y^2", 3), f9) == {pt("0", f9): 2, pt("inf", f9): 2}
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_ramification_matches_the_fiber_oracle(p, r):
+    # the Wronskian route against each point's multiplicity in the fiber
+    # over its image, at every point of P^1(F_{p^r}), for seeded random maps
+    # of degree d <= 4 whose affine num and den degrees may differ (so
+    # infinity is ramified or not); strict holds exactly when the indices
+    # found reach the Riemann-Hurwitz total 2d - 2
+    rng = random.Random(f"{p}:{r}")
+    ctx = FieldCtx(p, r)
+    points = [ProjPoint.affine(x) for x in ctx.elements()] + [ProjPoint.infinity(ctx)]
+    maps = []
+    while len(maps) < (12 if p ** r < 200 else 3):
+        d = rng.randint(1, 4)
+        degs = [d, rng.randint(0, d)][::rng.choice((1, -1))]
+        num, den = ([rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)] for k in degs)
+        try:
+            maps.append(RatMap.from_affine(p, num, den))
+        except DegreeZero:
+            pass
+    for m in maps:
+        expected = {pt: e for pt in points if (e := point_multiplicity_in_fiber(m, pt)) >= 2}
+        assert ramification(m, ctx, strict=False) == expected, m
+        if sum(e - 1 for e in expected.values()) == 2 * m.d - 2:
+            assert ramification(m, ctx) == expected
+        else:
+            with pytest.raises(InsufficientField):
+                ramification(m, ctx)
 
 
 def test_riemann_hurwitz_totals():
