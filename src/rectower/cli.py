@@ -85,10 +85,7 @@ def cmd_chi(args) -> int:
 
 def cmd_graph(args) -> int:
     _, graph = _fixture_graph(args)
-    if args.dot:
-        print(tgraph.graph_export(graph, "dot"))
-    else:
-        _emit(tgraph.graph_json_obj(graph, include_edges=args.edges))
+    print(tgraph.graph_export(graph, "dot" if args.dot else "json", args.edges))
     return 0
 
 

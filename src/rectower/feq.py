@@ -12,9 +12,9 @@ Three equivalent views of the same phenomenon, in increasing effectiveness:
   div(phi) = s div(T0) - t div(S0).
 
 The functional criterion runs on points over F_{p^r} (``regularness_check``,
-the oracle) or on F_p int lists for T0 the roots of a polynomial
-(``splitting_criterion``, which ``verify`` runs); both share the checked
-preconditions and exponents.
+the oracle) or on F_p int lists for T0 the roots of R (``splitting_criterion``,
+which ``verify`` runs).  They share S0's half and the exponents; T0 misses
+ram(g) by points in the oracle and by gcd(R, W_g) = 1 in production.
 
 On the line the divisor class group is trivial, so the auxiliary orders a
 and b of the general statement are both 1; they are still carried in the
@@ -35,7 +35,7 @@ from typing import Optional
 
 from .divisor import Divisor, _less_support, divisor_to_function, pullback, restricted_different
 from .errors import FieldMismatch, NotComplete, RamifiedT0
-from .ff import FieldCtx, FieldElem, pmul, ppow, pproportional, psubst
+from .ff import FieldCtx, FieldElem, pgcd, pmul, ppow, pproportional, psubst
 from .p1 import RatMap, map_preimage, ramification, require_tame
 from .upoly import Poly, RatFun, compose_rational, prime_field_ints, ratfun_proportional
 
@@ -121,18 +121,10 @@ def _s0_half(f: RatMap, g: RatMap, s0, ctx: Optional[FieldCtx]):
     return s0_points, divisor_to_function(d_f - d_g)
 
 
-def _t0_half(g: RatMap, ctx: FieldCtx, n_s0: int, n_t0: int, in_t0):
-    """The T0 half of the functional criterion's data, from |T0| and the
-    membership test in_t0 of a point.
-
-    Raises RamifiedT0 when T0 meets the ramification locus of g.  Returns the
-    minimal positive s, t with t*|S0| = s*|T0|.
-    """
+def _exponents(n_s0: int, n_t0: int):
+    """The minimal positive s, t with t*|S0| = s*|T0|, for nonempty T0."""
     if not n_t0:
         raise ValueError("T0 must be nonempty")
-    bad = [q for q in ramification(g, ctx, strict=False) if in_t0(q)]
-    if bad:
-        raise RamifiedT0(f"T0 meets the ramification locus of g at {sorted(map(str, bad))}")
     common = gcd(n_s0, n_t0)
     return n_s0 // common, n_t0 // common
 
@@ -140,14 +132,17 @@ def _t0_half(g: RatMap, ctx: FieldCtx, n_s0: int, n_t0: int, in_t0):
 def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> FunctionalReport:
     """The functional criterion: holds iff f^{-1}(T0) is d-regular.
 
-    The preconditions and exponents are those of ``_s0_half`` and
-    ``_t0_half``; the proportionality test is exact polynomial arithmetic
-    after clearing denominators.
+    S0's half is ``_s0_half``'s, and T0 must miss the ramification points of
+    g over the working field; the proportionality test is exact polynomial
+    arithmetic after clearing denominators.
     """
     s0_points, rho = _s0_half(f, g, s0, ctx)
     ctx = rho.ctx  # the working field, resolved by _s0_half
     t0_points = set(_working_ctx(t0, ctx)[0])
-    s, t = _t0_half(g, ctx, len(s0_points), len(t0_points), t0_points.__contains__)
+    s, t = _exponents(len(s0_points), len(t0_points))
+    bad = sorted(str(q) for q in ramification(g, ctx, strict=False) if q in t0_points)
+    if bad:
+        raise RamifiedT0(f"T0 meets the ramification locus of g at {bad}")
     phi = divisor_to_function(
         s * Divisor.of_set(t0_points, ctx) - t * Divisor.of_set(s0_points, ctx))
 
@@ -157,19 +152,23 @@ def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> Fun
     return FunctionalReport(constant is not None, constant, rho, phi, s, t)
 
 
-def splitting_criterion(f: RatMap, g: RatMap, s0, r, ctx: FieldCtx):
+def splitting_criterion(f: RatMap, g: RatMap, s0, r):
     """``regularness_check`` on F_p int lists for T0 = the roots of r, a
-    monic squarefree polynomial over F_p that splits over ctx, such as
-    ``ff.pradical``'s gcd(h, x^q - x); no root of r is found.  phi = r^s /
-    prod (x - sigma)^t over the affine points sigma of S0 has divisor
-    s T0 - t S0 up to a constant, which cancels in rho^t (phi o f) ~ phi o g.
-    Returns s, t, the constant (None when the sides are not proportional)
-    and r o f with its denominator cleared, of formal degree deg(f) deg(r)."""
-    s0_points, rho = _s0_half(f, g, s0, ctx)
-    p = ctx.p
-    root_of_r = Poly(ctx, r).eval
-    s, t = _t0_half(g, ctx, len(s0_points), len(r) - 1,
-                    lambda q: not q.is_infinity and root_of_r(q.x).is_zero())
+    monic squarefree polynomial over F_p that splits over S0's field, such
+    as ``ff.pradical``'s gcd(h, x^q - x); no root of r is found.  T0 is
+    affine, so it misses ram(g) iff gcd(r, W_g) = 1 for g's Wronskian W_g.
+    phi = r^s / prod (x - sigma)^t over the affine points sigma of S0 has
+    divisor s T0 - t S0 up to a constant, which cancels in rho^t (phi o f) ~
+    phi o g.  Returns s, t, the constant (None when the sides are not
+    proportional) and r o f with its denominator cleared, of formal degree
+    deg(f) deg(r)."""
+    s0_points, rho = _s0_half(f, g, s0, None)
+    ctx, p = rho.ctx, rho.ctx.p
+    s, t = _exponents(len(s0_points), len(r) - 1)
+    shared = pgcd(r, g.wronskian_coeffs(), p)
+    if len(shared) > 1:
+        shared = Poly(FieldCtx(p), shared).monic()
+        raise RamifiedT0(f"T0 meets the ramification locus of g at the roots of {shared}")
     lin = Poly.from_roots(ctx, [q.x for q in s0_points if not q.is_infinity])
     lin, rho_num, rho_den = forms = [prime_field_ints(h.coeffs) for h in (lin, rho.num, rho.den)]
     if None in forms:

@@ -33,6 +33,7 @@ the tests' oracles for these checks, not a path of ``verify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -103,8 +104,9 @@ class BoundFixture:
     ctx: FieldCtx
     f: RatMap
     g: RatMap
-    s: list
-    s0: list
+    # parsed on first read: only a command that reads S needs gs-tower's i
+    s = cached_property(lambda self: [point_parse(e, self.ctx) for e in self.fixture.s_exprs])
+    s0 = cached_property(lambda self: [point_parse(e, self.ctx) for e in self.fixture.s0_exprs])
 
 
 def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) -> BoundFixture:
@@ -119,14 +121,12 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
         ctx = FieldCtx(p, 2) if needs_i else FieldCtx(p)
     f = map_parse(fx.f_expr, p)
     g = map_parse(fx.g_expr, p)
-    s = [point_parse(e, ctx) for e in fx.s_exprs]
-    s0 = [point_parse(e, ctx) for e in fx.s0_exprs]
-    bound = BoundFixture(fx, ctx, f, g, s, s0)
+    bound = BoundFixture(fx, ctx, f, g)
     if check:
-        fwd, bwd = feq.is_complete(f, g, s, ctx)
+        fwd, bwd = feq.is_complete(f, g, bound.s, ctx)
         if not (fwd and bwd):
             raise TowerError(f"fixture {name}: S is not complete over {ctx!r}")
-        if not feq.divisorial_check(f, g, s0, ctx):
+        if not feq.divisorial_check(f, g, bound.s0, ctx):
             raise TowerError(f"fixture {name}: divisorial identity fails over {ctx!r}")
     return bound
 
@@ -251,14 +251,16 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     """Run every end-to-end consistency check the fixture's facts call for
     and report one pass/fail entry per check."""
     checks: list = []
-    bound, graph = fixture_graph(name, p, ext, modulus)
-    fx, ctx, f, g = bound.fixture, bound.ctx, bound.f, bound.g
+    require_graph_size(p, ext)  # fixture_graph's steps, but S (gs-tower's i) is read before the graph
+    bound = load_fixture(name, p, ctx=FieldCtx(p, ext, modulus), check=False)
+    fx, ctx, f, g, support = bound.fixture, bound.ctx, bound.f, bound.g, bound.s
+    graph = TowerGraph(f, g, ctx)
 
-    fwd, bwd = feq.is_complete(f, g, bound.s, ctx)
+    fwd, bwd = feq.is_complete(f, g, support, ctx)
     _check(checks, "singular-support-complete", fwd and bwd,
            f"forward={fwd} backward={bwd}")
     _check(checks, "divisorial-identity", feq.divisorial_check(f, g, bound.s0, ctx))
-    verdict = feq.lenstra_check(f, g, bound.s, ctx)
+    verdict = feq.lenstra_check(f, g, support, ctx)
     verdict_detail = f"{verdict.value} (conditional on irreducibility)"
 
     if fx.rho_expr is None:  # no splitting set can exist
@@ -303,7 +305,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     # (-3/p) H_p; chi = R makes it the set of f-values on the d-regular vertices
     r = pradical(h, ctx.order, p)
     k = len(r) - 1
-    s, t, const, r_f = feq.splitting_criterion(f, g, bound.s0, r, ctx)
+    s, t, const, r_f = feq.splitting_criterion(f, g, bound.s0, r)
     _check(checks, "splitting-values-rational", k == p - 1, f"{k} of {p - 1}")
     _check(checks, "regularness-criterion", const is not None, f"s={s} t={t} constant={const}")
     size = _preimage_size(r_f, f.d * k, ctx.order, p)

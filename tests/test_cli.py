@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rectower import series
+from rectower import fixtures, series
 from rectower.cli import main
 from rectower.ff import FieldCtx
 
@@ -56,12 +56,23 @@ def test_graph_dot(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
-def test_graph_ext_flag(capsys):
+def test_graph_ext_flag(capsys, monkeypatch):
     code, out = run(capsys, "graph", "--p", "5", "--ext", "1")
     assert code == 0
     data = json.loads(out)
     assert data["r"] == 1 and data["modulus"] is None
     assert sum(c["size"] for c in data["components"]) == 6
+    # the graph reads neither S nor S0, so gs-tower needs no i in F_7;
+    # verify reads S, and refuses F_7 before it builds a graph
+    code, out = run(capsys, "graph", "--fixture", "gs-tower", "--p", "7", "--ext", "1")
+    assert code == 0 and sum(c["size"] for c in json.loads(out)["components"]) == 8
+
+    def no_graph(*_args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(fixtures, "TowerGraph", no_graph)
+    assert main(["verify", "--fixture", "gs-tower", "--p", "7", "--ext", "1"]) == 2
+    assert capsys.readouterr().err == "error: no square root of -1 in F_7\n"
 
 
 def test_search_command(capsys):
@@ -75,11 +86,14 @@ def test_search_command(capsys):
     (("chi", "--p", "13", "--fixture", "type-a-toy"), 13, "type-a-toy"),
     (("feq-check", "--fixture", "gs-tower", "--p", "5", "--ext", "1"), 5, "gs-tower"),
     (("genus", "--p", "5", "--ext", "1", "--n-max", "3"), 5, "new-tower"),
-], ids=["chi", "feq-check", "genus"])
+    (("chi", "--fixture", "gs-tower", "--p", "7", "--ext", "1"), 7, "gs-tower"),
+    (("feq-check", "--fixture", "gs-tower", "--p", "11", "--ext", "3"), 11, "gs-tower"),
+], ids=["chi", "feq-check", "genus", "chi-gs-7-ext1", "feq-check-gs-11-ext3"])
 def test_chi_without_regular_component_is_a_failed_check(capsys, argv, p, fixture):
     # the graph of type-a-toy over F_{13^2}, and those of the towers over F_5
     # itself, have no d-regular component: a mathematical outcome of a valid
-    # call, so exit 1 with a JSON report
+    # call, so exit 1 with a JSON report.  gs-tower's S holds i, which is not
+    # in F_7 or F_{11^3}, but only verify reads S
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""

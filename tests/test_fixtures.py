@@ -2,14 +2,15 @@
 pipeline."""
 
 import dataclasses
+import functools
 import random
-import re
 
 import numpy as np
 import pytest
 
 from rectower import cli, feq, fixtures, p1, series
-from rectower.errors import BadPrime, NoRegularComponent, NotComplete, RamifiedT0, TowerError
+from rectower.errors import (BadPrime, InsufficientField, NoRegularComponent, NotComplete,
+                             RamifiedT0, TowerError)
 from rectower.ff import FieldCtx, is_prime, legendre, pmul, pradical, psubst
 from rectower.fieldarrays import FieldArrays
 from rectower.p1 import RatMap, map_parse
@@ -286,7 +287,7 @@ def test_fp_certificate_matches_oracle(p, ext):
     bound, graph = _new_tower(p, ext)
     ctx, f = bound.ctx, bound.f
     r = _radical_of_hp(p, ctx)
-    s, t, constant, r_f = feq.splitting_criterion(f, bound.g, bound.s0, r, ctx)
+    s, t, constant, r_f = feq.splitting_criterion(f, bound.g, bound.s0, r)
 
     oracle_t0 = fixtures.splitting_points(p, ctx)
     report = feq.regularness_check(f, bound.g, bound.s0, oracle_t0, ctx)
@@ -305,6 +306,43 @@ def test_fp_certificate_matches_oracle(p, ext):
 
 def _forbid(*_args, **_kwargs):
     raise AssertionError("an F_{p^r} oracle ran")
+
+
+@functools.lru_cache(maxsize=None)
+def _chi_over_fp2(name, p):
+    return prime_field_ints(fixtures.chi_from_graph(fixtures.fixture_graph(name, p)[1]).coeffs)
+
+
+@pytest.mark.parametrize("times_x", [False, True], ids=["R", "R*x"])
+@pytest.mark.parametrize("ext", [1, 2])
+@pytest.mark.parametrize("name, p", [(name, p) for name in ("new-tower", "gs-tower")
+                                     for p in range(5, 48) if is_prime(p)])
+def test_t0_gcd_matches_the_ramification_points(monkeypatch, name, p, ext, times_x):
+    # splitting_criterion's gcd(R, W_g) against the points oracle: g's
+    # ramification points over F_{p^ext} among the roots of R.  R is the
+    # radical of chi over F_{p^ext}; R*x adds 0, where g = y^2 ramifies
+    ctx = FieldCtx(p, ext)
+    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    r = pradical(_chi_over_fp2(name, p), ctx.order, p)
+    if times_x:
+        r = pmul(r, [0, 1], p)
+    roots = {p1.ProjPoint.affine(x) for x in Poly(ctx, r).roots()}
+    meets = bool(roots & set(p1.ramification(bound.g, ctx, strict=False)))
+    monkeypatch.setattr(p1, "ramification", _forbid)
+    monkeypatch.setattr(feq, "ramification", _forbid)
+    monkeypatch.setattr(Poly, "eval", _forbid)
+    if name == "gs-tower" and ext == 1 and p % 4 == 3:
+        # f^{-1}(0) = {i, -i} is not rational: S0's half refuses before T0 is tested
+        with pytest.raises(InsufficientField):
+            feq.splitting_criterion(bound.f, bound.g, bound.s0, r)
+        return
+    try:
+        feq.splitting_criterion(bound.f, bound.g, bound.s0, r)
+        raised = None
+    except (RamifiedT0, ValueError) as exc:
+        raised = exc
+    assert isinstance(raised, RamifiedT0) == meets
+    assert isinstance(raised, ValueError) == (len(r) == 1)  # T0 is empty
 
 
 def _bridged_gs(monkeypatch):
@@ -339,6 +377,8 @@ def test_verify_success_path_finds_no_roots(monkeypatch, p, ext):
 
     monkeypatch.setattr(fixtures, "splitting_points", _forbid)
     monkeypatch.setattr(feq, "regularness_check", _forbid)
+    monkeypatch.setattr(feq, "ramification", _forbid)
+    monkeypatch.setattr(Poly, "eval", _forbid)
     monkeypatch.setattr(fixtures, "map_preimage", _forbid)
     monkeypatch.setattr(Poly, "roots", fiber_roots_only)
     report = fixtures.verify_fixture("new-tower", p, ext=ext)
@@ -416,13 +456,16 @@ def test_flipped_bridge_reports_match_the_oracle(monkeypatch, p):
 
 
 def test_certificate_keeps_the_criterion_preconditions(monkeypatch):
+    # a bridge times x puts 0, where g = y^2 ramifies, into T0: the gcd of R
+    # with g's Wronskian 2y refuses it, and no oracle runs
     p = 7
-    t0 = fixtures.splitting_points(p, FieldCtx(p, 2))
     monkeypatch.setattr(fixtures, "splitting_points", _forbid)
     monkeypatch.setattr(feq, "regularness_check", _forbid)
+    monkeypatch.setattr(feq, "ramification", _forbid)
     with monkeypatch.context() as m:
-        m.setattr(feq, "ramification", lambda g, ctx, strict=True: {t0[0]: 2})
-        with pytest.raises(RamifiedT0, match=re.escape(f"['{t0[0]}']")):
+        bridge = fixtures.series_bridge
+        m.setattr(fixtures, "series_bridge", lambda p: pmul(bridge(p), [0, 1], p))
+        with pytest.raises(RamifiedT0, match="at the roots of x$"):
             fixtures.verify_fixture("new-tower", p)
     monkeypatch.setattr(feq, "divisorial_check", lambda *args: False)
     with pytest.raises(NotComplete):
