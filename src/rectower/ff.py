@@ -188,7 +188,7 @@ def pmod(f, m, p):
 
     Long division when the quotient and the divisor are short (``_is_long``);
     otherwise the quotient is read off rev(f) * rev(m)^(-1) mod x^(deg f - deg m + 1),
-    with the Newton inverse of rev(m) cached per modulus."""
+    with the Newton inverse of rev(m), to that precision only, cached."""
     n = len(m) - 1
     lq = len(f) - n
     if not _is_long(lq, n):
@@ -201,8 +201,8 @@ def pmod(f, m, p):
                 for i, a in enumerate(m):
                     f[shift + i] -= c * a
         return ptrim(f[:n], p)
-    inv = _rev_inverse(tuple(m), p, max(lq, n))
-    q = pmul(f[:n - 1:-1], inv[:lq], p)[:lq]
+    inv = _rev_inverse(tuple(m), p, lq)
+    q = pmul(f[:n - 1:-1], inv, p)[:lq]
     q = [0] * (lq - len(q)) + q[::-1]
     return padd(f[:n], [-c for c in pmul(q, m, p)[:n]], p)
 

@@ -1,6 +1,6 @@
 """Elements of F_{p^r} as numpy arrays of base-p digits: the whole-field
-arithmetic of the graph build (``tgraph``) and of the splitting polynomial
-read off it (``fixtures.chi_from_graph``).
+arithmetic of the graph build (``tgraph``), of the splitting polynomial read
+off it (``fixtures.chi_from_graph``) and of ``upoly.Poly.roots``' pass.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from functools import cached_property
 import numpy as np
 
 from .ff import FieldCtx, power, reduce_array
+
+BLOCK = 1 << 16  # field elements per block of a whole-field pass, which bounds its temporaries
 
 
 class FieldArrays:
@@ -54,10 +56,10 @@ class FieldArrays:
             out = out * self.p + c
         return out
 
-    def mul(self, a, b, plus: int = 0, norm: bool = False):
-        """a*b + plus, for an int plus.  With norm, only coefficient 0 of
-        a*b, which is all of it where a*b lies in F_p: the convolution skips
-        the coefficients 1..r-1, which do not reach it."""
+    def mul(self, a, b, plus=0, norm: bool = False):
+        """a*b + plus, for plus an int or a tuple of digits.  With norm, only
+        coefficient 0 of a*b, which is all of it where a*b lies in F_p: the
+        convolution skips the coefficients 1..r-1, which do not reach it."""
         p, r, m = self.p, self.r, self.modulus
         prod = [None] * (2 * r - 1)
         for i in range(r):
@@ -74,8 +76,9 @@ class FieldArrays:
             for i in range(r):
                 if m[i] and prod[k - r + i] is not None:
                     prod[k - r + i] -= c * m[i]
-        if plus:
-            prod[0] += plus
+        for i, c in enumerate(np.atleast_1d(plus)):
+            if c:
+                prod[i] += c
         if norm:
             return reduce_array(prod[0], p, in_place=True)
         return [reduce_array(c, p, in_place=True) for c in prod[:r]]
@@ -92,13 +95,15 @@ class FieldArrays:
         return [reduce_array(c, self.p, in_place=True) for c in out]
 
     def horner(self, coeffs, x):
-        """The polynomial with ascending int coefficients in [0, p) (at
-        least one) at every x, one reduction per product."""
+        """The polynomial with ascending coefficients (at least one) at every
+        x, one reduction per product: ints in [0, p), or tuples of digits for
+        coefficients outside F_p, the leading one an int."""
         p = self.p
         if len(coeffs) == 1:
             return [np.full_like(x[0], coeffs[0])] + [np.zeros_like(x[0])] * (self.r - 1)
         val = [d * coeffs[-1] for d in x]  # c_n x: a scalar scale, no mul
-        val[0] += coeffs[-2]
+        for i, c in enumerate(np.atleast_1d(coeffs[-2])):
+            val[i] += c
         val = [reduce_array(c, p, in_place=True) for c in val]
         for c in reversed(coeffs[:-2]):
             val = self.mul(val, x, plus=c)

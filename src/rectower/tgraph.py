@@ -3,17 +3,19 @@
 The graph of a correspondence f(P) = g(Q) has the rational points of the
 line as vertices and an oriented edge P -> Q whenever f(P) = g(Q).  Vertex
 n < q is element n of ``FieldCtx.elements()``, whose digits base p are its
-coefficients; vertex q is infinity.  The build evaluates f, g and their
-Wronskians over blocks of ``BLOCK`` field elements, into arrays allocated
-once, so its temporaries are bounded by the block, not by q: a block's
-affine points are held as int64 arrays of base-p digits
-(``fieldarrays.FieldArrays``), Horner's rule runs on those arrays with each
-product reduced once mod p and mod the field modulus, so the arithmetic is
-exact, and each value is encoded as its element index (q for infinity).
-Division goes through the norm without forming an inverse: N/D is N*c over
-the norm D*c, which lies in F_p, for c the product of D's other conjugates
-D^p, ..., D^(p^(r-1)), and the Frobenius is a linear map of the digits.
-At infinity the value is one ``RatMap.eval``, the flag deg W < 2d - 2.
+coefficients; vertex q is infinity.  The build evaluates f and g over
+blocks of ``BLOCK`` field elements, into arrays allocated once, so its
+temporaries are bounded by the block, not by q: a block's affine points are
+held as int64 arrays of base-p digits (``fieldarrays.FieldArrays``),
+Horner's rule runs on those arrays with each product reduced once mod p and
+mod the field modulus, so the arithmetic is exact, and each value is
+encoded as its element index (q for infinity).  Division goes through the
+norm without forming an inverse: N/D is N*c over the norm D*c, which lies
+in F_p, for c the product of D's other conjugates D^p, ..., D^(p^(r-1)),
+and the Frobenius is a linear map of the digits.  At infinity the value is
+one ``RatMap.eval``.  The vertices ramified for f and for g, infinity among
+them, are the points of ``p1.ramification``, which reads them off the
+Wronskian.
 Edges come from a join of the f-codes against the g-codes (a stable sort of
 the vertices by g-code, and a count of each code), linear in the number of
 vertices: the sort is a radix sort on 16-bit digits (``_stable_order``), as
@@ -79,11 +81,10 @@ import numpy as np
 from .errors import (BadIndex, DegreeMismatch, FieldMismatch, FieldTooLarge, NoRegularComponent,
                      UnknownFormat)
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
-from .fieldarrays import FieldArrays
-from .p1 import ProjPoint, RatMap, require_tame
+from .fieldarrays import BLOCK, FieldArrays
+from .p1 import ProjPoint, RatMap, ramification, require_tame
 
 MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
-BLOCK = 1 << 16  # field elements per block of the build, which bounds its temporaries
 
 
 def require_graph_size(p: int, r: int):
@@ -177,7 +178,7 @@ class TowerGraph:
         if f.d != g.d:
             raise DegreeMismatch(f"maps of degree {f.d} and {g.d}")
         if f.p != ctx.p or g.p != ctx.p:
-            raise DegreeMismatch("maps and field have different characteristics")
+            raise FieldMismatch("maps and field have different characteristics")
         require_tame(f, "the graph")
         require_graph_size(ctx.p, ctx.r)
         self.f = f
@@ -191,20 +192,17 @@ class TowerGraph:
         idx = np.int32 if self.d * n < 1 << 31 else np.int64
         field = FieldArrays(ctx)
         fcode, gcode = np.empty(n, dtype=idx), np.empty(n, dtype=idx)
-        self._ram_f, self._ram_g = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        wf, wg = f.wronskian_coeffs(), g.wronskian_coeffs()
         for lo in range(0, q, BLOCK):
             hi = min(lo + BLOCK, q)
             x = field.digits(np.arange(lo, hi, dtype=np.int64))
             fcode[lo:hi] = self._value_codes(f, field, x)
             gcode[lo:hi] = self._value_codes(g, field, x)
-            self._ram_f[lo:hi] = self._ram_flags(wf, field, x)
-            self._ram_g[lo:hi] = self._ram_flags(wg, field, x)
+        self._ram_f, self._ram_g = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         inf = ProjPoint.infinity(ctx)
-        for codes, flags, m, w in ((fcode, self._ram_f, f, wf), (gcode, self._ram_g, g, wg)):
+        for codes, flags, m in ((fcode, self._ram_f, f), (gcode, self._ram_g, g)):
             t = m.eval(inf)
             codes[q] = q if t.is_infinity else ctx.element_index(t.x)
-            flags[q] = len(w) - 1 < 2 * self.d - 2  # e_inf = 2d - 1 - deg w >= 2
+            flags[[self.index(P) for P in ramification(m, ctx, strict=False)]] = True
         self.f_codes = fcode
 
         # the out-neighbours of u: the vertices whose g-code is u's f-code,
@@ -234,13 +232,6 @@ class TowerGraph:
             scale = pow(den[0], -1, p)
             return field.codes(field.horner([c * scale % p for c in m.num_coeffs], x))
         return field.quotient_codes(field.horner(m.num_coeffs, x), field.horner(den, x))
-
-    @staticmethod
-    def _ram_flags(w, field: FieldArrays, x):
-        """Flags for ramification at every affine point x of a block, via the
-        map's Wronskian w (tame here: the map degree is below the
-        characteristic)."""
-        return field.is_zero(field.horner(w, x)) if w else False
 
     # -- basic accessors -----------------------------------------------------
 

@@ -17,10 +17,11 @@ from typing import TYPE_CHECKING, Optional
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    FieldTooLarge,
     ZeroFunction,
     ZeroPolynomial,
 )
-from .ff import FieldCtx, FieldElem, power, presultant, psubst
+from .ff import MAX_TABLE_ENTRIES, FieldCtx, FieldElem, power, presultant, psubst
 
 if TYPE_CHECKING:  # pragma: no cover
     from .p1 import RatMap
@@ -45,10 +46,6 @@ class Poly:
     @classmethod
     def one(cls, ctx):
         return cls(ctx, (1,))
-
-    @classmethod
-    def x(cls, ctx):
-        return cls(ctx, (0, 1))
 
     @classmethod
     def from_roots(cls, ctx, roots):
@@ -166,12 +163,11 @@ class Poly:
         return acc
 
     def roots(self) -> list[FieldElem]:
-        """All roots in the coefficient field, with multiplicity.
-
-        A gcd with x^q - x first strips the irrational part, so the
-        exhaustive scan only ever evaluates a polynomial whose degree is the
-        number of distinct rational roots.  Desk scale assumes q <= ~10^4.
-        """
+        """All roots in the coefficient field, with multiplicity, in element
+        order: degrees 1 and 2 (p odd) in closed form, higher degrees by one
+        pass of ``FieldArrays.horner`` over the field, block by block, and
+        each root's multiplicity by division.  Fields with more than
+        MAX_TABLE_ENTRIES elements are refused before that pass."""
         if self.is_zero():
             raise ZeroPolynomial("roots of the zero polynomial")
         if self.degree == 0:
@@ -190,15 +186,22 @@ class Poly:
             return sorted(((-b + root) * inv2a, (-b - root) * inv2a),
                           key=self.ctx.element_index)
         q = self.ctx.order
-        xq = Poly.x(self.ctx).pow_mod(q, self)
-        radical = self.gcd(xq - Poly.x(self.ctx))
+        if q > MAX_TABLE_ENTRIES:
+            raise FieldTooLarge(f"{self.ctx!r} has {q} elements; root passes are capped at "
+                                f"{MAX_TABLE_ENTRIES}")
+        import numpy as np  # imported here for the RSS of `import rectower.cli` (ff._kronecker_mul)
+        from .fieldarrays import BLOCK, FieldArrays
+        field = FieldArrays(self.ctx)
+        # F_p coefficients as ints: the monic leading 1 scales x as a scalar
+        coeffs = [c.coeffs if any(c.coeffs[1:]) else c.coeffs[0] for c in self.monic().coeffs]
         found = []
-        if radical.degree >= 1:
-            for x in self.ctx.elements():
-                if radical.eval(x).is_zero():
-                    found += [x] * self.multiplicity(x)
-                    if len(found) == self.degree:
-                        break
+        for lo in range(0, q, BLOCK):
+            x = field.digits(np.arange(lo, min(lo + BLOCK, q), dtype=np.int64))
+            for n in np.flatnonzero(field.is_zero(field.horner(coeffs, x))).tolist():
+                root = self.ctx.element(lo + n)
+                found += [root] * self.multiplicity(root)
+            if len(found) == self.degree:
+                break
         return found
 
     def multiplicity(self, x) -> int:

@@ -560,6 +560,28 @@ def test_pmod_at_large_degree(lf, lm):
     assert pmod(f, m, p) == school_pmod(f, m, p)
 
 
+def school_pgcd(f, g, p):
+    f, g = ptrim(f, p), ptrim(g, p)
+    while g:
+        f, g = g, school_pmod(f, g, p)
+    return f
+
+
+@pytest.mark.parametrize("p, lf, lg, common", [
+    (2039, 601, 600, 0), (2039, 1201, 900, 0), (97, 700, 650, 40), (2039, 900, 620, 300)])
+def test_pgcd_at_large_degree(p, lf, lg, common):
+    # Euclid's remainders of long inputs, most with 2-term quotients, each
+    # pmod asking its Newton inverse only for the quotient's length; some
+    # pairs share a factor of the given length
+    rng = random.Random(lf * lg + common)
+    h = _rand(rng, common, p) + [1]
+    f, g = (pmul(_rand(rng, n - common, p) + [1], h, p) for n in (lf, lg))
+    assert len(f) >= 600 and len(g) >= 600
+    out = pgcd(f, g, p)
+    assert out == school_pgcd(f, g, p)
+    assert len(out) > common
+
+
 @pytest.mark.parametrize("p", [5, 97, 2039])
 def test_ppow_is_repeated_pmul(p):
     rng = random.Random(p)

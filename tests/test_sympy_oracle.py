@@ -1,6 +1,7 @@
-"""The F_p[x] kernel's irreducibility test and rational radical against
-sympy's factorisation over F_p, an oracle outside the package (the
-``oracle`` extra); skipped when sympy is absent."""
+"""The F_p[x] kernel's irreducibility test and rational radical, and
+``Poly.roots`` over F_p, against sympy's factorisation and root finding over
+F_p, an oracle outside the package (the ``oracle`` extra); skipped when
+sympy is absent."""
 
 import random
 
@@ -8,7 +9,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from rectower.ff import _is_irreducible, pradical  # noqa: E402
+from rectower.ff import FieldCtx, _is_irreducible, pradical  # noqa: E402
+from rectower.upoly import Poly  # noqa: E402
 
 X = sympy.Symbol("x")
 PRIMES = [2, 3, 5, 7, 101]
@@ -53,3 +55,23 @@ def test_radical_degree_matches_sympy_factors(p, k):
         expected = sum(g.degree() for g, _ in factors if k % g.degree() == 0)
         radical = pradical(h, p ** k, p)
         assert len(radical) - 1 == expected and radical[-1] == 1, (h, p, k)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_roots_match_sympy_ground_roots(p):
+    # seeded random polynomials of degree 1-10, and products of repeated
+    # linear factors with a random cofactor; sympy reports each root once,
+    # with its multiplicity, in the symmetric range
+    rng, ctx = random.Random(f"roots:{p}"), FieldCtx(p)
+    cases = [_random_poly(rng, p, rng.randrange(1, 11), False) for _ in range(40)]
+    for _ in range(20):
+        linear = [_sympy_poly([-rng.randrange(p), 1], p) for _ in range(rng.randrange(1, 6))]
+        product = _sympy_poly(_random_poly(rng, p, rng.randrange(0, 4), True), p)
+        for factor in linear:
+            product *= factor ** rng.randrange(1, 4)
+        cases.append([int(c) % p for c in product.all_coeffs()[::-1]])
+    for h in cases:
+        expected = {int(x) % p: k for x, k in _sympy_poly(h, p).ground_roots().items()}
+        found = Poly(ctx, h).roots()
+        assert [x.coeffs[0] for x in found] == sorted(x for x, k in expected.items()
+                                                      for _ in range(k)), (h, p)

@@ -15,6 +15,7 @@ from rectower.errors import (
     BadIndex,
     BadPrime,
     DegreeMismatch,
+    DegreeZero,
     FieldMismatch,
     FieldTooLarge,
     NoRegularComponent,
@@ -25,6 +26,7 @@ from rectower.ff import FieldCtx, is_prime
 from rectower.fieldarrays import FieldArrays
 from rectower.p1 import (
     ProjPoint,
+    RatMap,
     fiber_counts,
     map_parse,
     point_multiplicity_in_fiber,
@@ -70,6 +72,12 @@ def test_extension_graph_size():
 def test_degree_mismatch_rejected():
     with pytest.raises(DegreeMismatch):
         TowerGraph(F, map_parse("y", 5), F5)
+
+
+@pytest.mark.parametrize("f_p, g_p, field_p", [(5, 5, 7), (5, 7, 7), (7, 5, 7)])
+def test_characteristic_mismatch_is_a_field_mismatch(f_p, g_p, field_p):
+    with pytest.raises(FieldMismatch, match="^maps and field have different characteristics$"):
+        TowerGraph(map_parse("x^2+x", f_p), map_parse("y^2", g_p), FieldCtx(field_p))
 
 
 def test_splitting_component_is_the_figure():
@@ -464,6 +472,41 @@ def test_block_build_equals_one_block(monkeypatch, name, p, r):
     for attr in ("f_codes", "_ram_f", "_ram_g", "_out_deg", "_in_deg", "_offsets", "_src", "_dst"):
         a, b = getattr(whole, attr), getattr(blocks, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+def _wronskian_flags(m, ctx):
+    """The ramification flags as the build once computed them: m's Wronskian
+    W evaluated at every element by ``FieldArrays.horner``, and the flag at
+    infinity deg W < 2d - 2."""
+    field, w = FieldArrays(ctx), m.wronskian_coeffs()
+    affine = field.is_zero(field.horner(w, field.digits(np.arange(ctx.order))))
+    return affine.tolist() + [len(w) - 1 < 2 * m.d - 2]
+
+
+def _random_map(rng, p, d):
+    """A random degree-d map over F_p with numerator or denominator of degree d."""
+    while True:
+        forms = [[rng.randrange(p) for _ in range(d + 1)] for _ in range(2)]
+        if forms[0][-1] or forms[1][-1]:
+            try:
+                return RatMap(p, *forms)
+            except DegreeZero:
+                continue
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_ramification_flags_match_the_wronskian_evaluation(p, r):
+    # maps of degree 2-4, random and with ramification at infinity (a
+    # polynomial numerator over a constant denominator), over F_p and F_{p^2}
+    rng, ctx = random.Random(f"ram:{p}:{r}"), FieldCtx(p, r)
+    for d in (2, 3, 4):
+        maps = [_random_map(rng, p, d) for _ in range(3)]
+        maps.append(RatMap.from_affine(p, [rng.randrange(p) for _ in range(d)] + [1], [1]))
+        for f, g in zip(maps, maps[1:] + maps[:1]):
+            graph = TowerGraph(f, g, ctx)
+            assert graph.ram_f == _wronskian_flags(f, ctx)
+            assert graph.ram_g == _wronskian_flags(g, ctx)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 201) if is_prime(p)] + [100003])

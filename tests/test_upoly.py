@@ -7,15 +7,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from rectower import fieldarrays
 from rectower.errors import (
     DegreeMismatch,
     DegreeZero,
     DivisionByZero,
     FieldMismatch,
+    FieldTooLarge,
     ZeroFunction,
     ZeroPolynomial,
 )
-from rectower.ff import FieldCtx
+from rectower.ff import MAX_TABLE_ENTRIES, FieldCtx
 from rectower.fixtures import FIXTURES
 from rectower.p1 import ProjPoint, RatMap, map_parse, ratfun_parse
 from rectower.upoly import Poly, RatFun, compose_rational, ratfun_proportional, resultant
@@ -154,6 +156,82 @@ def test_chi5_roots_against_exhaustive_oracle():
     assert roots == oracle
     a = F25.gen()
     assert roots == {a ** 6, a ** 14, a ** 18, a ** 22}
+
+
+# ---------------------------------------------------------------------------
+# roots against the element-by-element oracle
+
+def roots_oracle(f):
+    """The roots of f in element order, each as often as (x - a) divides f:
+    FieldElem evaluation at every element, then repeated long division."""
+    found = []
+    for a in f.ctx.elements():
+        if f.eval(a).is_zero():
+            h, lin = f, Poly(f.ctx, (-a, 1))
+            while True:
+                h, rem = divmod(h, lin)
+                if not rem.is_zero():
+                    break
+                found.append(a)
+    return found
+
+
+def _random_poly(rng, elems, degree):
+    """A polynomial of the given degree with coefficients anywhere in the field."""
+    return Poly(elems[0].ctx, [rng.choice(elems) for _ in range(degree)] + [rng.choice(elems[1:])])
+
+
+@pytest.mark.parametrize("p, r", [(p, r) for p in (2, 3, 5, 7, 13) for r in (1, 2, 3)])
+def test_roots_match_the_element_oracle(p, r):
+    # degree 3-8 over F_{p^r}: random polynomials, products of repeated
+    # linear factors with a random cofactor, and polynomials with no root
+    ctx = FieldCtx(p, r)
+    rng = random.Random(f"roots:{p}:{r}")
+    elems = list(ctx.elements())
+    cases = [_random_poly(rng, elems, rng.randint(3, 8)) for _ in range(4)]
+    for _ in range(4):
+        n = rng.randint(3, 8)
+        distinct = [rng.choice(elems) for _ in range(rng.randint(1, 3))]
+        linear = [rng.choice(distinct) for _ in range(rng.randint(2, n))]
+        cases.append(Poly.from_roots(ctx, linear) * _random_poly(rng, elems, n - len(linear)))
+    rootless = 0
+    while rootless < 3:
+        f = _random_poly(rng, elems, rng.randint(3, 8))
+        if not roots_oracle(f):
+            cases.append(f)
+            rootless += 1
+    expected = [roots_oracle(f) for f in cases]
+    assert [f.roots() for f in cases] == expected
+    assert any(len(set(e)) < len(e) for e in expected)  # repeated roots were among them
+    assert any(any(c.coeffs[1:]) for f in cases for c in f.coeffs) == (r > 1)
+
+
+@pytest.mark.parametrize("p, r", [(5, 2), (3, 3), (13, 1)])
+def test_roots_in_blocks_equal_one_pass(monkeypatch, p, r):
+    # blocks of 7 elements, with a ragged tail, against the whole field
+    ctx = FieldCtx(p, r)
+    rng = random.Random(p * r)
+    elems = list(ctx.elements())
+    cases = [Poly.from_roots(ctx, rng.sample(elems, 3)) * _random_poly(rng, elems, 2)
+             for _ in range(5)]
+    whole = [f.roots() for f in cases]
+    monkeypatch.setattr(fieldarrays, "BLOCK", 7)
+    assert [f.roots() for f in cases] == whole == [roots_oracle(f) for f in cases]
+
+
+def test_roots_above_the_cap_are_refused_before_any_array(monkeypatch):
+    ctx = FieldCtx(2053, 2)
+    assert ctx.order > MAX_TABLE_ENTRIES
+
+    def forbid(*_args):
+        raise AssertionError("no array may be built above the cap")
+
+    monkeypatch.setattr(fieldarrays, "FieldArrays", forbid)
+    with pytest.raises(FieldTooLarge):
+        Poly(ctx, [1, 0, 0, 1]).roots()
+    # the closed forms of degree <= 2 take no pass, so they still answer
+    assert Poly(ctx, [-4, 0, 1]).roots() == [ctx.lift(2), ctx.lift(-2)]
+    assert Poly(ctx, [3, 1]).roots() == [ctx.lift(-3)]
 
 
 def test_resultant_fixture_forms():
