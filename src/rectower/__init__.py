@@ -5,7 +5,6 @@ certificates, genus sequences, and constrained equation search."""
 from . import errors
 from .divisor import Divisor, divisor_to_function, principal_divisor, pullback, restricted_different
 from .feq import (
-    CriterionReport,
     FunctionalReport,
     LenstraVerdict,
     divisorial_check,

@@ -120,7 +120,7 @@ def cmd_genus(args) -> int:
         raise BadIndex(f"--n-max must be >= 1, got {args.n_max}")
     if args.p is not None:
         _, graph = _fixture_graph(args)
-        rows = genus.asymptotic_report(args.p, args.n_max, graph)
+        rows = genus.asymptotic_report(args.n_max, graph)
         _emit({"p": args.p, "ext": graph.ctx.r,
                "note": "splitting over this extension degree is experimental",
                "rows": [r.to_json_obj() for r in rows]})

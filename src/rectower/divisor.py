@@ -1,8 +1,10 @@
 """Divisor calculus on the projective line.
 
-A divisor is a finite integer combination of points over an explicit field
-context chosen by the caller; operations that would need points outside
-that field raise InsufficientField instead of silently dropping mass.
+A divisor is a finite integer combination of points over one field: the
+field its points carry, which only the empty divisor needs given
+(``Divisor.zero``, ``Divisor.of_set``).  Operations that would need points
+outside that field raise InsufficientField instead of silently dropping
+mass.
 Because the line has trivial divisor class group, every degree-zero
 divisor is principal and can be turned back into a rational function,
 which is what makes the functional splitting criterion effective here.
@@ -106,9 +108,6 @@ class Divisor:
     def __repr__(self):
         return str(self)
 
-    def to_json_obj(self):
-        return [{"point": str(p), "mult": m} for p, m in self.items()]
-
 
 # ---------------------------------------------------------------------------
 # pullback, restricted different, principal divisors
@@ -123,22 +122,21 @@ def _less_support(pulled: Divisor) -> Divisor:
     return Divisor(pulled.ctx, {q: e - 1 for q, e in pulled.mults.items()})
 
 
-def restricted_different(m: RatMap, s0, ctx: FieldCtx = None) -> Divisor:
+def restricted_different(m: RatMap, s0) -> Divisor:
     """D_m(S0): the pullback m* div(S0) less its support, that is the sum of
-    (e_m(P) - 1) P over m^{-1}(S0) (tame: p > d)."""
+    (e_m(P) - 1) P over m^{-1}(S0) (tame: p > d), over the field of the
+    (nonempty) S0."""
     require_tame(m, "the different")
-    return _less_support(pullback(m, Divisor.of_set(s0, ctx)))
+    return _less_support(pullback(m, Divisor.of_set(s0)))
 
 
-def principal_divisor(phi: RatFun, ctx: FieldCtx = None) -> Divisor:
+def principal_divisor(phi: RatFun) -> Divisor:
     """div(phi): zeros minus poles, including the contribution at infinity
-    (degree of the denominator minus degree of the numerator)."""
+    (degree of the denominator minus degree of the numerator), over phi's
+    field."""
     if phi.is_zero():
         raise ZeroFunction("the zero function has no divisor")
-    if ctx is None:
-        ctx = phi.ctx
-    if ctx.key() != phi.ctx.key():
-        raise ValueError("function must be given over the working field")
+    ctx = phi.ctx
     out = {}
     for f, sign in ((phi.num, 1), (phi.den, -1)):
         if f.degree == 0:

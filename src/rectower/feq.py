@@ -16,6 +16,13 @@ the oracle) or on F_p int lists for T0 the roots of R (``splitting_criterion``,
 which ``verify`` runs).  They share S0's half and the exponents; T0 misses
 ram(g) by points in the oracle and by gcd(R, W_g) = 1 in production.
 
+No criterion takes a field beside its points: S, S0 and T0 are points of
+P^1(F_{p^r}), which carry F_{p^r}, and each criterion reads its field off
+them, raising ValueError for an empty set or for points over two fields.
+The divisorial identity, the S0 half and the non-existence test pull
+div(S0) back once per map and read both restricted differents off those
+two pullbacks.
+
 On the line the divisor class group is trivial, so the auxiliary orders a
 and b of the general statement are both 1; they are still carried in the
 report for traceability.
@@ -33,34 +40,32 @@ from enum import Enum
 from math import gcd
 from typing import Optional
 
-from .divisor import Divisor, _less_support, divisor_to_function, pullback, restricted_different
+from .divisor import Divisor, _less_support, divisor_to_function, pullback
 from .errors import FieldMismatch, NotComplete, RamifiedT0
 from .ff import FieldCtx, FieldElem, pgcd, pmul, ppow, pproportional, psubst
 from .p1 import RatMap, map_preimage, ramification, require_tame
 from .upoly import Poly, RatFun, compose_rational, prime_field_ints, ratfun_proportional
 
 
-def _working_ctx(points, ctx: Optional[FieldCtx]):
-    points = list(points)
-    if ctx is None:
-        if not points:
-            raise ValueError("empty point set needs an explicit field context")
-        ctx = points[0].ctx
-    for p in points:
-        if p.ctx.key() != ctx.key():
-            raise ValueError("all points must live over the working field")
-    return points, ctx
+def _working_ctx(points) -> FieldCtx:
+    """The one field that all the points lie over."""
+    fields = {q.ctx.key(): q.ctx for q in points}
+    if not fields:
+        raise ValueError("an empty point set has no field")
+    if len(fields) > 1:
+        raise ValueError("all points must live over one field")
+    return fields.popitem()[1]
 
 
-def is_complete(f: RatMap, g: RatMap, s, ctx: FieldCtx = None):
+def is_complete(f: RatMap, g: RatMap, s):
     """(forward, backward) completeness of the point set s.
 
-    A fiber point that is not rational over the working field cannot belong
+    A fiber point that is not rational over the points' field cannot belong
     to s, so missing fiber mass decides the direction as False rather than
     raising; the verdict is exact either way.
     """
-    points, ctx = _working_ctx(s, ctx)
-    sset = set(points)
+    sset = set(s)
+    ctx = _working_ctx(sset)
 
     def direction(src: RatMap, back: RatMap) -> bool:
         pre, missing = map_preimage(back, {src.eval(p) for p in sset}, ctx)
@@ -69,15 +74,23 @@ def is_complete(f: RatMap, g: RatMap, s, ctx: FieldCtx = None):
     return direction(f, g), direction(g, f)
 
 
-def divisorial_check(f: RatMap, g: RatMap, s0, ctx: FieldCtx = None) -> bool:
-    """Whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0); equivalent to
-    completeness of f^{-1}(S0)."""
-    points, ctx = _working_ctx(s0, ctx)
+def _differents(f: RatMap, g: RatMap, s0):
+    """Whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0), then D_f(S0) and
+    D_g(S0), each its map's one pullback of div(S0) less its support."""
+    points = list(s0)
+    ctx = _working_ctx(points)
     for m in (f, g):
         require_tame(m, "the different")
     d0 = Divisor.of_set(points, ctx)
     pull_f, pull_g = pullback(f, d0), pullback(g, d0)
-    return pull_f - pull_g == _less_support(pull_f) - _less_support(pull_g)
+    d_f, d_g = _less_support(pull_f), _less_support(pull_g)
+    return pull_f - pull_g == d_f - d_g, d_f, d_g
+
+
+def divisorial_check(f: RatMap, g: RatMap, s0) -> bool:
+    """Whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0); equivalent to
+    completeness of f^{-1}(S0)."""
+    return _differents(f, g, s0)[0]
 
 
 @dataclass
@@ -91,33 +104,17 @@ class FunctionalReport:
     a: int = 1
     b: int = 1
 
-    def to_json_obj(self):
-        return {
-            "holds": self.holds,
-            "constant": None if self.constant is None else str(self.constant),
-            "rho": str(self.rho),
-            "phi": str(self.phi),
-            "s": self.s,
-            "t": self.t,
-            "a": self.a,
-            "b": self.b,
-        }
 
-
-def _s0_half(f: RatMap, g: RatMap, s0, ctx: Optional[FieldCtx]):
+def _s0_half(f: RatMap, g: RatMap, s0):
     """The S0 half of the functional criterion's data.
 
     Raises NotComplete unless f^{-1}(S0) is complete.  Returns S0 as a
     sorted list of distinct points and rho with div(rho) = D_f(S0) - D_g(S0).
     """
-    s0_points, ctx = _working_ctx(s0, ctx)
-    s0_points = sorted(set(s0_points), key=lambda q: q.sort_key())
-    if not s0_points:
-        raise ValueError("S0 must be nonempty")
-    if not divisorial_check(f, g, s0_points, ctx):
+    s0_points = sorted(set(s0), key=lambda q: q.sort_key())
+    holds, d_f, d_g = _differents(f, g, s0_points)
+    if not holds:
         raise NotComplete("S0 does not induce a complete set")
-    d_f = restricted_different(f, s0_points, ctx)
-    d_g = restricted_different(g, s0_points, ctx)
     return s0_points, divisor_to_function(d_f - d_g)
 
 
@@ -129,17 +126,17 @@ def _exponents(n_s0: int, n_t0: int):
     return n_s0 // common, n_t0 // common
 
 
-def regularness_check(f: RatMap, g: RatMap, s0, t0, ctx: FieldCtx = None) -> FunctionalReport:
+def regularness_check(f: RatMap, g: RatMap, s0, t0) -> FunctionalReport:
     """The functional criterion: holds iff f^{-1}(T0) is d-regular.
 
-    S0's half is ``_s0_half``'s, and T0 must miss the ramification points of
-    g over the working field; the proportionality test is exact polynomial
-    arithmetic after clearing denominators.
+    S0's half is ``_s0_half``'s, and T0, over S0's field, must miss the
+    ramification points of g there; the proportionality test is exact
+    polynomial arithmetic after clearing denominators.
     """
-    s0_points, rho = _s0_half(f, g, s0, ctx)
-    ctx = rho.ctx  # the working field, resolved by _s0_half
-    t0_points = set(_working_ctx(t0, ctx)[0])
+    s0_points, rho = _s0_half(f, g, s0)
+    t0_points = set(t0)
     s, t = _exponents(len(s0_points), len(t0_points))
+    ctx = _working_ctx([*s0_points, *t0_points])
     bad = sorted(str(q) for q in ramification(g, ctx, strict=False) if q in t0_points)
     if bad:
         raise RamifiedT0(f"T0 meets the ramification locus of g at {bad}")
@@ -162,7 +159,7 @@ def splitting_criterion(f: RatMap, g: RatMap, s0, r):
     phi o g.  Returns s, t, the constant (None when the sides are not
     proportional) and r o f with its denominator cleared, of formal degree
     deg(f) deg(r)."""
-    s0_points, rho = _s0_half(f, g, s0, None)
+    s0_points, rho = _s0_half(f, g, s0)
     ctx, p = rho.ctx, rho.ctx.p
     s, t = _exponents(len(s0_points), len(r) - 1)
     shared = pgcd(r, g.wronskian_coeffs(), p)
@@ -197,48 +194,18 @@ class LenstraVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def lenstra_check(f: RatMap, g: RatMap, s, ctx: FieldCtx = None) -> LenstraVerdict:
+def lenstra_check(f: RatMap, g: RatMap, s) -> LenstraVerdict:
     """Non-existence test from a complete set s.
 
     When the restricted differents of f and g over S0 = f(s) agree, no
     nonempty finite d-regular component disjoint from s can exist (assuming
     the correspondence irreducible, which is not verified here).
     """
-    points, ctx = _working_ctx(s, ctx)
-    fwd, bwd = is_complete(f, g, points, ctx)
+    points = list(s)
+    fwd, bwd = is_complete(f, g, points)
     if not (fwd and bwd):
         raise NotComplete("the given set is not complete")
-    s0 = {f.eval(p) for p in points}
-    d_f = restricted_different(f, s0, ctx)
-    d_g = restricted_different(g, s0, ctx)
+    _, d_f, d_g = _differents(f, g, {f.eval(p) for p in points})
     if d_f == d_g:
         return LenstraVerdict.NO_SPLITTING_SET_POSSIBLE
     return LenstraVerdict.INCONCLUSIVE
-
-
-@dataclass
-class CriterionReport:
-    forward_complete: bool
-    backward_complete: bool
-    divisorial_holds: bool
-    functional: Optional[FunctionalReport]
-
-    def to_json_obj(self):
-        return {
-            "forward_complete": self.forward_complete,
-            "backward_complete": self.backward_complete,
-            "divisorial_holds": self.divisorial_holds,
-            "functional": None if self.functional is None else self.functional.to_json_obj(),
-        }
-
-
-def criterion_report(f: RatMap, g: RatMap, s, s0, t0=None, ctx: FieldCtx = None) -> CriterionReport:
-    """Run all three criteria on one fixture; the functional part only when
-    a candidate splitting value set t0 is supplied."""
-    s_points, ctx = _working_ctx(s, ctx)
-    fwd, bwd = is_complete(f, g, s_points, ctx)
-    div_ok = divisorial_check(f, g, s0, ctx)
-    functional = None
-    if t0 is not None:
-        functional = regularness_check(f, g, s0, t0, ctx)
-    return CriterionReport(fwd, bwd, div_ok, functional)

@@ -123,10 +123,10 @@ def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) ->
     g = map_parse(fx.g_expr, p)
     bound = BoundFixture(fx, ctx, f, g)
     if check:
-        fwd, bwd = feq.is_complete(f, g, bound.s, ctx)
+        fwd, bwd = feq.is_complete(f, g, bound.s)
         if not (fwd and bwd):
             raise TowerError(f"fixture {name}: S is not complete over {ctx!r}")
-        if not feq.divisorial_check(f, g, bound.s0, ctx):
+        if not feq.divisorial_check(f, g, bound.s0):
             raise TowerError(f"fixture {name}: divisorial identity fails over {ctx!r}")
     return bound
 
@@ -256,11 +256,11 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     fx, ctx, f, g, support = bound.fixture, bound.ctx, bound.f, bound.g, bound.s
     graph = TowerGraph(f, g, ctx)
 
-    fwd, bwd = feq.is_complete(f, g, support, ctx)
+    fwd, bwd = feq.is_complete(f, g, support)
     _check(checks, "singular-support-complete", fwd and bwd,
            f"forward={fwd} backward={bwd}")
-    _check(checks, "divisorial-identity", feq.divisorial_check(f, g, bound.s0, ctx))
-    verdict = feq.lenstra_check(f, g, support, ctx)
+    _check(checks, "divisorial-identity", feq.divisorial_check(f, g, bound.s0))
+    verdict = feq.lenstra_check(f, g, support)
     verdict_detail = f"{verdict.value} (conditional on irreducibility)"
 
     if fx.rho_expr is None:  # no splitting set can exist
@@ -294,7 +294,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     if fx.series_bridge:
         _check(checks, "chi-series-bridge", chi == h, f"(-3/p) = {legendre(-3, p)}")
     if fx.chain:
-        _check(checks, "singular-chain-shape", _gs_chain_ok(graph, ctx, fx.chain),
+        _check(checks, "singular-chain-shape", _gs_chain_ok(graph, fx.chain),
                f"{len(graph.singular_components())} singular components")
     holds, const = series.functional_equation_holds(h, f.num_coeffs, f.den_coeffs, p)
     _check(checks, "functional-equation", holds, f"constant {const}")
@@ -322,12 +322,11 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     return _finish(name, p, ext, checks)
 
 
-def _gs_chain_ok(graph: TowerGraph, ctx: FieldCtx,
-                 chain: tuple = FIXTURES["gs-tower"].chain) -> bool:
+def _gs_chain_ok(graph: TowerGraph, chain: tuple = FIXTURES["gs-tower"].chain) -> bool:
     """Whether the singular component through the chain's first point has
     exactly the chain's vertices and edges (default: the classical tower's
     loop(1) -> -1 -> {i, -i} -> 0 -> inf(loop))."""
-    pts = {e: point_parse(e, ctx) for edge in chain for e in edge}
+    pts = {e: point_parse(e, graph.ctx) for edge in chain for e in edge}
     first = pts[chain[0][0]]
     comp = next((c for c in graph.singular_components() if first in c.vertices), None)
     if comp is None or set(comp.vertices) != set(pts.values()):

@@ -70,15 +70,14 @@ def _is_fixture_tower(graph: TowerGraph) -> bool:
     return graph.f == map_parse(fx.f_expr, p) and graph.g == map_parse(fx.g_expr, p)
 
 
-def asymptotic_report(p: int, n_max: int, graph: TowerGraph) -> list[GenusReport]:
+def asymptotic_report(n_max: int, graph: TowerGraph) -> list[GenusReport]:
     """Per-floor table of the splitting-component path counts against the
-    genus sequence.  The ratio tends to p-1 when the regular component has
-    2(p-1) vertices; the graph is expected over the splitting field
-    (degree-2 extension, experimentally)."""
+    genus sequence.  The ratio tends to p-1, for p the characteristic of
+    the graph's field, when the regular component has 2(p-1) vertices; the
+    graph is expected over the splitting field (degree-2 extension,
+    experimentally)."""
     if n_max < 1:
         raise BadIndex(f"the table needs n_max >= 1, got {n_max}")
-    if graph.ctx.p != p:
-        raise ValueError("graph characteristic differs from p")
     if not _is_fixture_tower(graph):
         raise ValueError("genus formulas only apply to the tower y^2 = (x^2+x)/(3x-1)")
     rows, d, tail = [], None, 0  # tail = sum_{i=2}^n 2^{n-i} delta_i, the sum in genus_sum

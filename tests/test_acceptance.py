@@ -117,7 +117,7 @@ def test_c06_regularness_both_directions():
         s0 = [point_parse(e, ctx) for e in ("0", "1", "1/9", "inf")]
         t0 = fixtures.splitting_points(p, ctx)
         ok = ok and len(t0) == p - 1
-        rep = feq.regularness_check(f, g, s0, t0, ctx)
+        rep = feq.regularness_check(f, g, s0, t0)
         ok = ok and rep.holds
         # the preimage components are classified d-regular
         graph = TowerGraph(f, g, ctx)
@@ -133,7 +133,7 @@ def test_c06_regularness_both_directions():
         for _ in range(5):
             broken = list(t0)
             broken[rng.randrange(len(broken))] = rng.choice(pool)
-            rep = feq.regularness_check(f, g, s0, broken, ctx)
+            rep = feq.regularness_check(f, g, s0, broken)
             ok = ok and not rep.holds
     report("C6", "functional criterion certifies the true splitting values "
                  "and rejects 5 perturbations, p in {5, 7, 13}", ok)
@@ -203,8 +203,8 @@ def test_c11_criteria_equivalence():
         pre, missing = fixtures.map_preimage(f, s0, big)
         if missing:
             continue
-        both = all(feq.is_complete(f, g, pre, big))
-        div = feq.divisorial_check(f, g, s0, big)
+        both = all(feq.is_complete(f, g, pre))
+        div = feq.divisorial_check(f, g, s0)
         agree = agree and (both == div)
         both_seen.add(div)
         checked += 1
@@ -219,7 +219,7 @@ def test_c12_classical_tower():
         ctx = FieldCtx(p, 2)
         bound = fixtures.load_fixture("gs-tower", p, ctx=ctx, check=False)
         graph = TowerGraph(bound.f, bound.g, ctx)
-        ok = ok and fixtures._gs_chain_ok(graph, ctx)
+        ok = ok and fixtures._gs_chain_ok(graph)
         regs = graph.regular_components()
         ok = ok and len(regs) == 1 and regs[0].size == 2 * (p - 1)
         chi = fixtures.chi_from_graph(graph)
@@ -239,14 +239,14 @@ def test_c13_moebius_conjugacy():
 
 def test_c14_lenstra_checker():
     toy = fixtures.load_fixture("type-a-toy", 5)
-    verdict = feq.lenstra_check(toy.f, toy.g, toy.s, toy.ctx)
+    verdict = feq.lenstra_check(toy.f, toy.g, toy.s)
     ok = verdict is feq.LenstraVerdict.NO_SPLITTING_SET_POSSIBLE
     for r in range(1, 5):
         ctx = FieldCtx(5, r) if r > 1 else FieldCtx(5)
         ok = ok and not TowerGraph(toy.f, toy.g, ctx).regular_components()
     for name in ("new-tower", "gs-tower"):
         bound = fixtures.load_fixture(name, 5)
-        verdict = feq.lenstra_check(bound.f, bound.g, bound.s, bound.ctx)
+        verdict = feq.lenstra_check(bound.f, bound.g, bound.s)
         ok = ok and verdict is feq.LenstraVerdict.INCONCLUSIVE
     report("C14", "loop-at-a-point tower admits no splitting set (graphs "
                   "checked to r = 4); both genuine towers inconclusive", ok)

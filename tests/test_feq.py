@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from rectower import fixtures, p1
+from rectower import divisor, feq, fixtures, p1
+from rectower.divisor import principal_divisor, restricted_different
 from rectower.errors import NotComplete, RamifiedT0
 from rectower.feq import (
     LenstraVerdict,
-    criterion_report,
     divisorial_check,
     is_complete,
     lenstra_check,
@@ -65,7 +65,7 @@ def test_divisorial_check_finds_each_fiber_once(monkeypatch):
 def test_regularness_holds_for_splitting_values():
     s0 = pts("0", "1", "1/9", "inf", ctx=F25)
     t0 = fixtures.splitting_points(5, F25)
-    report = regularness_check(F, G, s0, t0, F25)
+    report = regularness_check(F, G, s0, t0)
     assert report.holds
     assert report.constant is not None
     assert (report.s, report.t) == (1, 1)
@@ -87,19 +87,19 @@ def test_regularness_from_graph_image():
     comp = graph.regular_components()[0]
     t0 = sorted({F.eval(v) for v in comp.vertices}, key=lambda q: q.sort_key())
     s0 = pts("0", "1", "1/9", "inf", ctx=F25)
-    assert regularness_check(F, G, s0, t0, F25).holds
+    assert regularness_check(F, G, s0, t0).holds
 
 
 def test_regularness_rejects_ramified_values():
     s0 = pts("0", "1", "1/9", "inf", ctx=F25)
     t0 = fixtures.splitting_points(5, F25)
     with pytest.raises(RamifiedT0):
-        regularness_check(F, G, s0, t0 + pts("0", ctx=F25), F25)
+        regularness_check(F, G, s0, t0 + pts("0", ctx=F25))
 
 
 def test_regularness_requires_complete_s0():
     with pytest.raises(NotComplete):
-        regularness_check(F, G, pts("1"), pts("4"), F5)
+        regularness_check(F, G, pts("1"), pts("4"))
 
 
 def test_regularness_fails_for_wrong_values():
@@ -107,7 +107,7 @@ def test_regularness_fails_for_wrong_values():
     t0 = fixtures.splitting_points(5, F25)
     swapped = t0[:-1] + pts("1", ctx=F25)  # replace one root by a non-root
     assert len(set(swapped)) == len(t0)
-    report = regularness_check(F, G, s0, swapped, F25)
+    report = regularness_check(F, G, s0, swapped)
     assert not report.holds and report.constant is None
     # soundness: the preimage of the perturbed set is indeed not d-regular
     graph = TowerGraph(F, G, F25)
@@ -122,7 +122,7 @@ def test_regularness_classical_tower():
     comp = graph.regular_components()[0]
     t0 = sorted({f.eval(v) for v in comp.vertices}, key=lambda q: q.sort_key())
     s0 = pts("1", "-1", "0", "inf", ctx=F25)
-    report = regularness_check(f, G, s0, t0, F25)
+    report = regularness_check(f, G, s0, t0)
     assert report.holds
 
 
@@ -136,7 +136,7 @@ def test_lenstra_fixtures_inconclusive():
     assert lenstra_check(F, G, s) is LenstraVerdict.INCONCLUSIVE
     f_gs = map_parse("(x^2+1)/(2*x)", 5)
     s_gs = pts("1", "-1", "i", "-i", "0", "inf", ctx=F25)
-    assert lenstra_check(f_gs, G, s_gs, F25) is LenstraVerdict.INCONCLUSIVE
+    assert lenstra_check(f_gs, G, s_gs) is LenstraVerdict.INCONCLUSIVE
 
 
 def test_lenstra_requires_complete_set():
@@ -162,20 +162,51 @@ def test_criteria_equivalence_random_sets():
             s0 = rng.sample(points, rng.randint(1, 5))
         pre, missing = fixtures.map_preimage(F, s0, big)
         assert missing == 0
-        both = all(is_complete(F, G, pre, big))
-        div = divisorial_check(F, G, s0, big)
+        both = all(is_complete(F, G, pre))
+        div = divisorial_check(F, G, s0)
         assert both == div
         hits[div] += 1
     assert hits[True] and hits[False]  # both directions exercised
 
 
-def test_criterion_report_shape():
-    s = pts("0", "1", "-1", "1/3", "-1/3", "inf", ctx=F25)
+def test_s0_half_pulls_s0_back_once_per_map(monkeypatch):
+    # the divisorial identity and both restricted differents come from the
+    # same two pullbacks of div(S0)
+    calls = []
+    real = divisor.pullback
+
+    def counted(m, d):
+        calls.append(m)
+        return real(m, d)
+
+    monkeypatch.setattr(divisor, "pullback", counted)
+    monkeypatch.setattr(feq, "pullback", counted)
+    s0, rho = feq._s0_half(F, G, pts("inf", "1/9", "0", "1", "0"))
+    assert calls == [F, G]
+    assert s0 == pts("0", "1", "1/9", "inf")
+    gap = restricted_different(F, s0) - restricted_different(G, s0)
+    assert principal_divisor(rho) == gap
+
+
+def test_points_over_two_fields_are_refused():
+    # a point over F_5 never equals one over F_25: a set or S0 with both
+    # has no field to work over
+    mixed = pts("0", "1", "1/9") + pts("inf", ctx=F25)
+    for check in (is_complete, divisorial_check, lenstra_check):
+        with pytest.raises(ValueError, match="must live over one field"):
+            check(F, G, mixed)
+    # T0 lies over S0's field
     s0 = pts("0", "1", "1/9", "inf", ctx=F25)
-    t0 = fixtures.splitting_points(5, F25)
-    report = criterion_report(F, G, s, s0, t0, F25)
-    assert report.forward_complete and report.backward_complete
-    assert report.divisorial_holds and report.functional.holds
-    obj = report.to_json_obj()
-    assert obj["functional"]["s"] == 1 and obj["functional"]["t"] == 1
-    assert isinstance(obj["functional"]["constant"], str)
+    with pytest.raises(ValueError, match="must live over one field"):
+        regularness_check(F, G, s0, pts("2"))
+
+
+def test_empty_sets_are_refused():
+    for check in (is_complete, divisorial_check, lenstra_check):
+        with pytest.raises(ValueError, match="empty point set"):
+            check(F, G, [])
+    with pytest.raises(ValueError, match="empty point set"):
+        regularness_check(F, G, [], pts("2"))
+    # an empty T0 is refused as such, before its field is looked for
+    with pytest.raises(ValueError, match="T0 must be nonempty"):
+        regularness_check(F, G, pts("0", "1", "1/9", "inf", ctx=F25), [])

@@ -35,7 +35,7 @@ def test_rho_is_the_criterion_function(name, p):
     # that the functional criterion computes, not only up to a constant
     ctx = FieldCtx(p, 2)
     bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
-    _, rho = feq._s0_half(bound.f, bound.g, bound.s0, ctx)
+    _, rho = feq._s0_half(bound.f, bound.g, bound.s0)
     assert ratfun_proportional(rho, p1.ratfun_parse(bound.fixture.rho_expr, ctx)) == ctx.one()
 
 
@@ -205,11 +205,11 @@ def test_chain_check_is_exact():
     ctx = FieldCtx(5, 2)
     chain = fixtures.FIXTURES["gs-tower"].chain
     gs = TowerGraph(map_parse("(x^2+1)/(2*x)", 5), map_parse("y^2", 5), ctx)
-    assert fixtures._gs_chain_ok(gs, ctx)
-    assert not fixtures._gs_chain_ok(gs, ctx, chain[:-1])  # inf's loop is left over
-    assert not fixtures._gs_chain_ok(gs, ctx, chain + (("0", "1"),))
+    assert fixtures._gs_chain_ok(gs)
+    assert not fixtures._gs_chain_ok(gs, chain[:-1])  # inf's loop is left over
+    assert not fixtures._gs_chain_ok(gs, chain + (("0", "1"),))
     new = TowerGraph(map_parse("(x^2+x)/(3*x-1)", 5), map_parse("y^2", 5), ctx)
-    assert not fixtures._gs_chain_ok(new, ctx)
+    assert not fixtures._gs_chain_ok(new)
 
 
 def test_verify_toy():
@@ -290,7 +290,7 @@ def test_fp_certificate_matches_oracle(p, ext):
     s, t, constant, r_f = feq.splitting_criterion(f, bound.g, bound.s0, r)
 
     oracle_t0 = fixtures.splitting_points(p, ctx)
-    report = feq.regularness_check(f, bound.g, bound.s0, oracle_t0, ctx)
+    report = feq.regularness_check(f, bound.g, bound.s0, oracle_t0)
     assert Poly(FieldCtx(p), r) == fixtures.chi_from_graph(graph)
     assert Poly(ctx, r) == Poly.from_roots(ctx, [q.x for q in oracle_t0])
     assert len(r) - 1 == p - 1 and report.holds
@@ -405,7 +405,7 @@ def _oracle_splitting_checks(name, p):
     bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
     regular = TowerGraph(bound.f, bound.g, ctx).regular_components()[0]
     t0 = fixtures.splitting_points(p, ctx)
-    report = feq.regularness_check(bound.f, bound.g, bound.s0, t0, ctx)
+    report = feq.regularness_check(bound.f, bound.g, bound.s0, t0)
     pre, missing = fixtures.map_preimage(bound.f, t0, ctx)
     return [
         ("splitting-values-rational", len(t0) == p - 1, f"{len(t0)} of {p - 1}"),
@@ -467,7 +467,9 @@ def test_certificate_keeps_the_criterion_preconditions(monkeypatch):
         m.setattr(fixtures, "series_bridge", lambda p: pmul(bridge(p), [0, 1], p))
         with pytest.raises(RamifiedT0, match="at the roots of x$"):
             fixtures.verify_fixture("new-tower", p)
-    monkeypatch.setattr(feq, "divisorial_check", lambda *args: False)
+    # an S0 whose preimage is not complete: the criterion refuses it
+    incomplete = dataclasses.replace(fixtures.FIXTURES["new-tower"], s0_exprs=("0", "1", "inf"))
+    monkeypatch.setitem(fixtures.FIXTURES, "new-tower", incomplete)
     with pytest.raises(NotComplete):
         fixtures.verify_fixture("new-tower", p)
 

@@ -48,7 +48,7 @@ def _graph(p):
 
 
 def test_report_rows_p5():
-    rows = asymptotic_report(5, 10, _graph(5))
+    rows = asymptotic_report(10, _graph(5))
     by_n = {r.n: r for r in rows}
     assert by_n[1].ratio is None and by_n[1].genus == 0
     assert by_n[10].n_lower == 4096 and by_n[10].genus == 961
@@ -57,12 +57,12 @@ def test_report_rows_p5():
 
 
 def test_report_ratio_tends_to_p_minus_1():
-    rows = asymptotic_report(13, 16, _graph(13))
+    rows = asymptotic_report(16, _graph(13))
     assert abs(rows[-1].ratio - 12) < 0.1
 
 
 def test_report_carries_both_genus_routes():
-    rows = asymptotic_report(5, 6, _graph(5))
+    rows = asymptotic_report(6, _graph(5))
     for r in rows:
         if r.n >= 2:
             assert r.genus_sum == r.genus_closed == r.genus
@@ -73,7 +73,7 @@ def test_report_carries_both_genus_routes():
 
 def test_report_rows_keep_the_summation_route_to_200():
     # the rows carry the sum as a running tail; each must be genus_sum(n)
-    rows = asymptotic_report(5, 200, _graph(5))
+    rows = asymptotic_report(200, _graph(5))
     assert [r.genus_sum for r in rows] == [None] + [genus_sum(n) for n in range(2, 201)]
     assert [r.delta for r in rows] == [None] + [delta(n) for n in range(2, 201)]
 
@@ -82,21 +82,21 @@ def test_report_refuses_other_towers():
     graph = TowerGraph(map_parse("(x^2+1)/(2*x)", 5), map_parse("y^2", 5),
                        FieldCtx(5, 2))
     with pytest.raises(ValueError):
-        asymptotic_report(5, 5, graph)
+        asymptotic_report(5, graph)
 
 
 def test_report_requires_regular_component():
     graph = TowerGraph(map_parse("(x^2+x)/(3*x-1)", 5), map_parse("y^2", 5),
                        FieldCtx(5))
     with pytest.raises(NoRegularComponent):
-        asymptotic_report(5, 5, graph)
+        asymptotic_report(5, graph)
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_report_rows_match_per_row_path_counts(p):
     graph = _graph(p)
     support = [v for c in graph.regular_components() for v in c.vertices]
-    rows = asymptotic_report(p, 12, graph)
+    rows = asymptotic_report(12, graph)
     assert [r.n for r in rows] == list(range(1, 13))
     assert [r.n_lower for r in rows] == [graph.count_paths(n - 1, support)
                                         for n in range(1, 13)]
@@ -104,7 +104,7 @@ def test_report_rows_match_per_row_path_counts(p):
 
 def test_report_needs_a_row():
     with pytest.raises(BadIndex):
-        asymptotic_report(5, 0, _graph(5))
+        asymptotic_report(0, _graph(5))
 
 
 def test_disagreeing_genus_routes_raise_a_tower_error():

@@ -1,6 +1,7 @@
 """Golden output: the sha256 of `verify` stdout, and its exit code, for every
-fixture at every prime 5 <= p <= 47, of three `graph` exports per fixture, and
-of a few runs of every other command (``COMMAND_GOLDEN``).
+fixture at every prime 5 <= p <= 47, also of its stderr at ext 1 and 3 where
+p^ext <= 20000 (``EXT_GOLDEN``), of three `graph` exports per fixture, and of
+a few runs of every other command (``COMMAND_GOLDEN``).
 
 The digests pin the report bytes (check names and order, details, constants
 and JSON layout), so a change to the arithmetic below `verify` that alters
@@ -131,3 +132,90 @@ def test_command_stdout_matches_golden_digest(capsys, argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == COMMAND_GOLDEN[argv]
+
+
+# `verify` at ext 1 and 3, for every fixture and prime with p^ext <= 20000:
+# the exit code and the sha256 of stdout and stderr joined by a NUL.  Two in
+# three of these runs fail, so they pin the failure reports that the ext-2
+# digests above never reach: exit 1 with failed checks (new-tower, and
+# gs-tower where i is rational), exit 2 with gs-tower's missing i on
+# stderr.  Made from the code whose criteria still took a field beside
+# their points.
+EXT_GOLDEN = {
+    "new-tower": {
+        (5, 1): (1, "796a7909dd6d4ccfaf11d156572d35db8fa58cedac3c40232a6110549f670a8e"),
+        (7, 1): (1, "7049891a5aa1700a5ca3c805273a6aa4605ad5e630403f96b77e2f9872c43006"),
+        (11, 1): (1, "44db8354f07f133e7b3407543a0c266e98340c9667bc2140ec0d149f116b58ae"),
+        (13, 1): (1, "e0bdee5e92a69e5b70c852d09e25ba8b22431b1438483af34f51abec12af5d80"),
+        (17, 1): (1, "477fd7a79b9afc6b92a3b70f33ba29c6038de2c41bcdb0b486f87818ae398ca8"),
+        (19, 1): (1, "50cc97126700075be407b9bb988f2fb59917cd939dd449f83225c5a5fad0f48a"),
+        (23, 1): (1, "da4bdb3579ba5d1ef072c1652673609ec60f9293f95c6acaae8b8e15a1d689f6"),
+        (29, 1): (1, "24213d74c13c8d47db9b23fd2a0b8d90595637c0b8a6f2c03d0178fe85dadd1d"),
+        (31, 1): (1, "bf61b0ffb85e69a70f99e840dd9200a6cab623043aa6cda4f4744fcee3d84a81"),
+        (37, 1): (1, "f811da38af5d958e30f52fb3c955151c28e2cf3cb7069e83130df609d7b5cd0b"),
+        (41, 1): (1, "e935f50f5b58d44926d166138529836d5bf0cfaaebdda66c2b3b7ff6a89818c9"),
+        (43, 1): (1, "c2d70d2e1d8f274ca5ee83c7d9de62b761c09c3645792aae27c11868863d49a0"),
+        (47, 1): (1, "b744b81f653e67121c5d3aad55e2e563e321beb98a2b71e90cc0be2ba5adec27"),
+        (5, 3): (1, "873041c8360bc9f58d93ea359ad50a2451b18d42b77f97e1036c76b672e8fcbe"),
+        (7, 3): (1, "d2f7a5097acd88abfced92737f97ffcca269b48db8d7074d6175cae382e90c94"),
+        (11, 3): (1, "756e171836221bdf21d8ecd62bbaaefbb03e92d83aed7be826db513471869211"),
+        (13, 3): (1, "ab6987a8022f7a4e74679ae3cfc9f757bd9417ffa2f4019066eb158d70087db1"),
+        (17, 3): (1, "3d6328fd9cada09ac702d1d43b537e29f9f20066c421b4a5dd2aa59ea24df615"),
+        (19, 3): (1, "a173f617cf28356c5bc00774fce3c0f0c492651fce090a9221901f37eaa7fae2"),
+        (23, 3): (1, "645f4322aeb44377e5039e8f3e1260ddee9046ccc66d0520a7ffd65b4c72d00b"),
+    },
+    "gs-tower": {
+        (5, 1): (1, "9590cc29cbf37cfc5cc25288692ec809bb3cabe69e2266205b4b378a05004054"),
+        (7, 1): (2, "d51d1942790889c6d03fbf61c7d95e2fdeb18d6ad104c64a6abfb93374911e65"),
+        (11, 1): (2, "a530c15f2536f53d9e13137686ecbcf1524af14e105fdc20b8653f535dbc2319"),
+        (13, 1): (1, "3f76ec36b216427445c2f3fb5b34d11970c4c4350aeaf74791c70782bafddf4e"),
+        (17, 1): (1, "c14c0ed08a83a374f2471348c266561f24b4a403b8f961e1e8d14b2083ea1fa2"),
+        (19, 1): (2, "1b45cbca1bf76394bb39420aa4d6b265357a1fa634557d349bc27ab0d145392c"),
+        (23, 1): (2, "37e2d7254d64cfccaa1a321294abae5cd81544bad583040599b0b0f9e07b38bb"),
+        (29, 1): (1, "401b6b19700726b15ed6722782783a8a82018f08e0b8a56fdc0e6922c7d93e2c"),
+        (31, 1): (2, "b6610973fc671d9a95ebf10e86dfc0abfa9b4169448e46843eb7c042153041db"),
+        (37, 1): (1, "6fe4e740e6eeb1d9f3b9f19e38c4c74ba8a6c1f83c8e409fe30746ff393aa227"),
+        (41, 1): (1, "2c1a28dc013268f8a3e3ef05921a416ab074a0b695cd549334f00349954219b5"),
+        (43, 1): (2, "33e2e23e5c1ad7d90d42bf9e879c2bd82b575161b32afa906e9cb7e1a580511f"),
+        (47, 1): (2, "99b909f2adbe95eed4f98f9c5104fbb8d266eaa3577b4d8f4049d610d9dc55b8"),
+        (5, 3): (1, "336a55447f981947379bff4b59d753adfc8cefd89bba388e31b705782db09232"),
+        (7, 3): (2, "26fde4c687be300afccc01d68139c28f98491455799d188afe049dcce8151507"),
+        (11, 3): (2, "aeda2c2aa3b7aa9d669d82c515a39a20bbc583f3c79fc4d81c30163ff17f7e84"),
+        (13, 3): (1, "b24d9f0d98a1aadddb85824ce55c0e2e3150500a3c64c763389a9b254ca26366"),
+        (17, 3): (1, "ea17e53bae8dac00ad5ef95cd39f5bc6f2dbdd6bc9e6d18a409f4a896a267ca4"),
+        (19, 3): (2, "80d61ce5aa0bfc26d4be5fcb77f436f74cd8916e33608debeb027d4d0308bfd9"),
+        (23, 3): (2, "01501f76319281e90a2f8397d75ad84eb6338df52cc7f43726b347ca3bad0ec8"),
+    },
+    "type-a-toy": {
+        (5, 1): (0, "9cbdcd26a7a09ae7a48a96eb87417bddccc0a22acffd1c10c2a54b83c630af76"),
+        (7, 1): (0, "10d66fe83b117ac187e106c9bdde2a6f604ba4ac693e557e1f12ba6b453d1cfa"),
+        (11, 1): (0, "77ab4a5e7160c255813250e59987f3a3b49f980b4e6d482a6244e2a69ed6e170"),
+        (13, 1): (0, "a33f0e5814822d415ef963d0387184b6b98f4742848fa93540d667ab4fd1b072"),
+        (17, 1): (0, "200dd29d3cc60b281ece874bf5c9090309c7efb3bb760224c0b2f4d01315ee4c"),
+        (19, 1): (0, "2862b301ace7e7297ba56a7ead76c1bdcd71495a3a69b35430b1f15bcfb3eed3"),
+        (23, 1): (0, "7a4fb667ce32fab994003ae59c1ee5b10bf738d8245542e516ddb0273bdc4d68"),
+        (29, 1): (0, "cf8482208487be297604e1d4ffda70b0b7e6cf62d56948896bc9cab972f0a038"),
+        (31, 1): (0, "5bccb9e94fd19bc71de132027a15504bd23cfb2a94b57043b12a4030f3787a8e"),
+        (37, 1): (0, "c86d340bb5ca749a4f715eb590101e50e96cf9955caedb4ffe1ebe06e8aab250"),
+        (41, 1): (0, "3ddd8971a71425d977ac60b8726e965d3a71f739694edd3b4b86b1a738ea9789"),
+        (43, 1): (0, "1e13be482b3e330026099d504234bb344cd043782622d52e74cb293beb8285ca"),
+        (47, 1): (0, "777501e78fc00ee2584e2f769c07713cfa50a704b3d100f08d45e13e3cffd967"),
+        (5, 3): (0, "ab004302043c296ef4e5f4322bf1ef949be37a64f359ac646a1cfe10aae008db"),
+        (7, 3): (0, "2869f8045990c6585835676982372c9f122dc803d298ecf23a9e896e42deeac0"),
+        (11, 3): (0, "f9a468fd123466ebd8252b9c3b24141740f56f3997c4fb4de3bce7697145fb3b"),
+        (13, 3): (0, "51b9ca609e8aabd0829c9e42a5e128eb3d9770c5d69f00a1bcbaf56cae8de304"),
+        (17, 3): (0, "a3aa7a4b8ce17da12254fcd8becc20b3a30262498b9dea3c4dbec7a52db9776a"),
+        (19, 3): (0, "76b1fd9c8cba0bcc81fe4b0fc2f58fac73da75091f543f13eeb7ae736d7cebfe"),
+        (23, 3): (0, "a0b384df4d603561fbf9416197e825304e772d4b4681277bc8325988eba2952b"),
+    },
+}
+
+
+@pytest.mark.parametrize("fixture, p, ext, rc, digest", [
+    (fx, p, ext, rc, digest)
+    for fx, rows in EXT_GOLDEN.items() for (p, ext), (rc, digest) in rows.items()
+])
+def test_verify_at_ext_1_and_3_matches_golden_digest(capsys, fixture, p, ext, rc, digest):
+    code = main(["verify", "--fixture", fixture, "--p", str(p), "--ext", str(ext)])
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()) == (rc, digest)

@@ -300,12 +300,12 @@ def test_ramification_needs_tame_characteristic():
         with pytest.raises(BadPrime):
             ramification(m, ctx)
         with pytest.raises(BadPrime):
-            restricted_different(m, [pt("inf", ctx)], ctx)
+            restricted_different(m, [pt("inf", ctx)])
     # checked before any pullback: the fiber of x^2+x over 1 is not rational
     # over F_2, and would raise InsufficientField first
     f2 = FieldCtx(2)
     with pytest.raises(BadPrime):
-        divisorial_check(map_parse("x^2+x", 2), map_parse("y^2", 2), [pt("1", f2)], f2)
+        divisorial_check(map_parse("x^2+x", 2), map_parse("y^2", 2), [pt("1", f2)])
     assert ramification(map_parse("y^2", 3), f9) == {pt("0", f9): 2, pt("inf", f9): 2}
 
 
