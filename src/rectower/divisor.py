@@ -2,9 +2,9 @@
 
 A divisor is a finite integer combination of points over one field: the
 field its points carry, which only the empty divisor needs given
-(``Divisor.zero``, ``Divisor.of_set``).  Operations that would need points
-outside that field raise InsufficientField instead of silently dropping
-mass.
+(``Divisor.zero``; ``Divisor.of_set`` reads it by ``p1.field_of``).
+Operations that would need points outside that field raise
+InsufficientField instead of silently dropping mass.
 Because the line has trivial divisor class group, every degree-zero
 divisor is principal and can be turned back into a rational function,
 which is what makes the functional splitting criterion effective here.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import InsufficientField, NonzeroDegree, ZeroFunction
 from .ff import FieldCtx
-from .p1 import ProjPoint, RatMap, fiber, require_tame
+from .p1 import ProjPoint, RatMap, fiber, field_of, require_tame
 from .upoly import Poly, RatFun
 
 
@@ -34,14 +34,11 @@ class Divisor:
         return cls(ctx, {})
 
     @classmethod
-    def of_set(cls, points, ctx: FieldCtx = None) -> "Divisor":
-        """div(S): each point of the (finite) set with multiplicity one."""
+    def of_set(cls, points) -> "Divisor":
+        """div(S): each point of the finite set with multiplicity one, over
+        the points' one field (``p1.field_of``: ValueError if none or two)."""
         points = list(points)
-        if ctx is None:
-            if not points:
-                raise ValueError("empty set needs an explicit field context")
-            ctx = points[0].ctx
-        return cls(ctx, {p: 1 for p in points})
+        return cls(field_of(points), {p: 1 for p in points})
 
     # -- queries ------------------------------------------------------------
 
@@ -88,7 +85,7 @@ class Divisor:
 
     def __eq__(self, other):
         return (isinstance(other, Divisor)
-                and self.ctx.key() == other.ctx.key()
+                and self.ctx == other.ctx
                 and self.mults == other.mults)
 
     def __hash__(self):
@@ -114,7 +111,7 @@ class Divisor:
 
 def pullback(m: RatMap, d: Divisor) -> Divisor:
     """m* D: the sum of k m*[t] over the terms k[t] of D."""
-    return sum((k * fiber(m, t, d.ctx) for t, k in d.items()), Divisor.zero(d.ctx))
+    return sum((k * fiber(m, t) for t, k in d.items()), Divisor.zero(d.ctx))
 
 
 def _less_support(pulled: Divisor) -> Divisor:

@@ -18,7 +18,8 @@ ram(g) by points in the oracle and by gcd(R, W_g) = 1 in production.
 
 No criterion takes a field beside its points: S, S0 and T0 are points of
 P^1(F_{p^r}), which carry F_{p^r}, and each criterion reads its field off
-them, raising ValueError for an empty set or for points over two fields.
+them (``p1.field_of``, as ``Divisor.of_set`` does), raising ValueError for
+an empty set or for points over two fields.
 The divisorial identity, the S0 half and the non-existence test pull
 div(S0) back once per map and read both restricted differents off those
 two pullbacks.
@@ -43,18 +44,8 @@ from typing import Optional
 from .divisor import Divisor, _less_support, divisor_to_function, pullback
 from .errors import FieldMismatch, NotComplete, RamifiedT0
 from .ff import FieldCtx, FieldElem, pgcd, pmul, ppow, pproportional, psubst
-from .p1 import RatMap, map_preimage, ramification, require_tame
+from .p1 import RatMap, field_of, map_preimage, ramification, require_tame
 from .upoly import Poly, RatFun, compose_rational, prime_field_ints, ratfun_proportional
-
-
-def _working_ctx(points) -> FieldCtx:
-    """The one field that all the points lie over."""
-    fields = {q.ctx.key(): q.ctx for q in points}
-    if not fields:
-        raise ValueError("an empty point set has no field")
-    if len(fields) > 1:
-        raise ValueError("all points must live over one field")
-    return fields.popitem()[1]
 
 
 def is_complete(f: RatMap, g: RatMap, s):
@@ -65,10 +56,10 @@ def is_complete(f: RatMap, g: RatMap, s):
     raising; the verdict is exact either way.
     """
     sset = set(s)
-    ctx = _working_ctx(sset)
+    field_of(sset)  # a nonempty set over one field, or ValueError
 
     def direction(src: RatMap, back: RatMap) -> bool:
-        pre, missing = map_preimage(back, {src.eval(p) for p in sset}, ctx)
+        pre, missing = map_preimage(back, {src.eval(p) for p in sset})
         return not missing and pre <= sset
 
     return direction(f, g), direction(g, f)
@@ -77,11 +68,9 @@ def is_complete(f: RatMap, g: RatMap, s):
 def _differents(f: RatMap, g: RatMap, s0):
     """Whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0), then D_f(S0) and
     D_g(S0), each its map's one pullback of div(S0) less its support."""
-    points = list(s0)
-    ctx = _working_ctx(points)
+    d0 = Divisor.of_set(s0)
     for m in (f, g):
         require_tame(m, "the different")
-    d0 = Divisor.of_set(points, ctx)
     pull_f, pull_g = pullback(f, d0), pullback(g, d0)
     d_f, d_g = _less_support(pull_f), _less_support(pull_g)
     return pull_f - pull_g == d_f - d_g, d_f, d_g
@@ -136,12 +125,12 @@ def regularness_check(f: RatMap, g: RatMap, s0, t0) -> FunctionalReport:
     s0_points, rho = _s0_half(f, g, s0)
     t0_points = set(t0)
     s, t = _exponents(len(s0_points), len(t0_points))
-    ctx = _working_ctx([*s0_points, *t0_points])
+    ctx = field_of([*s0_points, *t0_points])
     bad = sorted(str(q) for q in ramification(g, ctx, strict=False) if q in t0_points)
     if bad:
         raise RamifiedT0(f"T0 meets the ramification locus of g at {bad}")
     phi = divisor_to_function(
-        s * Divisor.of_set(t0_points, ctx) - t * Divisor.of_set(s0_points, ctx))
+        s * Divisor.of_set(t0_points) - t * Divisor.of_set(s0_points))
 
     lhs = (rho ** t) * compose_rational(phi, f)
     rhs = compose_rational(phi, g)

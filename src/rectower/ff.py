@@ -370,7 +370,7 @@ class FieldCtx:
     default deterministic for fixed (p, r) without any polynomial tables.
     """
 
-    __slots__ = ("p", "r", "modulus", "_dlog", "_gen_checked", "_sqrt")
+    __slots__ = ("p", "r", "modulus", "_key", "_dlog", "_gen_checked", "_sqrt")
 
     def __init__(self, p: int, r: int = 1, modulus=None):
         if not is_prime(p):
@@ -393,6 +393,7 @@ class FieldCtx:
             if not _is_irreducible(list(modulus), p):
                 raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
             self.modulus = modulus
+        self._key = (p, r, self.modulus)  # the modulus is fixed from here on
         self._dlog = None
         self._gen_checked = False
         self._sqrt = None
@@ -412,13 +413,13 @@ class FieldCtx:
         return self.p ** self.r
 
     def key(self):
-        return (self.p, self.r, self.modulus)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, FieldCtx) and self.key() == other.key()
+        return isinstance(other, FieldCtx) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         if self.r == 1:
@@ -435,7 +436,7 @@ class FieldCtx:
     def elem(self, value) -> "FieldElem":
         """Element from an int (constant), a coefficient sequence, or a FieldElem."""
         if isinstance(value, FieldElem):
-            if value.ctx.key() != self.key():
+            if value.ctx != self:
                 if value.ctx.r == 1 and value.ctx.p == self.p:
                     return self.lift(value.coeffs[0])
                 raise FieldMismatch(f"cannot coerce {value!r} into {self!r}")
@@ -614,7 +615,7 @@ class FieldElem:
             return self, self.ctx.lift(other)
         if not isinstance(other, FieldElem):
             return None
-        if other.ctx is self.ctx or other.ctx.key() == self.ctx.key():
+        if other.ctx is self.ctx or other.ctx == self.ctx:
             return self, other
         if other.ctx.p != self.ctx.p:
             raise FieldMismatch("elements of different characteristics")
@@ -704,7 +705,7 @@ class FieldElem:
         if isinstance(other, int):
             return self == self.ctx.lift(other)
         return (isinstance(other, FieldElem)
-                and (self.ctx is other.ctx or self.ctx.key() == other.ctx.key())
+                and (self.ctx is other.ctx or self.ctx == other.ctx)
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

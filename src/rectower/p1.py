@@ -9,8 +9,9 @@ written fraction can degenerate (proportional rows and common roots).
 
 Points carry their field context; maps carry only the characteristic, so
 one map can be evaluated over every extension of its prime field.  A fiber
-is rational over the working field or reports the mass it misses there:
+is rational over its target's field or reports the mass it misses there:
 ``fiber_counts`` for one target, ``map_preimage`` for a set of targets.
+``field_of`` gives a point set its one field, for ``divisor`` and ``feq`` too.
 
 Maps, functions and points are written in one grammar (``parse_fraction``):
 integer literals, one variable (x or y), + - * /, signs, brackets,
@@ -72,7 +73,7 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if self.ctx.key() != other.ctx.key():
+        if self.ctx != other.ctx:
             return False
         if self.is_infinity or other.is_infinity:
             return self.is_infinity and other.is_infinity
@@ -97,11 +98,21 @@ class ProjPoint:
         return lbl if lbl is not None else str(self.x)
 
 
+def field_of(points) -> FieldCtx:
+    """The one field that all the points lie over."""
+    fields = {q.ctx for q in points}
+    if not fields:
+        raise ValueError("an empty point set has no field")
+    if len(fields) > 1:
+        raise ValueError("all points must live over one field")
+    return fields.pop()
+
+
 class RatMap:
     """A degree-d rational self-map of P^1 over F_p.
 
     Each fiber the map is asked for is kept, keyed by its target (which
-    carries the working field), for as long as the map lives (see
+    carries its field), for as long as the map lives (see
     ``fiber_counts``)."""
 
     __slots__ = ("p", "d", "N", "D", "_fibers")
@@ -325,36 +336,36 @@ def require_tame(m: RatMap, what: str):
         raise BadPrime(f"{what} of a degree-{m.d} map needs p > {m.d}, got {m.p}")
 
 
-def _fiber_form(m: RatMap, t: ProjPoint, ctx: FieldCtx) -> Poly:
-    """The fiber form N - t*D of m over t, affinely (D for t = inf): its
-    roots are the affine points of m^{-1}(t), and the gap between m.d and
-    its degree is the multiplicity of infinity there."""
-    den = Poly(ctx, m.den_coeffs)
-    return den if t.is_infinity else Poly(ctx, m.num_coeffs) - den * t.x
+def _fiber_form(m: RatMap, t: ProjPoint) -> Poly:
+    """The fiber form N - t*D of m over t, affinely (D for t = inf), over
+    t's field: its roots are the affine points of m^{-1}(t), and the gap
+    between m.d and its degree is the multiplicity of infinity there."""
+    den = Poly(t.ctx, m.den_coeffs)
+    return den if t.is_infinity else Poly(t.ctx, m.num_coeffs) - den * t.x
 
 
-def fiber_counts(m: RatMap, t: ProjPoint, ctx: FieldCtx):
-    """Rational part of the fiber m^{-1}(t) over ctx.
+def fiber_counts(m: RatMap, t: ProjPoint):
+    """Rational part of the fiber m^{-1}(t) over t's field.
 
     Returns (counts, missing) where counts maps points to multiplicities in
     the degree-d fiber form t1*N - t0*D and missing is the multiplicity not
-    rational over ctx.  Each fiber is found once per map: later calls return
-    the same read-only counts.
+    rational over t's field.  Each fiber is found once per map: later calls
+    return the same read-only counts.
     """
-    if ctx.p != m.p or t.ctx.key() != ctx.key():
-        raise FieldMismatch("fiber target must live over the working field")
-    if t not in m._fibers:  # t lives over ctx, and points of other fields differ from it
-        counts, missing = _find_fiber(m, t, ctx)
+    if t.ctx.p != m.p:
+        raise FieldMismatch("fiber target has the wrong characteristic")
+    if t not in m._fibers:  # points of other fields differ from t
+        counts, missing = _find_fiber(m, t)
         m._fibers[t] = MappingProxyType(counts), missing
     return m._fibers[t]
 
 
-def _find_fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
+def _find_fiber(m: RatMap, t: ProjPoint):
     """The work behind ``fiber_counts``: the roots of the fiber form."""
-    f = _fiber_form(m, t, ctx)
+    f = _fiber_form(m, t)
     counts = {}
     if f.degree < m.d:
-        counts[ProjPoint.infinity(ctx)] = m.d - f.degree
+        counts[ProjPoint.infinity(t.ctx)] = m.d - f.degree
     roots = f.roots()
     for root in roots:
         pt = ProjPoint.affine(root)
@@ -362,35 +373,35 @@ def _find_fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
     return counts, f.degree - len(roots)
 
 
-def map_preimage(m: RatMap, targets, ctx: FieldCtx):
+def map_preimage(m: RatMap, targets):
     """The rational points of m^{-1}(targets); second value is the fiber
-    mass missing from ctx (0 means the preimage is complete)."""
+    mass missing from the targets' field (0: the preimage is complete)."""
     out = set()
     missing = 0
     for t in targets:
-        counts, miss = fiber_counts(m, t, ctx)
+        counts, miss = fiber_counts(m, t)
         out.update(counts)
         missing += miss
     return out, missing
 
 
-def fiber(m: RatMap, t: ProjPoint, ctx: FieldCtx):
+def fiber(m: RatMap, t: ProjPoint):
     """The full fiber divisor m*[t]; raises InsufficientField when part of
-    the fiber is not rational over ctx (never drops mass silently)."""
+    the fiber is not rational over t's field (never drops mass silently)."""
     from .divisor import Divisor
-    counts, missing = fiber_counts(m, t, ctx)
+    counts, missing = fiber_counts(m, t)
     if missing:
         raise InsufficientField(
-            f"fiber of {t} under {m} has multiplicity {missing} outside {ctx!r}",
+            f"fiber of {t} under {m} has multiplicity {missing} outside {t.ctx!r}",
             missing=missing)
-    return Divisor(ctx, counts)
+    return Divisor(t.ctx, counts)
 
 
 def point_multiplicity_in_fiber(m: RatMap, point: ProjPoint) -> int:
     """Ramification index e_m(point), by the fiber route: the multiplicity of
     the point in the fiber form over its own image.  ``ramification`` reads
     the indices off the Wronskian instead; this is the tests' oracle."""
-    f = _fiber_form(m, m.eval(point), point.ctx)
+    f = _fiber_form(m, m.eval(point))
     return m.d - f.degree if point.is_infinity else f.multiplicity(point.x)
 
 

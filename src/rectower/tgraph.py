@@ -276,7 +276,7 @@ class TowerGraph:
 
     def index(self, point: ProjPoint) -> int:
         """Position of a point of this graph's line among the vertices."""
-        if point.ctx.key() != self.ctx.key():
+        if point.ctx != self.ctx:
             raise FieldMismatch(f"point {point} lies over {point.ctx!r}, not {self.ctx!r}")
         return self.ctx.order if point.is_infinity else self.ctx.element_index(point.x)
 

@@ -21,7 +21,7 @@ from .errors import (
     ZeroFunction,
     ZeroPolynomial,
 )
-from .ff import MAX_TABLE_ENTRIES, FieldCtx, FieldElem, power, presultant, psubst
+from .ff import MAX_TABLE_ENTRIES, FieldCtx, FieldElem, power, pradical, presultant, psubst
 
 if TYPE_CHECKING:  # pragma: no cover
     from .p1 import RatMap
@@ -73,7 +73,7 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.zero()
 
     def _check(self, other: "Poly"):
-        if self.ctx.key() != other.ctx.key():
+        if self.ctx != other.ctx:
             raise FieldMismatch("polynomials over different fields")
 
     # -- ring operations --------------------------------------------------------
@@ -167,7 +167,9 @@ class Poly:
         order: degrees 1 and 2 (p odd) in closed form, higher degrees by one
         pass of ``FieldArrays.horner`` over the field, block by block, and
         each root's multiplicity by division.  Fields with more than
-        MAX_TABLE_ENTRIES elements are refused before that pass."""
+        MAX_TABLE_ENTRIES elements are refused before that pass.  F_p
+        coefficients count their distinct roots first (``ff.pradical``): no
+        pass without one, and the pass ends with the block of the last."""
         if self.is_zero():
             raise ZeroPolynomial("roots of the zero polynomial")
         if self.degree == 0:
@@ -189,18 +191,24 @@ class Poly:
         if q > MAX_TABLE_ENTRIES:
             raise FieldTooLarge(f"{self.ctx!r} has {q} elements; root passes are capped at "
                                 f"{MAX_TABLE_ENTRIES}")
+        # F_p coefficients as ints: the monic leading 1 scales x as a scalar
+        coeffs = [c.coeffs if any(c.coeffs[1:]) else c.coeffs[0] for c in self.monic().coeffs]
+        distinct = None  # unknown outside F_p
+        if all(isinstance(c, int) for c in coeffs):
+            distinct = len(pradical(coeffs, q, self.ctx.p)) - 1
+            if not distinct:
+                return []
         import numpy as np  # imported here for the RSS of `import rectower.cli` (ff._kronecker_mul)
         from .fieldarrays import BLOCK, FieldArrays
         field = FieldArrays(self.ctx)
-        # F_p coefficients as ints: the monic leading 1 scales x as a scalar
-        coeffs = [c.coeffs if any(c.coeffs[1:]) else c.coeffs[0] for c in self.monic().coeffs]
-        found = []
+        found, seen = [], 0
         for lo in range(0, q, BLOCK):
             x = field.digits(np.arange(lo, min(lo + BLOCK, q), dtype=np.int64))
             for n in np.flatnonzero(field.is_zero(field.horner(coeffs, x))).tolist():
                 root = self.ctx.element(lo + n)
                 found += [root] * self.multiplicity(root)
-            if len(found) == self.degree:
+                seen += 1
+            if seen == distinct or len(found) == self.degree:
                 break
         return found
 
@@ -221,7 +229,7 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly)
-                and self.ctx.key() == other.ctx.key()
+                and self.ctx == other.ctx
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

@@ -121,7 +121,7 @@ def test_c06_regularness_both_directions():
         ok = ok and rep.holds
         # the preimage components are classified d-regular
         graph = TowerGraph(f, g, ctx)
-        pre, missing = fixtures.map_preimage(f, t0, ctx)
+        pre, missing = fixtures.map_preimage(f, t0)
         ok = ok and missing == 0
         for comp in graph.components():
             if any(v in pre for v in comp.vertices):
@@ -200,7 +200,7 @@ def test_c11_criteria_equivalence():
                 s0.append(rng.choice(points))
         else:
             s0 = rng.sample(points, rng.randint(1, 6))
-        pre, missing = fixtures.map_preimage(f, s0, big)
+        pre, missing = fixtures.map_preimage(f, s0)
         if missing:
             continue
         both = all(feq.is_complete(f, g, pre))

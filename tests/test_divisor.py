@@ -39,8 +39,17 @@ def S0():
 def test_div_of_set_examples():
     d = Divisor.of_set(S0())
     assert d.degree == 4 and d.is_effective()
-    assert Divisor.of_set([], ctx=F5).is_zero()
+    assert Divisor.zero(F5).is_zero()
     assert Divisor.of_set(pts("0", "0")) == Divisor(F5, {pts("0")[0]: 1})
+
+
+def test_div_of_set_reads_one_field_off_its_points():
+    assert Divisor.of_set(pts("0", "inf", ctx=F25)).ctx == F25
+    # 0 over F_5 and inf over F_25 lie over two fields, and [] over none
+    with pytest.raises(ValueError, match="all points must live over one field"):
+        Divisor.of_set(pts("0") + pts("inf", ctx=F25))
+    with pytest.raises(ValueError, match="an empty point set has no field"):
+        Divisor.of_set([])
 
 
 def test_pullback_of_fixture_support():
@@ -93,7 +102,7 @@ def test_restricted_different_is_ramification_over_s0(p):
     for m in maps + [map_parse("y^2", p)]:
         ram = ramification(m, ctx, strict=False)
         branch = {m.eval(q) for q in ram}
-        split = [t for t in rng.sample(line, 12) if not fiber_counts(m, t, ctx)[1]]
+        split = [t for t in rng.sample(line, 12) if not fiber_counts(m, t)[1]]
         assert branch and split
         for s0 in (branch, set(split), branch | set(split[:3])):
             expected = Divisor(ctx, {q: e - 1 for q, e in ram.items() if m.eval(q) in s0})

@@ -56,7 +56,7 @@ def test_divisorial_check_finds_each_fiber_once(monkeypatch):
     calls = []
     real = p1.fiber_counts
     monkeypatch.setattr(p1, "fiber_counts",
-                        lambda m, t, ctx: calls.append((m, t)) or real(m, t, ctx))
+                        lambda m, t: calls.append((m, t)) or real(m, t))
     s0 = pts("0", "1", "1/9", "inf")
     assert divisorial_check(F, G, s0)
     assert len(calls) == 8 and set(calls) == {(m, t) for m in (F, G) for t in s0}
@@ -72,7 +72,7 @@ def test_regularness_holds_for_splitting_values():
     assert (report.a, report.b) == (1, 1)
     # soundness: the preimage components are exactly the d-regular ones
     graph = TowerGraph(F, G, F25)
-    pre, missing = fixtures.map_preimage(F, t0, F25)
+    pre, missing = fixtures.map_preimage(F, t0)
     assert missing == 0
     for comp in graph.components():
         touched = [v for v in comp.vertices if v in pre]
@@ -111,7 +111,7 @@ def test_regularness_fails_for_wrong_values():
     assert not report.holds and report.constant is None
     # soundness: the preimage of the perturbed set is indeed not d-regular
     graph = TowerGraph(F, G, F25)
-    pre, _missing = fixtures.map_preimage(F, swapped, F25)
+    pre, _missing = fixtures.map_preimage(F, swapped)
     touched = [c for c in graph.components() if any(v in pre for v in c.vertices)]
     assert any(c.cls is not ComponentClass.D_REGULAR for c in touched)
 
@@ -160,7 +160,7 @@ def test_criteria_equivalence_random_sets():
                 s0.append(rng.choice(points))
         else:
             s0 = rng.sample(points, rng.randint(1, 5))
-        pre, missing = fixtures.map_preimage(F, s0, big)
+        pre, missing = fixtures.map_preimage(F, s0)
         assert missing == 0
         both = all(is_complete(F, G, pre))
         div = divisorial_check(F, G, s0)

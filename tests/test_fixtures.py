@@ -126,7 +126,7 @@ def test_verify_finds_each_fiber_once(monkeypatch):
     found = []
     real = p1._find_fiber
     monkeypatch.setattr(p1, "_find_fiber",
-                        lambda m, t, ctx: found.append((m, t)) or real(m, t, ctx))
+                        lambda m, t: found.append((m, t)) or real(m, t))
     assert fixtures.verify_fixture("new-tower", 97)["ok"]
     assert len(found) == len(set(found)) == 8
 
@@ -297,7 +297,7 @@ def test_fp_certificate_matches_oracle(p, ext):
     assert (s, t, str(constant)) == (report.s, report.t, str(report.constant))
     # R o f is c prod (x - P) over the affine points of f^{-1}(T0), and its
     # degree drops exactly when infinity is in f^{-1}(T0)
-    pre, missing = fixtures.map_preimage(f, oracle_t0, ctx)
+    pre, missing = fixtures.map_preimage(f, oracle_t0)
     assert missing == 0 and pre == set(graph.regular_components()[0].vertices)
     affine = [q.x for q in pre if not q.is_infinity]
     assert Poly(ctx, r_f) == Poly(ctx, r_f[-1:]) * Poly.from_roots(ctx, affine)
@@ -406,7 +406,7 @@ def _oracle_splitting_checks(name, p):
     regular = TowerGraph(bound.f, bound.g, ctx).regular_components()[0]
     t0 = fixtures.splitting_points(p, ctx)
     report = feq.regularness_check(bound.f, bound.g, bound.s0, t0)
-    pre, missing = fixtures.map_preimage(bound.f, t0, ctx)
+    pre, missing = fixtures.map_preimage(bound.f, t0)
     return [
         ("splitting-values-rational", len(t0) == p - 1, f"{len(t0)} of {p - 1}"),
         ("regularness-criterion", report.holds,
@@ -536,7 +536,7 @@ def test_preimage_size_counts_the_preimage(p, f_expr):
         for h in (h, pmul(h, shift, p)) if shift else (h,):
             r = pradical(h, ctx.order, p)
             t0 = [p1.ProjPoint.affine(x) for x in Poly(ctx, r).roots()]
-            pre, _ = fixtures.map_preimage(f, t0, ctx)
+            pre, _ = fixtures.map_preimage(f, t0)
             r_f = psubst(r, f.num_coeffs, f.den_coeffs, p)
             assert fixtures._preimage_size(r_f, f.d * (len(r) - 1), ctx.order, p) == len(pre)
 

@@ -2,6 +2,7 @@
 Moebius conjugation."""
 
 import functools
+import inspect
 import itertools
 import operator
 import random
@@ -15,6 +16,7 @@ from rectower.errors import (
     BadPrime,
     CompositeP,
     DegreeZero,
+    FieldMismatch,
     InsufficientField,
     MapSyntaxError,
 )
@@ -28,6 +30,7 @@ from rectower.p1 import (
     fiber,
     fiber_counts,
     map_parse,
+    map_preimage,
     mobius_conjugate,
     parse_fraction,
     point_multiplicity_in_fiber,
@@ -242,32 +245,32 @@ def test_eval_over_extension():
 
 def test_fiber_double_point():
     f = map_parse("(x^2+x)/(3*x-1)", 5)
-    assert fiber(f, pt("1"), F5) == Divisor(F5, {pt("1"): 2})
+    assert fiber(f, pt("1")) == Divisor(F5, {pt("1"): 2})
 
 
 def test_fiber_at_infinity():
     f = map_parse("(x^2+x)/(3*x-1)", 5)
-    assert fiber(f, pt("inf"), F5) == Divisor(F5, {pt("1/3"): 1, pt("inf"): 1})
+    assert fiber(f, pt("inf")) == Divisor(F5, {pt("1/3"): 1, pt("inf"): 1})
     g = map_parse("y^2", 5)
-    assert fiber(g, pt("inf"), F5) == Divisor(F5, {pt("inf"): 2})
+    assert fiber(g, pt("inf")) == Divisor(F5, {pt("inf"): 2})
 
 
 def test_fiber_insufficient_field():
     g = map_parse("y^2", 5)
     with pytest.raises(InsufficientField) as err:
-        fiber(g, pt("2"), F5)  # 2 is not a square mod 5
+        fiber(g, pt("2"))  # 2 is not a square mod 5
     assert err.value.missing == 2
     # over the quadratic extension the fiber is complete
-    big = fiber(g, pt("2", F25), F25)
+    big = fiber(g, pt("2", F25))
     assert big.degree == 2
 
 
 def test_fiber_degree_is_constant():
     f = map_parse("(x^2+x)/(3*x-1)", 5)
     for x in F25.elements():
-        counts, missing = fiber_counts(f, ProjPoint.affine(x), F25)
+        counts, missing = fiber_counts(f, ProjPoint.affine(x))
         assert sum(counts.values()) + missing == 2
-    counts, missing = fiber_counts(f, ProjPoint.infinity(F25), F25)
+    counts, missing = fiber_counts(f, ProjPoint.infinity(F25))
     assert sum(counts.values()) + missing == 2
 
 
@@ -433,12 +436,26 @@ def test_point_parse_i_is_the_first_square_root_of_minus_one(p, r):
 def test_fiber_counts_are_found_once_and_read_only():
     f = map_parse("(x^2+x)/(3*x-1)", 5)
     t = pt("1", F25)
-    counts, missing = fiber_counts(f, t, F25)
-    assert fiber_counts(f, t, F25)[0] is counts
+    counts, missing = fiber_counts(f, t)
+    assert fiber_counts(f, t)[0] is counts
     with pytest.raises(TypeError):
         counts[pt("0", F25)] = 1
-    # another working field is another fiber
-    assert fiber_counts(f, pt("1"), F5)[0] is not counts
+    # another field is another fiber
+    assert fiber_counts(f, pt("1"))[0] is not counts
+
+
+def test_fiber_functions_read_the_field_off_their_targets():
+    f = map_parse("(x^2+x)/(3*x-1)", 5)
+    for fn in (fiber_counts, fiber, map_preimage, Divisor.of_set):
+        assert "ctx" not in inspect.signature(fn).parameters
+    # a target's own field cannot differ from itself, only its characteristic
+    # from the map's
+    seven = pt("1", FieldCtx(7))
+    for call in (lambda: fiber_counts(f, seven), lambda: fiber(f, seven),
+                 lambda: map_preimage(f, [seven])):
+        with pytest.raises(FieldMismatch):
+            call()
+    assert map_preimage(f, [pt("1", F25)]) == ({pt("1", F25)}, 0)  # a double point
 
 
 def test_point_sort_order():

@@ -167,7 +167,7 @@ def test_degree_sums_match_edge_count():
 def test_out_degree_matches_fiber_counts():
     graph = TowerGraph(F, G, F25)
     for i, v in enumerate(graph.vertices):
-        counts, _missing = fiber_counts(G, F.eval(v), F25)
+        counts, _missing = fiber_counts(G, F.eval(v))
         assert graph.out_deg[i] == len(counts)
 
 
@@ -177,10 +177,10 @@ def test_regular_component_is_complete():
     forward = set()
     backward = set()
     for v in comp:
-        counts, missing = fiber_counts(G, F.eval(v), F25)
+        counts, missing = fiber_counts(G, F.eval(v))
         assert missing == 0
         forward |= set(counts)
-        counts, missing = fiber_counts(F, G.eval(v), F25)
+        counts, missing = fiber_counts(F, G.eval(v))
         assert missing == 0
         backward |= set(counts)
     assert forward == comp and backward == comp

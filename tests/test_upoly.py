@@ -184,7 +184,9 @@ def _random_poly(rng, elems, degree):
 @pytest.mark.parametrize("p, r", [(p, r) for p in (2, 3, 5, 7, 13) for r in (1, 2, 3)])
 def test_roots_match_the_element_oracle(p, r):
     # degree 3-8 over F_{p^r}: random polynomials, products of repeated
-    # linear factors with a random cofactor, and polynomials with no root
+    # linear factors with a random cofactor, and polynomials with no root;
+    # then F_p coefficients, which count their distinct roots first: random
+    # ones, rootless ones, and the same times linear factors over F_p
     ctx = FieldCtx(p, r)
     rng = random.Random(f"roots:{p}:{r}")
     elems = list(ctx.elements())
@@ -200,6 +202,15 @@ def test_roots_match_the_element_oracle(p, r):
         if not roots_oracle(f):
             cases.append(f)
             rootless += 1
+    prime = elems[:p]  # F_p comes first in element order
+    fp_rootless = []
+    while len(fp_rootless) < 2:
+        f = _random_poly(rng, prime, rng.randint(3, 6))
+        if not roots_oracle(f):
+            fp_rootless.append(f)
+    cases += fp_rootless + [_random_poly(rng, prime, rng.randint(3, 8)) for _ in range(2)]
+    cases += [Poly.from_roots(ctx, rng.choices(prime, k=rng.randint(1, 3))) * f
+              for f in fp_rootless]
     expected = [roots_oracle(f) for f in cases]
     assert [f.roots() for f in cases] == expected
     assert any(len(set(e)) < len(e) for e in expected)  # repeated roots were among them
@@ -217,6 +228,27 @@ def test_roots_in_blocks_equal_one_pass(monkeypatch, p, r):
     whole = [f.roots() for f in cases]
     monkeypatch.setattr(fieldarrays, "BLOCK", 7)
     assert [f.roots() for f in cases] == whole == [roots_oracle(f) for f in cases]
+
+
+def test_roots_over_fp_coefficients_pass_only_to_the_last_distinct_root(monkeypatch):
+    # x^3 + x + 5 has no root in F_2039, so none in F_{2039^2} (3 does not
+    # divide 2): no element is evaluated
+    def forbid(*_args):
+        raise AssertionError("no pass over the field for a rootless F_p polynomial")
+
+    monkeypatch.setattr(fieldarrays.FieldArrays, "horner", forbid)
+    assert Poly(FieldCtx(2039, 2), [5, 1, 0, 1]).roots() == []
+    # (x - 1)^2 (x^2 + 2)(x^3 + x + 1) over F_49 in blocks of 7: x^2 + 2 has
+    # its roots at elements 21 and 28, so the pass ends with block 4 of 7
+    monkeypatch.undo()
+    blocks = []
+    real = fieldarrays.FieldArrays.horner
+    monkeypatch.setattr(fieldarrays.FieldArrays, "horner",
+                        lambda self, coeffs, x: blocks.append(len(x[0])) or real(self, coeffs, x))
+    monkeypatch.setattr(fieldarrays, "BLOCK", 7)
+    f = Poly.from_roots(F49, [1, 1]) * Poly(F49, [2, 0, 1]) * Poly(F49, [1, 1, 0, 1])
+    assert f.roots() == roots_oracle(f) == [F49.lift(1)] * 2 + [F49.element(21), F49.element(28)]
+    assert blocks == [7] * 5
 
 
 def test_roots_above_the_cap_are_refused_before_any_array(monkeypatch):
