@@ -103,7 +103,7 @@ def cmd_feq_check(args) -> int:
         modulus = _parse_modulus(args.modulus)
         if args.ext < 1 or modulus is not None:
             FieldCtx(args.p, args.ext, modulus)
-        bound = fixtures.load_fixture(args.fixture, args.p, ctx=FieldCtx(args.p), check=False)
+        bound = fixtures.load_fixture(args.fixture, FieldCtx(args.p))
         h = fixtures.series_bridge(args.p)
     else:
         bound, graph = _fixture_graph(args)
@@ -188,7 +188,7 @@ _COMMANDS = {
     "feq-check": (cmd_feq_check, "polynomial functional equation check", (
         _P,
         _opt("--fixture", default="new-tower",
-             choices=[n for n, fx in fixtures.FIXTURES.items() if fx.rho_expr is not None]),
+             choices=[n for n, fx in fixtures.FIXTURES.items() if fx.splits]),
         _EXT, _MODULUS), {}),
     "series-check": (cmd_series_check, "series-level identities at a given order", (
         _opt("--order", type=int, default=60), _opt("--p", type=int, default=5)), {}),

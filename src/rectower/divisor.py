@@ -46,9 +46,6 @@ class Divisor:
     def degree(self) -> int:
         return sum(self.mults.values())
 
-    def mult(self, point: ProjPoint) -> int:
-        return self.mults.get(point, 0)
-
     def support(self):
         return sorted(self.mults, key=lambda p: p.sort_key())
 

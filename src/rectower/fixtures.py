@@ -11,11 +11,14 @@ never the tower's name:
   splitting polynomial satisfies the same kind of functional equation, and
   its singular component is a fixed chain of edges (``chain``).
 * ``type-a-toy``: y^2 = x^2+x, a complete loop at infinity with equal
-  restricted differents, so no splitting set can exist (``rho_expr`` None).
+  restricted differents, so no splitting set can exist (``splits`` False).
 
-``load_fixture`` re-checks a fixture's completeness and divisorial
-invariants only with check=True, which no command passes (``verify`` reports
-them as checks).  ``fixture_graph`` binds a fixture and builds its graph, and
+A fixture declares only what cannot be derived: its maps f and g and its
+complete singular set S.  ``load_fixture`` binds it over the one field it is
+given; the bound fixture reads S0 = f(S) off S, and rho, with div(rho) =
+D_f(S0) - D_g(S0), is computed by the criterion itself.  ``verify`` reports
+completeness and the divisorial identity as checks.
+``fixture_graph`` binds a fixture and builds its graph, and
 ``series_bridge`` forms (-3/p) H_p, for every command that needs them.
 
 The splitting polynomial chi is read off the graph: the distinct f-value
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -57,43 +59,35 @@ from .upoly import Poly, prime_field_ints
 
 @dataclass(frozen=True)
 class Fixture:
-    name: str
     f_expr: str
     g_expr: str
     s_exprs: tuple
-    s0_exprs: tuple
-    rho_expr: Optional[str]
+    splits: bool  # whether a splitting set can exist
     series_bridge: bool = False
     chain: tuple = ()
 
 
 FIXTURES = {
     "new-tower": Fixture(
-        name="new-tower",
         f_expr="(x^2+x)/(3*x-1)",
         g_expr="y^2",
         s_exprs=("0", "1", "-1", "1/3", "-1/3", "inf"),
-        s0_exprs=("0", "1", "1/9", "inf"),
-        rho_expr="(x-1)*(x+1/3)/x",
+        splits=True,
         series_bridge=True,
     ),
     "gs-tower": Fixture(
-        name="gs-tower",
         f_expr="(x^2+1)/(2*x)",
         g_expr="y^2",
         s_exprs=("1", "-1", "i", "-i", "0", "inf"),
-        s0_exprs=("1", "-1", "0", "inf"),
-        rho_expr="(x-1)*(x+1)/x",
+        splits=True,
         chain=(("1", "1"), ("1", "-1"), ("-1", "i"), ("-1", "-i"),
                ("i", "0"), ("-i", "0"), ("0", "inf"), ("inf", "inf")),
     ),
     "type-a-toy": Fixture(
-        name="type-a-toy",
         f_expr="x^2+x",
         g_expr="y^2",
         s_exprs=("inf",),
-        s0_exprs=("inf",),
-        rho_expr=None,
+        splits=False,
     ),
 }
 
@@ -106,37 +100,24 @@ class BoundFixture:
     g: RatMap
     # parsed on first read: only a command that reads S needs gs-tower's i
     s = cached_property(lambda self: [point_parse(e, self.ctx) for e in self.fixture.s_exprs])
-    s0 = cached_property(lambda self: [point_parse(e, self.ctx) for e in self.fixture.s0_exprs])
+    s0 = cached_property(lambda self: sorted({self.f.eval(q) for q in self.s},
+                                             key=ProjPoint.sort_key))
 
 
-def load_fixture(name: str, p: int, ctx: FieldCtx = None, check: bool = True) -> BoundFixture:
-    """Bind a fixture over F_p (points over ctx, defaulting to the smallest
-    field where they are rational) and validate its invariants."""
+def load_fixture(name: str, ctx: FieldCtx) -> BoundFixture:
+    """Bind a fixture: its maps over F_p and its points over ctx, for p = ctx.p."""
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
-    require_prime(p, "fixtures need")
+    require_prime(ctx.p, "fixtures need")
     fx = FIXTURES[name]
-    if ctx is None:
-        needs_i = "i" in fx.s_exprs and p % 4 != 1
-        ctx = FieldCtx(p, 2) if needs_i else FieldCtx(p)
-    f = map_parse(fx.f_expr, p)
-    g = map_parse(fx.g_expr, p)
-    bound = BoundFixture(fx, ctx, f, g)
-    if check:
-        fwd, bwd = feq.is_complete(f, g, bound.s)
-        if not (fwd and bwd):
-            raise TowerError(f"fixture {name}: S is not complete over {ctx!r}")
-        if not feq.divisorial_check(f, g, bound.s0):
-            raise TowerError(f"fixture {name}: divisorial identity fails over {ctx!r}")
-    return bound
+    return BoundFixture(fx, ctx, map_parse(fx.f_expr, ctx.p), map_parse(fx.g_expr, ctx.p))
 
 
 def fixture_graph(name: str, p: int, ext: int = 2, modulus=None):
     """(bound, graph): the fixture bound over F_{p^ext} and its graph."""
     require_graph_size(p, ext)  # before the field: a modulus search is slow at large ext
-    ctx = FieldCtx(p, ext, modulus)
-    bound = load_fixture(name, p, ctx=ctx, check=False)
-    return bound, TowerGraph(bound.f, bound.g, ctx)
+    bound = load_fixture(name, FieldCtx(p, ext, modulus))
+    return bound, TowerGraph(bound.f, bound.g, bound.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +233,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     and report one pass/fail entry per check."""
     checks: list = []
     require_graph_size(p, ext)  # fixture_graph's steps, but S (gs-tower's i) is read before the graph
-    bound = load_fixture(name, p, ctx=FieldCtx(p, ext, modulus), check=False)
+    bound = load_fixture(name, FieldCtx(p, ext, modulus))
     fx, ctx, f, g, support = bound.fixture, bound.ctx, bound.f, bound.g, bound.s
     graph = TowerGraph(f, g, ctx)
 
@@ -263,7 +244,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     verdict = feq.lenstra_check(f, g, support)
     verdict_detail = f"{verdict.value} (conditional on irreducibility)"
 
-    if fx.rho_expr is None:  # no splitting set can exist
+    if not fx.splits:
         _check(checks, "lenstra-verdict",
                verdict is feq.LenstraVerdict.NO_SPLITTING_SET_POSSIBLE, verdict_detail)
         for r in range(1, ext + 1):
@@ -322,10 +303,10 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     return _finish(name, p, ext, checks)
 
 
-def _gs_chain_ok(graph: TowerGraph, chain: tuple = FIXTURES["gs-tower"].chain) -> bool:
+def _gs_chain_ok(graph: TowerGraph, chain: tuple) -> bool:
     """Whether the singular component through the chain's first point has
-    exactly the chain's vertices and edges (default: the classical tower's
-    loop(1) -> -1 -> {i, -i} -> 0 -> inf(loop))."""
+    exactly the chain's vertices and edges (gs-tower's: loop(1) -> -1 ->
+    {i, -i} -> 0 -> inf(loop))."""
     pts = {e: point_parse(e, graph.ctx) for edge in chain for e in edge}
     first = pts[chain[0][0]]
     comp = next((c for c in graph.singular_components() if first in c.vertices), None)

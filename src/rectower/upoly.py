@@ -166,10 +166,10 @@ class Poly:
         """All roots in the coefficient field, with multiplicity, in element
         order: degrees 1 and 2 (p odd) in closed form, higher degrees by one
         pass of ``FieldArrays.horner`` over the field, block by block, and
-        each root's multiplicity by division.  Fields with more than
-        MAX_TABLE_ENTRIES elements are refused before that pass.  F_p
-        coefficients count their distinct roots first (``ff.pradical``): no
-        pass without one, and the pass ends with the block of the last."""
+        each root's multiplicity by division.  F_p coefficients count their
+        distinct roots first (``ff.pradical``): no pass without one, and the
+        pass ends with the block of the last.  A pass over more than
+        MAX_TABLE_ENTRIES elements is refused before it starts."""
         if self.is_zero():
             raise ZeroPolynomial("roots of the zero polynomial")
         if self.degree == 0:
@@ -188,9 +188,6 @@ class Poly:
             return sorted(((-b + root) * inv2a, (-b - root) * inv2a),
                           key=self.ctx.element_index)
         q = self.ctx.order
-        if q > MAX_TABLE_ENTRIES:
-            raise FieldTooLarge(f"{self.ctx!r} has {q} elements; root passes are capped at "
-                                f"{MAX_TABLE_ENTRIES}")
         # F_p coefficients as ints: the monic leading 1 scales x as a scalar
         coeffs = [c.coeffs if any(c.coeffs[1:]) else c.coeffs[0] for c in self.monic().coeffs]
         distinct = None  # unknown outside F_p
@@ -198,6 +195,9 @@ class Poly:
             distinct = len(pradical(coeffs, q, self.ctx.p)) - 1
             if not distinct:
                 return []
+        if q > MAX_TABLE_ENTRIES:
+            raise FieldTooLarge(f"{self.ctx!r} has {q} elements; root passes are capped at "
+                                f"{MAX_TABLE_ENTRIES}")
         import numpy as np  # imported here for the RSS of `import rectower.cli` (ff._kronecker_mul)
         from .fieldarrays import BLOCK, FieldArrays
         field = FieldArrays(self.ctx)
@@ -309,11 +309,6 @@ class RatFun:
 
     def __mul__(self, other: "RatFun") -> "RatFun":
         return RatFun(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFun") -> "RatFun":
-        if other.is_zero():
-            raise DivisionByZero("division by the zero function")
-        return RatFun(self.num * other.den, self.den * other.num)
 
     def __pow__(self, e: int) -> "RatFun":
         if e < 0:

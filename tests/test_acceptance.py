@@ -217,9 +217,9 @@ def test_c12_classical_tower():
     ok = True
     for p in (5, 13):
         ctx = FieldCtx(p, 2)
-        bound = fixtures.load_fixture("gs-tower", p, ctx=ctx, check=False)
+        bound = fixtures.load_fixture("gs-tower", ctx)
         graph = TowerGraph(bound.f, bound.g, ctx)
-        ok = ok and fixtures._gs_chain_ok(graph)
+        ok = ok and fixtures._gs_chain_ok(graph, bound.fixture.chain)
         regs = graph.regular_components()
         ok = ok and len(regs) == 1 and regs[0].size == 2 * (p - 1)
         chi = fixtures.chi_from_graph(graph)
@@ -238,14 +238,14 @@ def test_c13_moebius_conjugacy():
 
 
 def test_c14_lenstra_checker():
-    toy = fixtures.load_fixture("type-a-toy", 5)
+    toy = fixtures.load_fixture("type-a-toy", FieldCtx(5))
     verdict = feq.lenstra_check(toy.f, toy.g, toy.s)
     ok = verdict is feq.LenstraVerdict.NO_SPLITTING_SET_POSSIBLE
     for r in range(1, 5):
         ctx = FieldCtx(5, r) if r > 1 else FieldCtx(5)
         ok = ok and not TowerGraph(toy.f, toy.g, ctx).regular_components()
     for name in ("new-tower", "gs-tower"):
-        bound = fixtures.load_fixture(name, 5)
+        bound = fixtures.load_fixture(name, FieldCtx(5))
         verdict = feq.lenstra_check(bound.f, bound.g, bound.s)
         ok = ok and verdict is feq.LenstraVerdict.INCONCLUSIVE
     report("C14", "loop-at-a-point tower admits no splitting set (graphs "

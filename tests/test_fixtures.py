@@ -3,14 +3,15 @@ pipeline."""
 
 import dataclasses
 import functools
+import inspect
 import random
 
 import numpy as np
 import pytest
 
 from rectower import cli, feq, fixtures, p1, series
-from rectower.errors import (BadPrime, InsufficientField, NoRegularComponent, NotComplete,
-                             RamifiedT0, TowerError)
+from rectower.errors import (BadPrime, CompositeP, InsufficientField, NoRegularComponent,
+                             NotComplete, RamifiedT0, TowerError)
 from rectower.ff import FieldCtx, is_prime, legendre, pmul, pradical, psubst
 from rectower.fieldarrays import FieldArrays
 from rectower.p1 import RatMap, map_parse
@@ -23,20 +24,82 @@ def test_fixture_names():
 
 
 def test_load_validates_invariants():
-    bound = fixtures.load_fixture("new-tower", 5)
+    bound = fixtures.load_fixture("new-tower", FieldCtx(5))
     assert bound.ctx.order == 5
     assert len(bound.s) == 6 and len(bound.s0) == 4
+
+
+def test_fixtures_declare_no_derivable_fact_and_bind_with_no_knob():
+    # S0 is f(S) and rho follows from S0, so neither is declared; binding
+    # takes the one field the points live over and nothing else
+    fields = [f.name for f in dataclasses.fields(fixtures.Fixture)]
+    assert fields == ["f_expr", "g_expr", "s_exprs", "splits", "series_bridge", "chain"]
+    assert list(inspect.signature(fixtures.load_fixture).parameters) == ["name", "ctx"]
+    assert list(inspect.signature(fixtures._gs_chain_ok).parameters) == ["graph", "chain"]
+
+
+# each fixture's S0 = f(S), written out by hand
+S0_LITERALS = {"new-tower": ("0", "1", "1/9", "inf"), "gs-tower": ("1", "-1", "0", "inf"),
+               "type-a-toy": ("inf",)}
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_s0_is_the_image_of_s(name):
+    # f(S) against the written S0, at every prime to 199 and every field
+    # of degree <= 2 where S is rational (gs-tower's i needs p = 1 mod 4 at ext 1)
+    for p in (p for p in range(5, 200) if is_prime(p)):
+        for ext in (1, 2):
+            bound = fixtures.load_fixture(name, FieldCtx(p, ext))
+            if name == "gs-tower" and ext == 1 and p % 4 == 3:
+                with pytest.raises(InsufficientField):
+                    bound.s0
+                continue
+            written = [p1.point_parse(e, bound.ctx) for e in S0_LITERALS[name]]
+            assert bound.s0 == sorted(written, key=p1.ProjPoint.sort_key), (p, ext)
+
+
+def _closure(f, g, point):
+    """The closure of {point} under P -> g^{-1}(f(P)) and P -> f^{-1}(g(P))
+    over the point's field, and whether it is closed there: the walk stops at
+    the first fiber with mass outside that field."""
+    todo, closure = {point}, set()
+    while todo:
+        q = todo.pop()
+        closure.add(q)
+        for src, back in ((f, g), (g, f)):
+            pre, missing = p1.map_preimage(back, [src.eval(q)])
+            if missing:
+                return closure, False
+            todo |= pre - closure
+    return closure, True
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_s_is_the_singular_closure_of_the_ramification(name):
+    # the declared S is what the singular graph prescribes: the union of the
+    # closed closures of the ramification points of f and g over F_{p^2}.
+    # On the two towers every such closure is closed; on type-a-toy only
+    # infinity's is, as 0 and -1/2 reach fibers outside the field
+    for p in (p for p in range(5, 200) if is_prime(p)):
+        bound = fixtures.load_fixture(name, FieldCtx(p, 2))
+        ram = {q for m in (bound.f, bound.g) for q in p1.ramification(m, bound.ctx, strict=False)}
+        closures = [_closure(bound.f, bound.g, q) for q in ram]
+        assert set().union(*(c for c, closed in closures if closed)) == set(bound.s), p
+        assert all(closed for _, closed in closures) == (name != "type-a-toy"), p
+
+
+RHO = {"new-tower": "(x-1)*(x+1/3)/x", "gs-tower": "(x-1)*(x+1)/x"}
 
 
 @pytest.mark.parametrize("name, p", [(name, p) for p in range(5, 48) if is_prime(p)
                                      for name in ("new-tower", "gs-tower")])
 def test_rho_is_the_criterion_function(name, p):
-    # the table's rho is exactly the function with div(rho) = D_f(S0) - D_g(S0)
+    # the written rho is exactly the function with div(rho) = D_f(S0) - D_g(S0)
     # that the functional criterion computes, not only up to a constant
     ctx = FieldCtx(p, 2)
-    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    bound = fixtures.load_fixture(name, ctx)
     _, rho = feq._s0_half(bound.f, bound.g, bound.s0)
-    assert ratfun_proportional(rho, p1.ratfun_parse(bound.fixture.rho_expr, ctx)) == ctx.one()
+    assert ratfun_proportional(rho, p1.ratfun_parse(RHO[name], ctx)) == ctx.one()
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
@@ -48,19 +111,19 @@ def test_series_bridge_is_the_monic_signed_truncation(p):
 
 def test_load_gs_needs_i():
     # p = 7 = 3 mod 4: the chain point i forces the quadratic extension
-    bound = fixtures.load_fixture("gs-tower", 7)
-    assert bound.ctx.order == 49
-    bound_13 = fixtures.load_fixture("gs-tower", 13)
-    assert bound_13.ctx.order == 13
+    with pytest.raises(InsufficientField):
+        fixtures.load_fixture("gs-tower", FieldCtx(7)).s
+    assert len(fixtures.load_fixture("gs-tower", FieldCtx(7, 2)).s) == 6
+    assert len(fixtures.load_fixture("gs-tower", FieldCtx(13)).s) == 6
 
 
 def test_load_rejects_bad_inputs():
     with pytest.raises(KeyError):
-        fixtures.load_fixture("nope", 5)
+        fixtures.load_fixture("nope", FieldCtx(5))
+    with pytest.raises(CompositeP):  # refused by the field, before the fixture
+        fixtures.load_fixture("new-tower", FieldCtx(4))
     with pytest.raises(BadPrime):
-        fixtures.load_fixture("new-tower", 4)
-    with pytest.raises(BadPrime):
-        fixtures.load_fixture("new-tower", 3)
+        fixtures.load_fixture("new-tower", FieldCtx(3))
 
 
 def test_chi_from_graph_matches_table_polynomial(monkeypatch):
@@ -205,11 +268,11 @@ def test_chain_check_is_exact():
     ctx = FieldCtx(5, 2)
     chain = fixtures.FIXTURES["gs-tower"].chain
     gs = TowerGraph(map_parse("(x^2+1)/(2*x)", 5), map_parse("y^2", 5), ctx)
-    assert fixtures._gs_chain_ok(gs)
+    assert fixtures._gs_chain_ok(gs, chain)
     assert not fixtures._gs_chain_ok(gs, chain[:-1])  # inf's loop is left over
     assert not fixtures._gs_chain_ok(gs, chain + (("0", "1"),))
     new = TowerGraph(map_parse("(x^2+x)/(3*x-1)", 5), map_parse("y^2", 5), ctx)
-    assert not fixtures._gs_chain_ok(new)
+    assert not fixtures._gs_chain_ok(new, chain)
 
 
 def test_verify_toy():
@@ -272,7 +335,7 @@ def test_verify_full_report(name, p, ext, expected):
 
 def _new_tower(p, ext):
     ctx = FieldCtx(p, ext)
-    bound = fixtures.load_fixture("new-tower", p, ctx=ctx, check=False)
+    bound = fixtures.load_fixture("new-tower", ctx)
     return bound, TowerGraph(bound.f, bound.g, ctx)
 
 
@@ -322,7 +385,7 @@ def test_t0_gcd_matches_the_ramification_points(monkeypatch, name, p, ext, times
     # ramification points over F_{p^ext} among the roots of R.  R is the
     # radical of chi over F_{p^ext}; R*x adds 0, where g = y^2 ramifies
     ctx = FieldCtx(p, ext)
-    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    bound = fixtures.load_fixture(name, ctx)
     r = pradical(_chi_over_fp2(name, p), ctx.order, p)
     if times_x:
         r = pmul(r, [0, 1], p)
@@ -332,9 +395,12 @@ def test_t0_gcd_matches_the_ramification_points(monkeypatch, name, p, ext, times
     monkeypatch.setattr(feq, "ramification", _forbid)
     monkeypatch.setattr(Poly, "eval", _forbid)
     if name == "gs-tower" and ext == 1 and p % 4 == 3:
-        # f^{-1}(0) = {i, -i} is not rational: S0's half refuses before T0 is tested
+        # S's point i is not rational, so S0 = f(S) is given as points:
+        # f^{-1}(0) = {i, -i} is not rational, and S0's half refuses before
+        # T0 is tested
+        s0 = [p1.point_parse(e, ctx) for e in S0_LITERALS[name]]
         with pytest.raises(InsufficientField):
-            feq.splitting_criterion(bound.f, bound.g, bound.s0, r)
+            feq.splitting_criterion(bound.f, bound.g, s0, r)
         return
     try:
         feq.splitting_criterion(bound.f, bound.g, bound.s0, r)
@@ -347,8 +413,7 @@ def test_t0_gcd_matches_the_ramification_points(monkeypatch, name, p, ext, times
 
 def _bridged_gs(monkeypatch):
     """gs-tower's maps with a series bridge they do not have."""
-    fake = dataclasses.replace(fixtures.FIXTURES["gs-tower"], name="bridged-gs",
-                               series_bridge=True, chain=())
+    fake = dataclasses.replace(fixtures.FIXTURES["gs-tower"], series_bridge=True, chain=())
     monkeypatch.setitem(fixtures.FIXTURES, "bridged-gs", fake)
     return "bridged-gs"
 
@@ -402,7 +467,7 @@ def _oracle_splitting_checks(name, p):
     (``splitting_points``), ``feq.regularness_check`` on them, and their
     preimage under f solved fiber by fiber (``map_preimage``)."""
     ctx = FieldCtx(p, 2)
-    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    bound = fixtures.load_fixture(name, ctx)
     regular = TowerGraph(bound.f, bound.g, ctx).regular_components()[0]
     t0 = fixtures.splitting_points(p, ctx)
     report = feq.regularness_check(bound.f, bound.g, bound.s0, t0)
@@ -468,8 +533,8 @@ def test_certificate_keeps_the_criterion_preconditions(monkeypatch):
         with pytest.raises(RamifiedT0, match="at the roots of x$"):
             fixtures.verify_fixture("new-tower", p)
     # an S0 whose preimage is not complete: the criterion refuses it
-    incomplete = dataclasses.replace(fixtures.FIXTURES["new-tower"], s0_exprs=("0", "1", "inf"))
-    monkeypatch.setitem(fixtures.FIXTURES, "new-tower", incomplete)
+    monkeypatch.setattr(fixtures.BoundFixture, "s0", property(
+        lambda bound: [p1.point_parse(e, bound.ctx) for e in ("0", "1", "inf")]))
     with pytest.raises(NotComplete):
         fixtures.verify_fixture("new-tower", p)
 
@@ -546,7 +611,7 @@ def test_preimage_size_counts_the_preimage(p, f_expr):
 
 def _fixture_graph(name, p, ext):
     ctx = FieldCtx(p, ext)
-    bound = fixtures.load_fixture(name, p, ctx=ctx, check=False)
+    bound = fixtures.load_fixture(name, ctx)
     return bound, TowerGraph(bound.f, bound.g, ctx)
 
 

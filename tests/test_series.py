@@ -154,7 +154,7 @@ def test_poly_functional_equation_classical_analogue():
     # the analogous identity x^{p-1} h((x^2+1)/(2x)) ~ h(x^2) for the
     # splitting polynomial of the classical tower, recovered from its graph
     p = 13
-    f = fixtures.load_fixture("gs-tower", p, ctx=FieldCtx(p, 2), check=False)
+    f = fixtures.load_fixture("gs-tower", FieldCtx(p, 2))
     graph = TowerGraph(f.f, f.g, f.ctx)
     chi = fixtures.chi_from_graph(graph)
     holds, _const = functional_equation_holds(

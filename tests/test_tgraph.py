@@ -426,7 +426,7 @@ def test_constant_denominator_codes_match_inverse(name, p):
     # which divides by the field inverse of the denominator, where the build
     # scales the numerator (a constant denominator: g, and f of type-a-toy)
     # or divides through the norm; the graph keeps g's codes as its edges
-    bound = fixtures.load_fixture(name, p, ctx=FieldCtx(p, 2), check=False)
+    bound = fixtures.load_fixture(name, FieldCtx(p, 2))
     ctx, graph = bound.ctx, TowerGraph(bound.f, bound.g, bound.ctx)
     points = [ProjPoint.affine(x) for x in ctx.elements()] + [ProjPoint.infinity(ctx)]
     f_codes, out_adj = _scalar_edges(bound.f, bound.g, points)

@@ -266,6 +266,19 @@ def test_roots_above_the_cap_are_refused_before_any_array(monkeypatch):
     assert Poly(ctx, [3, 1]).roots() == [ctx.lift(-3)]
 
 
+def test_rootless_fp_polynomial_above_the_cap_has_no_roots(monkeypatch):
+    # x^3 + x + 5 has no root in F_2053, so none in F_{2053^2}: the radical
+    # of F_p coefficients counts no root, and no pass is asked for
+    ctx = FieldCtx(2053, 2)
+    assert ctx.order > MAX_TABLE_ENTRIES
+
+    def forbid(*_args):
+        raise AssertionError("no array may be built for a rootless polynomial")
+
+    monkeypatch.setattr(fieldarrays, "FieldArrays", forbid)
+    assert Poly(ctx, [5, 1, 0, 1]).roots() == []
+
+
 def test_resultant_fixture_forms():
     # X^2 + XY and 3XY - Y^2 define the degree-2 map of the main tower
     n = (0, 1, 1)
