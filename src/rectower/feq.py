@@ -20,9 +20,11 @@ No criterion takes a field beside its points: S, S0 and T0 are points of
 P^1(F_{p^r}), which carry F_{p^r}, and each criterion reads its field off
 them (``p1.field_of``, as ``Divisor.of_set`` does), raising ValueError for
 an empty set or for points over two fields.
-The divisorial identity, the S0 half and the non-existence test pull
-div(S0) back once per map and read both restricted differents off those
-two pullbacks.
+``s0_half`` pulls div(S0) back once per map and reads the divisorial
+identity and both restricted differents off those two pullbacks.  The
+divisorial check, the functional criterion's rho and the non-existence
+test's verdict all read that one ``S0Half``, so a caller that runs all
+three (``fixtures.verify_fixture``) computes it, and S's completeness, once.
 
 On the line the divisor class group is trivial, so the auxiliary orders a
 and b of the general statement are both 1; they are still carried in the
@@ -65,21 +67,51 @@ def is_complete(f: RatMap, g: RatMap, s):
     return direction(f, g), direction(g, f)
 
 
-def _differents(f: RatMap, g: RatMap, s0):
-    """Whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0), then D_f(S0) and
-    D_g(S0), each its map's one pullback of div(S0) less its support."""
-    d0 = Divisor.of_set(s0)
+@dataclass
+class S0Half:
+    """What the criteria read off S0 for a pair f, g: S0's points, sorted
+    and distinct, whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0) (the
+    divisorial identity), and D_f(S0) and D_g(S0), each its map's one
+    pullback of div(S0) less its support.  ``s0_half`` computes it once, and
+    every check that reads these facts takes it."""
+    points: list
+    holds: bool
+    d_f: Divisor
+    d_g: Divisor
+
+    @property
+    def rho(self) -> RatFun:
+        """rho with div(rho) = D_f(S0) - D_g(S0), the functional criterion's;
+        raises NotComplete unless f^{-1}(S0) is complete."""
+        if not self.holds:
+            raise NotComplete("S0 does not induce a complete set")
+        return divisor_to_function(self.d_f - self.d_g)
+
+    @property
+    def verdict(self) -> LenstraVerdict:
+        """The non-existence test's verdict for S0 = f(S), S complete: no
+        splitting set can exist when the restricted differents agree."""
+        if self.d_f == self.d_g:
+            return LenstraVerdict.NO_SPLITTING_SET_POSSIBLE
+        return LenstraVerdict.INCONCLUSIVE
+
+
+def s0_half(f: RatMap, g: RatMap, s0) -> S0Half:
+    """S0's half of the criteria, from one pullback of div(S0) per map."""
+    points = set(s0)
+    d0 = Divisor.of_set(points)
     for m in (f, g):
         require_tame(m, "the different")
     pull_f, pull_g = pullback(f, d0), pullback(g, d0)
     d_f, d_g = _less_support(pull_f), _less_support(pull_g)
-    return pull_f - pull_g == d_f - d_g, d_f, d_g
+    return S0Half(sorted(points, key=lambda q: q.sort_key()), pull_f - pull_g == d_f - d_g,
+                  d_f, d_g)
 
 
 def divisorial_check(f: RatMap, g: RatMap, s0) -> bool:
     """Whether f* div(S0) - g* div(S0) = D_f(S0) - D_g(S0); equivalent to
     completeness of f^{-1}(S0)."""
-    return _differents(f, g, s0)[0]
+    return s0_half(f, g, s0).holds
 
 
 @dataclass
@@ -94,19 +126,6 @@ class FunctionalReport:
     b: int = 1
 
 
-def _s0_half(f: RatMap, g: RatMap, s0):
-    """The S0 half of the functional criterion's data.
-
-    Raises NotComplete unless f^{-1}(S0) is complete.  Returns S0 as a
-    sorted list of distinct points and rho with div(rho) = D_f(S0) - D_g(S0).
-    """
-    s0_points = sorted(set(s0), key=lambda q: q.sort_key())
-    holds, d_f, d_g = _differents(f, g, s0_points)
-    if not holds:
-        raise NotComplete("S0 does not induce a complete set")
-    return s0_points, divisor_to_function(d_f - d_g)
-
-
 def _exponents(n_s0: int, n_t0: int):
     """The minimal positive s, t with t*|S0| = s*|T0|, for nonempty T0."""
     if not n_t0:
@@ -118,11 +137,12 @@ def _exponents(n_s0: int, n_t0: int):
 def regularness_check(f: RatMap, g: RatMap, s0, t0) -> FunctionalReport:
     """The functional criterion: holds iff f^{-1}(T0) is d-regular.
 
-    S0's half is ``_s0_half``'s, and T0, over S0's field, must miss the
+    S0's half is ``s0_half``'s, and T0, over S0's field, must miss the
     ramification points of g there; the proportionality test is exact
     polynomial arithmetic after clearing denominators.
     """
-    s0_points, rho = _s0_half(f, g, s0)
+    half = s0_half(f, g, s0)
+    s0_points, rho = half.points, half.rho
     t0_points = set(t0)
     s, t = _exponents(len(s0_points), len(t0_points))
     ctx = field_of([*s0_points, *t0_points])
@@ -138,17 +158,18 @@ def regularness_check(f: RatMap, g: RatMap, s0, t0) -> FunctionalReport:
     return FunctionalReport(constant is not None, constant, rho, phi, s, t)
 
 
-def splitting_criterion(f: RatMap, g: RatMap, s0, r):
-    """``regularness_check`` on F_p int lists for T0 = the roots of r, a
-    monic squarefree polynomial over F_p that splits over S0's field, such
-    as ``ff.pradical``'s gcd(h, x^q - x); no root of r is found.  T0 is
+def splitting_criterion(f: RatMap, g: RatMap, half: S0Half, r):
+    """``regularness_check`` on F_p int lists, for S0's half as ``s0_half``
+    gives it and T0 = the roots of r, a monic squarefree polynomial over
+    F_p that splits over S0's field, such as ``ff.pradical``'s
+    gcd(h, x^q - x); no root of r is found.  T0 is
     affine, so it misses ram(g) iff gcd(r, W_g) = 1 for g's Wronskian W_g.
     phi = r^s / prod (x - sigma)^t over the affine points sigma of S0 has
     divisor s T0 - t S0 up to a constant, which cancels in rho^t (phi o f) ~
     phi o g.  Returns s, t, the constant (None when the sides are not
     proportional) and r o f with its denominator cleared, of formal degree
     deg(f) deg(r)."""
-    s0_points, rho = _s0_half(f, g, s0)
+    s0_points, rho = half.points, half.rho
     ctx, p = rho.ctx, rho.ctx.p
     s, t = _exponents(len(s0_points), len(r) - 1)
     shared = pgcd(r, g.wronskian_coeffs(), p)
@@ -183,6 +204,12 @@ class LenstraVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def require_complete(complete):
+    """Raise NotComplete unless both directions of ``is_complete`` hold."""
+    if not all(complete):
+        raise NotComplete("the given set is not complete")
+
+
 def lenstra_check(f: RatMap, g: RatMap, s) -> LenstraVerdict:
     """Non-existence test from a complete set s.
 
@@ -191,10 +218,5 @@ def lenstra_check(f: RatMap, g: RatMap, s) -> LenstraVerdict:
     the correspondence irreducible, which is not verified here).
     """
     points = list(s)
-    fwd, bwd = is_complete(f, g, points)
-    if not (fwd and bwd):
-        raise NotComplete("the given set is not complete")
-    _, d_f, d_g = _differents(f, g, {f.eval(p) for p in points})
-    if d_f == d_g:
-        return LenstraVerdict.NO_SPLITTING_SET_POSSIBLE
-    return LenstraVerdict.INCONCLUSIVE
+    require_complete(is_complete(f, g, points))
+    return s0_half(f, g, {f.eval(p) for p in points}).verdict

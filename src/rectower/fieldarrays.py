@@ -15,19 +15,23 @@ BLOCK = 1 << 16  # field elements per block of a whole-field pass, which bounds 
 
 
 class FieldArrays:
-    """Elements of F_{p^r} as r int64 arrays of base-p digits (ascending
+    """Elements of F_{p^r} as r integer arrays of base-p digits (ascending
     powers of the generator), one entry per element, for arrays of any
     length.  Element n of ``FieldCtx.elements()`` has digits (n // p^i) % p.
 
     A value is a list of r arrays with entries in [0, p).  A product sums r
     digit products into each coefficient and folds the top ones down
-    through the modulus, so before its one reduction by ``reduce_array`` an
-    entry is below 2r*p^2 in absolute value, far inside that helper's int64
-    bound: p < 2^22 for r = 1 and p^2 <= q < 2^22 for r >= 2."""
+    through the modulus, and may add a digit, so before its one reduction by
+    ``reduce_array`` an entry is below 2r*p^2 + p in absolute value.  The
+    digits are int32 when that bound is below 2^31, which holds for every
+    r >= 2 field under the graph cap (p^2 <= q < 2^22) and for r = 1 up to
+    p = 32749, and int64 past that: far inside ``reduce_array``'s bound,
+    as p < 2^22 for r = 1."""
 
     def __init__(self, ctx: FieldCtx):
         self.p, self.r, self.q = ctx.p, ctx.r, ctx.order
         self.modulus = ctx.modulus
+        self.dtype = np.int32 if 2 * self.r * self.p ** 2 + self.p < 1 << 31 else np.int64
         # the Frobenius is F_p-linear: the digits of (x^i)^p for each i
         self._frobenius = [ctx.element(self.p ** i).frobenius().coeffs for i in range(self.r)]
 
@@ -42,6 +46,7 @@ class FieldArrays:
 
     def digits(self, codes):
         """The elements with the given indices."""
+        codes = np.asarray(codes).astype(self.dtype)
         out = []
         for _ in range(self.r):
             rest = codes // self.p

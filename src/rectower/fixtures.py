@@ -240,8 +240,10 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     fwd, bwd = feq.is_complete(f, g, support)
     _check(checks, "singular-support-complete", fwd and bwd,
            f"forward={fwd} backward={bwd}")
-    _check(checks, "divisorial-identity", feq.divisorial_check(f, g, bound.s0))
-    verdict = feq.lenstra_check(f, g, support)
+    half = feq.s0_half(f, g, bound.s0)  # read by the three criteria below
+    _check(checks, "divisorial-identity", half.holds)
+    feq.require_complete((fwd, bwd))
+    verdict = half.verdict
     verdict_detail = f"{verdict.value} (conditional on irreducibility)"
 
     if not fx.splits:
@@ -286,7 +288,7 @@ def verify_fixture(name: str, p: int, ext: int = 2, modulus=None) -> dict:
     # (-3/p) H_p; chi = R makes it the set of f-values on the d-regular vertices
     r = pradical(h, ctx.order, p)
     k = len(r) - 1
-    s, t, const, r_f = feq.splitting_criterion(f, g, bound.s0, r)
+    s, t, const, r_f = feq.splitting_criterion(f, g, half, r)
     _check(checks, "splitting-values-rational", k == p - 1, f"{k} of {p - 1}")
     _check(checks, "regularness-criterion", const is not None, f"s={s} t={t} constant={const}")
     size = _preimage_size(r_f, f.d * k, ctx.order, p)

@@ -6,7 +6,7 @@ n < q is element n of ``FieldCtx.elements()``, whose digits base p are its
 coefficients; vertex q is infinity.  The build evaluates f and g over
 blocks of ``BLOCK`` field elements, into arrays allocated once, so its
 temporaries are bounded by the block, not by q: a block's affine points are
-held as int64 arrays of base-p digits (``fieldarrays.FieldArrays``),
+held as arrays of base-p digits (``fieldarrays.FieldArrays``),
 Horner's rule runs on those arrays with each product reduced once mod p and
 mod the field modulus, so the arithmetic is exact, and each value is
 encoded as its element index (q for infinity).  Division goes through the
@@ -16,13 +16,16 @@ and the Frobenius is a linear map of the digits.  At infinity the value is
 one ``RatMap.eval``.  The vertices ramified for f and for g, infinity among
 them, are the points of ``p1.ramification``, which reads them off the
 Wronskian.
-Edges come from a join of the f-codes against the g-codes (a stable sort of
-the vertices by g-code, and a count of each code), linear in the number of
-vertices: the sort is a radix sort on 16-bit digits (``_stable_order``), as
-are the ones that group vertices by component.  Edges are kept as arrays:
-the out-edges of u are ``dst[offsets[u]:offsets[u + 1]]``, in ascending
-order.  The codes, degrees, offsets and edge arrays are int32 while the
-edge count, at most d(q + 1), stays below 2^31, and int64 past that.
+The build keeps the codes, the degrees and the ramification flags, and no
+edge: u -> v exactly when f(u) = g(v), so the edges among any vertex set
+come from its own codes (``_join``: a stable sort of the set by g-code, and
+a count of each code), linear in its size.  The sort is a radix sort on
+16-bit digits (``_stable_order``), as are the ones that group vertices by
+component.  The join of every vertex is made on first use by a query that
+needs all the edges (``out_adj``, ``components()`` and the exports): the
+out-edges of u are ``dst[offsets[u]:offsets[u + 1]]``, in ascending order.
+The codes, degrees and edge arrays are int32 while the edge count, at most
+d(q + 1), stays below 2^31, and int64 past that.
 Lines with more than ``MAX_VERTICES`` points are refused before any array
 is built.
 
@@ -31,11 +34,11 @@ The graph holds index arrays only.  The Python views of them (the
 lists, and each component's points and witness) are built on first access,
 so a caller that asks for none of them makes O(1) points.
 
-Weakly connected components are found over the edge arrays by min-label
-hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982):
-each round hooks every root to the least label across its edges, then
-jumps pointers until each label is a root, so every vertex ends labelled
-with the least vertex of its component.  They are classified as
+Weakly connected components are labelled by min-label hooking and pointer
+jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each round hooks
+every root to the least label across its edges, then jumps pointers until
+each label is a root, so every vertex ends labelled with the least vertex
+of its component.  They are classified as
 
 * d-regular: every in- and out-degree equals d and no vertex is ramified
   for f or g (these vertices split totally in the tower),
@@ -43,15 +46,22 @@ with the least vertex of its component.  They are classified as
   edge, from a point ramified for f to a point ramified for g,
 * other: everything else (typically fibers truncated by non-rationality).
 
-A component is d-regular when none of its vertices is flagged bad (a degree
-other than d, or ramified), which one array reduction decides for all of
-them.  The labels and these per-label classes are computed once per graph;
-the d-regular vertex set is read off them with an order on its own vertices
-only, and so are the regular reports and the singular walk's vertex set.
-Every vertex is grouped by component, and witnesses are searched (only in
-the other components that hold a point ramified for f), only when
-``components()``, ``singular_components()`` or an export asks.  Reports are
-built only for the components asked for.
+Each query labels only the vertices it reads.  The d-regular vertex set
+comes from the good vertices (every degree d, not ramified): a bad vertex
+taints its in-neighbours, the u with f(u) = g(v), and so on back along
+every path, so each round keeps the good vertices whose d out-neighbours,
+the v with g(v) = f(u), were all kept by the last, counted over the
+values.  A set of good vertices closed under out-edges is closed under
+in-edges too, as it sends and takes d edges per vertex, so what is left is
+the regular set; only its own edges are labelled, to group it by
+component.  The components that hold a point ramified for f come from a
+frontier walk from those points over the values (``_closure``), which
+needs no edge, and only their own edges are labelled, with a witness
+searched in each.  A walk that has not closed within ``_WALK_STEPS`` steps
+gives up: so large a closure is cheaper to read off the full labelling,
+and a path count from its points walks every vertex instead.  Every vertex
+is labelled and grouped only when ``components()`` or an export asks, and
+reports are built only for the components asked for.
 
 The exports label each vertex once from its digits and write the edges
 straight from the edge arrays, with no points and no adjacency lists.
@@ -60,8 +70,8 @@ Path counting is exact vector iteration, never matrix powers, so memory
 stays linear in the vertex count.  One walk answers a question at every
 length (``path_counts`` inside a vertex set, ``singular_path_counts`` from
 f- to g-ramified points inside the components that hold the former, which
-out-edges never leave).  It relabels its vertex set to 0..k-1, takes the
-edges inside once from the edge arrays, and adds each vertex's count into
+out-edges never leave).  It relabels its vertex set to 0..k-1, joins the
+set's own codes for the edges inside, and adds each vertex's count into
 its successors by one array step per length.  The counts are int64 while
 |start| * fan^k < 2^62, fan the largest out-degree inside, which bounds
 every count and total, and exact Python ints past that.
@@ -173,6 +183,76 @@ def _component_labels(n: int, src, dst):
     return label
 
 
+def _grouped(n: int, src, dst):
+    """The vertices 0..n-1 grouped by weak component over the edges, in
+    order of their least vertex and ascending in each, and the bounds of
+    the groups."""
+    label = _component_labels(n, src, dst)
+    members = _stable_order(label)
+    # each component starts at its least vertex, its label
+    return members, np.append(np.flatnonzero(label[members] == members), n)
+
+
+def _join(f_codes, g_codes, n_codes: int):
+    """The edges u -> v with f_codes[u] = g_codes[v] among the vertices
+    0..k-1 with these codes, each below n_codes: the offsets of each
+    vertex's out-edges, and their tails and heads, the tails ascending and
+    each tail's heads ascending.  A stable sort by g-code puts the heads of
+    each code in one ascending run, found by its first place and its count;
+    the tables over the codes are zeroed lazily, so a small set touches few
+    of their pages."""
+    idx = f_codes.dtype
+    by_g = _stable_order(g_codes).astype(idx)
+    sorted_g = g_codes[by_g]
+    runs = np.flatnonzero(np.diff(sorted_g, prepend=-1)).astype(idx)
+    first = np.zeros(n_codes, dtype=idx)
+    first[sorted_g[runs]] = runs
+    deg = np.bincount(g_codes, minlength=n_codes)[f_codes].astype(idx)
+    offsets = np.zeros(len(f_codes) + 1, dtype=idx)
+    np.cumsum(deg, out=offsets[1:])
+    src = np.repeat(np.arange(len(f_codes), dtype=idx), deg)
+    shift = first[f_codes]
+    shift -= offsets[:-1]
+    position = np.arange(len(src), dtype=idx)
+    position += shift[src]
+    return offsets, src, by_g[position]
+
+
+def _witnesses(members, bounds, keep, offsets, dst, ram_f, ram_g) -> dict:
+    """For each component k in keep, ``members[bounds[k]:bounds[k + 1]]``,
+    that has one, a shortest directed path (>= 1 edge) from a ram_f to a
+    ram_g vertex, as indices, by k: breadth first over the out-edges
+    ``dst[offsets[u]:offsets[u + 1]]``, which never leave a component."""
+    def successors(u):
+        return dst[offsets[u]:offsets[u + 1]].tolist()
+
+    witnesses = {}
+    for k in keep:
+        comp = members[bounds[k]:bounds[k + 1]]
+        sources = comp[ram_f[comp]].tolist()
+        # a vertex's parent is the tail of the first edge that reaches it
+        queue = deque((s, w) for s in sources for w in successors(s))
+        sources, parent = set(sources), {}
+        while queue:
+            u, w = queue.popleft()
+            if w in parent:
+                continue
+            parent[w] = u
+            if ram_g[w]:
+                path = [w]
+                while path[-1] not in sources or len(path) < 2:
+                    path.append(parent[path[-1]])
+                witnesses[k] = path[::-1]
+                break
+            queue.extend((w, x) for x in successors(w))
+    return witnesses
+
+
+# steps of a closure walk before it gives way to the full labelling: eight
+# cost about a third of that labelling, and the towers' walks end in 3 or 4
+_WALK_STEPS = 8
+
+
 class TowerGraph:
     def __init__(self, f: RatMap, g: RatMap, ctx: FieldCtx):
         if f.d != g.d:
@@ -203,25 +283,10 @@ class TowerGraph:
             t = m.eval(inf)
             codes[q] = q if t.is_infinity else ctx.element_index(t.x)
             flags[[self.index(P) for P in ramification(m, ctx, strict=False)]] = True
-        self.f_codes = fcode
-
-        # the out-neighbours of u: the vertices whose g-code is u's f-code,
-        # ascending, at [first[u], first[u] + out_deg[u]) of the vertices
-        # sorted by g-code
-        by_g = _stable_order(gcode).astype(idx)
-        g_count = np.bincount(gcode, minlength=n).astype(idx)
-        self._out_deg = g_count[fcode]
+        self.f_codes, self._g_codes = fcode, gcode
+        # u's out-neighbours are the vertices whose g-code is u's f-code
+        self._out_deg = np.bincount(gcode, minlength=n).astype(idx)[fcode]
         self._in_deg = np.bincount(fcode, minlength=n).astype(idx)[gcode]
-        self._offsets = np.zeros(n + 1, dtype=idx)
-        np.cumsum(self._out_deg, out=self._offsets[1:])
-        first = np.cumsum(g_count, dtype=idx)
-        first -= g_count
-        shift = first[fcode]
-        shift -= self._offsets[:-1]
-        self._src = np.repeat(np.arange(n, dtype=idx), self._out_deg)
-        position = np.arange(len(self._src), dtype=idx)
-        position += shift[self._src]
-        self._dst = by_g[position]
 
     @staticmethod
     def _value_codes(m: RatMap, field: FieldArrays, x):
@@ -241,7 +306,13 @@ class TowerGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._dst)
+        return int(self._out_deg.sum())
+
+    @cached_property
+    def _edges(self):
+        """Every edge: the offsets of each vertex's out-edges, their tails and
+        their heads."""
+        return _join(self.f_codes, self._g_codes, self.n_vertices)
 
     @cached_property
     def vertices(self) -> list:
@@ -251,7 +322,7 @@ class TowerGraph:
     @cached_property
     def out_adj(self) -> list:
         """The out-neighbours of each vertex, ascending."""
-        dst, offsets = self._dst.tolist(), self._offsets.tolist()
+        offsets, _, dst = (a.tolist() for a in self._edges)
         return [dst[a:b] for a, b in zip(offsets, offsets[1:])]
 
     @cached_property
@@ -271,8 +342,9 @@ class TowerGraph:
         return self._ram_g.tolist()
 
     def successors(self, u: int) -> list[int]:
-        """``out_adj[u]``, without building the lists of the other vertices."""
-        return self._dst[self._offsets[u]:self._offsets[u + 1]].tolist()
+        """``out_adj[u]``, without the edges of the other vertices: one pass
+        over the g-codes (for many vertices, read ``out_adj``)."""
+        return np.flatnonzero(self._g_codes == self.f_codes[u]).tolist()
 
     def index(self, point: ProjPoint) -> int:
         """Position of a point of this graph's line among the vertices."""
@@ -282,31 +354,72 @@ class TowerGraph:
 
     # -- components ---------------------------------------------------------------
 
-    @cached_property
-    def _classes(self):
-        """Each vertex's component label (its component's least vertex), and
-        per label whether the component is irregular (some vertex of it has
-        a degree other than d or is ramified) and whether it holds a point
-        ramified for f."""
-        n = self.n_vertices
-        label = _component_labels(n, self._src, self._dst)
-        bad = ((self._out_deg != self.d) | (self._in_deg != self.d)
-               | self._ram_f | self._ram_g)
-        irregular = np.bincount(label[bad], minlength=n) > 0
-        has_ram_f = np.bincount(label[self._ram_f], minlength=n) > 0
-        return label, irregular, has_ram_f
+    @property
+    def _bad(self):
+        """Whether each vertex has a degree other than d or is ramified."""
+        return ((self._out_deg != self.d) | (self._in_deg != self.d)
+                | self._ram_f | self._ram_g)
+
+    def _inner_edges(self, inside):
+        """``_join`` over the ascending vertex array inside: the edges between
+        its vertices, numbered by their places in it."""
+        return _join(self.f_codes[inside], self._g_codes[inside], self.n_vertices)
 
     @cached_property
     def _regular(self):
         """The vertices of the d-regular components, grouped by component in
         order of their least vertex and ascending in each, and the bounds of
-        the groups: read off the labels, with no order on the other
-        vertices."""
-        label, irregular, _ = self._classes
-        regular = np.flatnonzero(~irregular[label])
-        regular = regular[_stable_order(label[regular])]
-        # each component starts at its least vertex, its label
-        return regular, np.append(np.flatnonzero(label[regular] == regular), len(regular))
+        the groups.  A bad vertex taints every vertex with a path to it, so
+        the good vertices are whittled down: a round keeps those whose d
+        out-neighbours (the vertices whose g-value is their f-value) were all
+        kept by the last, counted over the values.  Good vertices closed
+        under out-edges send d edges each into their set and take d each, so
+        no edge enters from outside: what is left is the union of the
+        components with no bad vertex, and only its own edges are labelled."""
+        n, left = self.n_vertices, np.flatnonzero(~self._bad)
+        while True:
+            keep = np.bincount(self._g_codes[left], minlength=n)[self.f_codes[left]] == self.d
+            if keep.all():
+                break
+            left = left[keep]
+        members, bounds = _grouped(len(left), *self._inner_edges(left)[1:])
+        return left[members], bounds
+
+    @cached_property
+    def _closure(self):
+        """The vertices of the components that hold a vertex ramified for f,
+        ascending: a frontier walk over the values, each step taking every
+        vertex whose g-value the last step's vertices hold as f-values (out-
+        neighbours) or whose f-value they hold as g-values (in-neighbours).
+        None when it has not closed within ``_WALK_STEPS`` steps: a closure
+        that large is cheaper to read off the full labelling, and for a walk
+        from its vertices every vertex stands in for it."""
+        f, g, n = self.f_codes, self._g_codes, self.n_vertices
+        frontier, unreached = np.flatnonzero(self._ram_f), ~self._ram_f
+        held_f, held_g = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        for _ in range(_WALK_STEPS):
+            held_f[f[frontier]] = True
+            held_g[g[frontier]] = True
+            new = held_f[g]
+            new |= held_g[f]
+            new &= unreached
+            frontier = np.flatnonzero(new)
+            if not len(frontier):
+                return np.flatnonzero(~unreached)
+            unreached[frontier] = False
+        return None
+
+    @cached_property
+    def _singular(self):
+        """The components that hold a vertex ramified for f, as ``_grouped``
+        gives them, and the witness of each singular one by its place (every
+        such component is irregular, so it is singular when it has one)."""
+        inside = self._closure
+        offsets, src, dst = self._inner_edges(inside)
+        members, bounds = _grouped(len(inside), src, dst)
+        witnesses = _witnesses(members, bounds, range(len(bounds) - 1), offsets, dst,
+                               self._ram_f[inside], self._ram_g[inside])
+        return inside[members], bounds, {k: inside[w].tolist() for k, w in witnesses.items()}
 
     @cached_property
     def _table(self):
@@ -314,14 +427,14 @@ class TowerGraph:
         ``members`` holds every vertex grouped by component and ascending in
         each, component k is ``members[bounds[k]:bounds[k + 1]]``,
         ``codes[k]`` is its class code, and ``witnesses`` maps each singular
-        k to its path."""
-        label, irregular, has_ram_f = self._classes
-        members = _stable_order(label)
-        bounds = np.append(np.flatnonzero(label[members] == members), self.n_vertices)
-        roots = members[bounds[:-1]]
-        codes = np.where(irregular[roots], _OTHER, _REGULAR).astype(np.int8)
-        witnesses = {k: path for k in np.flatnonzero(irregular[roots] & has_ram_f[roots]).tolist()
-                     if (path := self._singular_witness(members[bounds[k]:bounds[k + 1]]))}
+        k to its path (searched only where a vertex is ramified for f)."""
+        members, bounds = _grouped(self.n_vertices, *self._edges[1:])
+        irregular = np.logical_or.reduceat(self._bad[members], bounds[:-1])
+        codes = np.where(irregular, _OTHER, _REGULAR).astype(np.int8)
+        held = np.logical_or.reduceat(self._ram_f[members], bounds[:-1])
+        offsets, _, dst = self._edges
+        witnesses = _witnesses(members, bounds, np.flatnonzero(held).tolist(), offsets, dst,
+                               self._ram_f, self._ram_g)
         codes[list(witnesses)] = _SINGULAR
         return members, bounds, codes, witnesses
 
@@ -344,7 +457,11 @@ class TowerGraph:
                 for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
     def singular_components(self) -> list[ComponentReport]:
-        return self._reports(_SINGULAR)
+        if self._closure is None:
+            return self._reports(_SINGULAR)
+        members, bounds, witnesses = self._singular
+        return [ComponentReport(self.ctx, members, int(bounds[k]), int(bounds[k + 1]),
+                                ComponentClass.SINGULAR, path) for k, path in witnesses.items()]
 
     def regular_vertices(self) -> list[int]:
         """The vertex indices of the d-regular components, component by
@@ -353,28 +470,6 @@ class TowerGraph:
         if not len(regular):
             raise NoRegularComponent(f"no d-regular component over {self.ctx!r}")
         return regular.tolist()
-
-    def _singular_witness(self, comp):
-        """Shortest directed path (>= 1 edge) from a ram_f to a ram_g vertex
-        of a component (an index array), as indices (out-edges never leave a
-        component)."""
-        sources = comp[self._ram_f[comp]].tolist()
-        # breadth first over edges: a vertex's parent is the tail of the
-        # first edge that reaches it
-        queue = deque((s, w) for s in sources for w in self.successors(s))
-        sources, parent = set(sources), {}
-        while queue:
-            u, w = queue.popleft()
-            if w in parent:
-                continue
-            parent[w] = u
-            if self._ram_g[w]:
-                path = [w]
-                while path[-1] not in sources or len(path) < 2:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            queue.extend((w, x) for x in self.successors(w))
-        return None
 
     # -- path counting -----------------------------------------------------------
 
@@ -407,9 +502,9 @@ class TowerGraph:
     def singular_path_counts(self, n: int) -> list[int]:
         """The number of directed paths with k edges from a vertex ramified
         for f to one ramified for g, for every k = 0..n, from one walk inside
-        the components that hold a vertex ramified for f."""
-        label, _, has_ram_f = self._classes
-        return self._walk(n, np.flatnonzero(has_ram_f[label]), self._ram_f, self._ram_g)
+        the components that hold a vertex ramified for f (or every vertex,
+        where ``_closure`` is None), which out-edges never leave."""
+        return self._walk(n, self._closure, self._ram_f, self._ram_g)
 
     def _walk(self, n: int, inside=None, start=None, ends=None) -> list[int]:
         """The numbers of directed paths with 0, 1, ..., n edges inside the
@@ -421,16 +516,10 @@ class TowerGraph:
         and in exact Python ints past that."""
         if n < 0:
             raise ValueError("path length must be >= 0")
-        src, dst, size = self._src, self._dst, self.n_vertices
-        if inside is not None:  # relabel inside to 0..size-1, and keep the edges inside
-            local = np.full(size, -1, dtype=np.int64)
-            size = len(inside)
-            local[inside] = np.arange(size)
-            deg = self._out_deg[inside]
-            src = np.repeat(np.arange(size), deg)
-            first = np.repeat(self._offsets[inside] - np.cumsum(deg) + deg, deg)
-            dst = local[dst[first + np.arange(len(src))]]
-            src, dst = src[dst >= 0], dst[dst >= 0]
+        if inside is None:
+            size, (_, src, dst) = self.n_vertices, self._edges
+        else:  # relabel inside to 0..size-1, with the edges between its vertices
+            size, (_, src, dst) = len(inside), self._inner_edges(inside)
             start, ends = (None if f is None else f[inside] for f in (start, ends))
         counts = np.ones(size, dtype=np.int64) if start is None else start.astype(np.int64)
         fan = int(np.bincount(src, minlength=1).max())
@@ -510,8 +599,8 @@ def graph_json_obj(graph: TowerGraph, include_edges: bool = False) -> dict:
         "anomalous_regular_multiplicity": n_regular > 1,
     }
     if include_edges:
-        obj["edges"] = [[labels[u], labels[v]]
-                        for u, v in zip(graph._src.tolist(), graph._dst.tolist())]
+        _, src, dst = graph._edges
+        obj["edges"] = [[labels[u], labels[v]] for u, v in zip(src.tolist(), dst.tolist())]
     return obj
 
 
@@ -526,6 +615,7 @@ def _export_dot(graph: TowerGraph) -> str:
     for i, (label, c, rf, rg) in enumerate(rows):
         lines.append(f'  n{i} [label="{label}", shape={_DOT_SHAPES[rf, rg]}, style=filled, '
                      f'fillcolor={colors[c]}];')
-    lines.extend(f"  n{u} -> n{v};" for u, v in zip(graph._src.tolist(), graph._dst.tolist()))
+    _, src, dst = graph._edges
+    lines.extend(f"  n{u} -> n{v};" for u, v in zip(src.tolist(), dst.tolist()))
     lines.append("}")
     return "\n".join(lines)

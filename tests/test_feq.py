@@ -181,7 +181,8 @@ def test_s0_half_pulls_s0_back_once_per_map(monkeypatch):
 
     monkeypatch.setattr(divisor, "pullback", counted)
     monkeypatch.setattr(feq, "pullback", counted)
-    s0, rho = feq._s0_half(F, G, pts("inf", "1/9", "0", "1", "0"))
+    half = feq.s0_half(F, G, pts("inf", "1/9", "0", "1", "0"))
+    s0, rho = half.points, half.rho
     assert calls == [F, G]
     assert s0 == pts("0", "1", "1/9", "inf")
     gap = restricted_different(F, s0) - restricted_different(G, s0)

@@ -5,11 +5,12 @@ import dataclasses
 import functools
 import inspect
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rectower import cli, feq, fixtures, p1, series
+from rectower import cli, feq, fixtures, p1, series, tgraph
 from rectower.errors import (BadPrime, CompositeP, InsufficientField, NoRegularComponent,
                              NotComplete, RamifiedT0, TowerError)
 from rectower.ff import FieldCtx, is_prime, legendre, pmul, pradical, psubst
@@ -98,7 +99,7 @@ def test_rho_is_the_criterion_function(name, p):
     # that the functional criterion computes, not only up to a constant
     ctx = FieldCtx(p, 2)
     bound = fixtures.load_fixture(name, ctx)
-    _, rho = feq._s0_half(bound.f, bound.g, bound.s0)
+    rho = feq.s0_half(bound.f, bound.g, bound.s0).rho
     assert ratfun_proportional(rho, p1.ratfun_parse(RHO[name], ctx)) == ctx.one()
 
 
@@ -249,13 +250,59 @@ def test_verify_walks_twice_and_groups_once(monkeypatch):
     assert tables == walks[:1]
 
 
+def _count_labels_and_joins(monkeypatch):
+    """Lists that record, per call, the number of vertices labelled by
+    ``_component_labels`` and the graph of each join of every vertex."""
+    labelled, joins = [], []
+    real_labels, edges = tgraph._component_labels, TowerGraph.__dict__["_edges"]
+    real_edges = edges.func
+
+    def labels(n, src, dst):
+        labelled.append(n)
+        return real_labels(n, src, dst)
+
+    def join(graph):
+        joins.append(graph)
+        return real_edges(graph)
+
+    monkeypatch.setattr(tgraph, "_component_labels", labels)
+    monkeypatch.setattr(edges, "func", join)  # a cached_property calls its func
+    return labelled, joins
+
+
 @pytest.mark.parametrize("argv", [["chi", "--p", "89"], ["genus", "--p", "97", "--n-max", "60"]])
 def test_chi_and_genus_make_no_component_reports(monkeypatch, capsys, argv):
-    # both read the regular vertices off the component labels: no table of
-    # all the components and no report
+    # both read the regular vertices, which come from the good vertices: no
+    # table of all the components, no report, no join of every vertex, and
+    # only the regular set's 2(p - 1) vertices labelled
     walks, tables, reports = _count_graph_work(monkeypatch)
+    labelled, joins = _count_labels_and_joins(monkeypatch)
     assert cli.main(argv) == 0
     assert tables == [] and reports == []
+    assert labelled == [2 * (int(argv[2]) - 1)] and joins == []
+
+
+@pytest.mark.parametrize("name, closure", [("new-tower", []), ("gs-tower", [6])])
+def test_verify_labels_the_regular_set_and_the_singular_closure_only(monkeypatch, name, closure):
+    # the singular path counts walk the closure of the ramified points with
+    # no label, and gs-tower's chain check groups that closure (6 vertices)
+    # and reads its edges through ``successors``: no join of every vertex
+    labelled, joins = _count_labels_and_joins(monkeypatch)
+    assert fixtures.verify_fixture(name, 23)["ok"]
+    assert labelled == [2 * (23 - 1)] + closure and joins == []
+
+
+def test_verify_reads_each_criterion_fact_once(monkeypatch, capsys):
+    # S's completeness and S0's half (two pullbacks of div(S0)) once each,
+    # for the completeness check, the divisorial identity, the Lenstra
+    # verdict and the splitting criterion
+    calls = []
+    for name in ("is_complete", "s0_half", "pullback"):
+        real = getattr(feq, name)
+        monkeypatch.setattr(feq, name, lambda *a, _real=real, _name=name: calls.append(_name)
+                            or _real(*a))
+    assert cli.main(["verify", "--fixture", "new-tower", "--p", "31"]) == 0
+    assert Counter(calls) == {"is_complete": 1, "s0_half": 1, "pullback": 2}
 
 
 def test_verify_gs_tower():
@@ -350,7 +397,8 @@ def test_fp_certificate_matches_oracle(p, ext):
     bound, graph = _new_tower(p, ext)
     ctx, f = bound.ctx, bound.f
     r = _radical_of_hp(p, ctx)
-    s, t, constant, r_f = feq.splitting_criterion(f, bound.g, bound.s0, r)
+    half = feq.s0_half(f, bound.g, bound.s0)
+    s, t, constant, r_f = feq.splitting_criterion(f, bound.g, half, r)
 
     oracle_t0 = fixtures.splitting_points(p, ctx)
     report = feq.regularness_check(f, bound.g, bound.s0, oracle_t0)
@@ -400,10 +448,11 @@ def test_t0_gcd_matches_the_ramification_points(monkeypatch, name, p, ext, times
         # T0 is tested
         s0 = [p1.point_parse(e, ctx) for e in S0_LITERALS[name]]
         with pytest.raises(InsufficientField):
-            feq.splitting_criterion(bound.f, bound.g, s0, r)
+            feq.splitting_criterion(bound.f, bound.g, feq.s0_half(bound.f, bound.g, s0), r)
         return
     try:
-        feq.splitting_criterion(bound.f, bound.g, bound.s0, r)
+        half = feq.s0_half(bound.f, bound.g, bound.s0)
+        feq.splitting_criterion(bound.f, bound.g, half, r)
         raised = None
     except (RamifiedT0, ValueError) as exc:
         raised = exc

@@ -453,6 +453,7 @@ def test_build_matches_scalar_evaluation(name, p, r):
     f_codes, out_adj = _scalar_edges(f, g, points)
     assert graph.f_codes.tolist() == f_codes
     assert graph.out_adj == out_adj
+    assert [graph.successors(u) for u in range(len(points))] == out_adj
     heads = Counter(w for adj in out_adj for w in adj)
     assert graph.in_deg == [heads[v] for v in range(len(points))]
     for m, flags in ((f, graph.ram_f), (g, graph.ram_g)):
@@ -469,9 +470,11 @@ def test_block_build_equals_one_block(monkeypatch, name, p, r):
     whole = TowerGraph(f, g, ctx)
     monkeypatch.setattr(tgraph, "BLOCK", 7)
     blocks = TowerGraph(f, g, ctx)
-    for attr in ("f_codes", "_ram_f", "_ram_g", "_out_deg", "_in_deg", "_offsets", "_src", "_dst"):
+    for attr in ("f_codes", "_g_codes", "_ram_f", "_ram_g", "_out_deg", "_in_deg"):
         a, b = getattr(whole, attr), getattr(blocks, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    for a, b in zip(whole._edges, blocks._edges):  # offsets, tails, heads
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _wronskian_flags(m, ctx):
@@ -593,18 +596,35 @@ def test_reports_on_request_match_the_class_filters(name, p, r):
             graph.regular_vertices()
 
 
-def _table_regular_vertices(graph):
-    """The former route to the regular set: every vertex sorted by component
-    label, a class per component, and the regular components' runs."""
+def _oracle_edges(graph):
+    """Every edge u -> v, f(u) = g(v), from a dict of the vertices by
+    g-code, in order of u and then of v."""
+    heads = {}
+    for v, c in enumerate(graph._g_codes.tolist()):
+        heads.setdefault(c, []).append(v)
+    pairs = [(u, v) for u, c in enumerate(graph.f_codes.tolist()) for v in heads.get(c, [])]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _labelled_classes(graph):
+    """The former route, which labels every vertex: each vertex's component
+    label over every edge, and per label whether the component is irregular
+    (a vertex with a degree other than d, or ramified) and whether it holds
+    a vertex ramified for f."""
     n = graph.n_vertices
-    label = _component_labels(n, graph._src, graph._dst)
+    label = _component_labels(n, *_oracle_edges(graph))
     bad = ((graph._out_deg != graph.d) | (graph._in_deg != graph.d)
            | graph._ram_f | graph._ram_g)
     irregular = np.bincount(label[bad], minlength=n) > 0
+    has_ram_f = np.bincount(label[graph._ram_f], minlength=n) > 0
+    return label, irregular, has_ram_f
+
+
+def _labelled_groups(label):
+    """Every vertex grouped by its label, in order of the least vertex."""
     members = np.argsort(label, kind="stable")
-    bounds = np.append(np.flatnonzero(label[members] == members), n)
-    regular = ~irregular[members[bounds[:-1]]]
-    return members[np.repeat(regular, np.diff(bounds))].tolist()
+    bounds = np.append(np.flatnonzero(label[members] == members), len(label))
+    return [members[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -613,13 +633,98 @@ def _table_regular_vertices(graph):
 def test_regular_vertices_match_the_table_order(name, p, r):
     fx = fixtures.FIXTURES[name]
     graph = TowerGraph(map_parse(fx.f_expr, p), map_parse(fx.g_expr, p), FieldCtx(p, r))
-    expected = _table_regular_vertices(graph)
-    if expected:
-        assert graph.regular_vertices() == expected
+    _check_routes_against_the_labelling(graph)
+
+
+def _check_routes_against_the_labelling(graph):
+    """The regular set and its components, the walk's closure, the singular
+    components and the singular path counts against ``_labelled_classes``."""
+    label, irregular, has_ram_f = _labelled_classes(graph)
+    groups = _labelled_groups(label)
+    regular = [c for c in groups if not irregular[c[0]]]
+    assert [c.indices for c in graph.regular_components()] == regular
+    if regular:
+        assert graph.regular_vertices() == [v for c in regular for v in c]
     else:
         with pytest.raises(NoRegularComponent):
             graph.regular_vertices()
-    assert [v for c in graph.regular_components() for v in c.indices] == expected
+    held = np.flatnonzero(has_ram_f[label])
+    assert graph._closure is None or np.array_equal(graph._closure, held)
+    out_adj = [[] for _ in range(graph.n_vertices)]
+    for u, v in zip(*_oracle_edges(graph).tolist()):
+        out_adj[u].append(v)
+    oracle = {"out_adj": out_adj, "ram_f": graph.ram_f, "ram_g": graph.ram_g}
+    lengths = {c[0]: _shortest_singular_path(oracle, c) for c in groups if has_ram_f[c[0]]}
+    singular = graph.singular_components()
+    assert [c.indices for c in singular] == [c for c in groups if lengths.get(c[0])]
+    for c in singular:
+        path = [graph.index(v) for v in c.witness]
+        assert graph.ram_f[path[0]] and graph.ram_g[path[-1]]
+        assert all(b in out_adj[a] for a, b in zip(path, path[1:]))
+        assert len(path) - 1 == lengths[c.indices[0]]
+    ram_f = np.flatnonzero(graph._ram_f).tolist()
+    ram_g = set(np.flatnonzero(graph._ram_g).tolist())
+    assert graph.singular_path_counts(8) == _dict_walk(graph, ram_f, 8, set(held.tolist()), ram_g)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_label_free_routes_match_the_labelling_on_random_maps(p, r):
+    rng = random.Random(f"routes:{p}:{r}")
+    for d in (2, 3, 4):
+        for _ in range(3):
+            graph = TowerGraph(_random_map(rng, p, d), _random_map(rng, p, d), FieldCtx(p, r))
+            _check_routes_against_the_labelling(graph)
+
+
+@pytest.mark.parametrize("name", ["new-tower", "type-a-toy"])
+def test_label_free_routes_match_the_labelling_at_401(name):
+    # type-a-toy's closure holds 98,268 vertices, so its walk gives up and
+    # the singular queries take the full route; new-tower's has six
+    fx = fixtures.FIXTURES[name]
+    graph = TowerGraph(map_parse(fx.f_expr, 401), map_parse(fx.g_expr, 401), FieldCtx(401, 2))
+    _check_routes_against_the_labelling(graph)
+    assert (graph._closure is None) == (name == "type-a-toy")
+    if graph._closure is not None:
+        assert len(graph._closure) == 6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_edge_count_reads_the_out_degrees(d):
+    rng = random.Random(f"edges:{d}")
+    for p in (5, 7, 11, 13):
+        for r in (1, 2):
+            graph = TowerGraph(_random_map(rng, p, d), _random_map(rng, p, d), FieldCtx(p, r))
+            count = graph.n_edges
+            assert "_edges" not in graph.__dict__  # counted without the join
+            assert count == len(graph._edges[2]) == len(_oracle_edges(graph)[1])
+
+
+@pytest.mark.parametrize("p,r,wide", [(5, 1, False), (32749, 1, False), (32771, 1, True),
+                                      (4194301, 1, True), (2039, 2, False), (13, 4, False)])
+def test_digit_dtype_follows_the_product_bound(p, r, wide):
+    # int32 while 2r*p^2 + p < 2^31: every r >= 2 field under the cap, and
+    # r = 1 up to p = 32749, the last prime below 2^15
+    assert FieldArrays(FieldCtx(p, r)).dtype == (np.int64 if wide else np.int32)
+    assert (2 * r * p * p + p >= 1 << 31) == wide
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 2), (5, 3), (32749, 1), (2039, 2), (32771, 1)])
+def test_int32_and_int64_digits_give_the_same_codes(p, r):
+    # the map values on a sample of elements, by int32 digits (where the
+    # bound allows them) against int64 digits, and against scalar evaluation
+    ctx, rng = FieldCtx(p, r), random.Random(f"digits:{p}:{r}")
+    field, wide = FieldArrays(ctx), FieldArrays(ctx)
+    wide.dtype = np.int64
+    sample = np.array(sorted(rng.sample(range(ctx.order), min(ctx.order, 5000))))
+    for d in (2, 3, 4):
+        m = _random_map(rng, p, d)
+        codes = TowerGraph._value_codes(m, field, field.digits(sample))
+        assert np.array_equal(codes, TowerGraph._value_codes(m, wide, wide.digits(sample)))
+        for n in rng.sample(sample.tolist(), min(len(sample), 20)):
+            value = m.eval(ProjPoint.affine(ctx.element(n)))
+            assert codes[sample.tolist().index(n)] == (
+                ctx.order if value.is_infinity else ctx.element_index(value.x))
 
 
 # -- the array walk against a dict walk ------------------------------------------
@@ -639,7 +744,7 @@ def _dict_walk(graph, start, n, inside=None, ends=None):
         nxt = {}
         for u, c in counts.items():
             if u not in steps:
-                steps[u] = [v for v in graph.successors(u) if inside is None or v in inside]
+                steps[u] = [v for v in graph.out_adj[u] if inside is None or v in inside]
             for v in steps[u]:
                 nxt[v] = nxt.get(v, 0) + c
         counts = nxt
