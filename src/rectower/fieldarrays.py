@@ -1,11 +1,13 @@
 """Elements of F_{p^r} as numpy arrays of base-p digits: the whole-field
 arithmetic of the graph build (``tgraph``), of the splitting polynomial read
 off it (``fixtures.chi_from_graph``) and of ``upoly.Poly.roots``' pass.
+Those callers share one ``FieldArrays`` per field (``field_arrays``), so
+its Frobenius map and its table of inverses mod p are made once.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,3 +137,10 @@ class FieldArrays:
         codes = self.codes([reduce_array(d * scale, self.p, in_place=True) for d in num])
         codes[norm == 0] = self.q
         return codes
+
+
+@lru_cache(maxsize=4)
+def field_arrays(ctx: FieldCtx) -> FieldArrays:
+    """The ``FieldArrays`` of ctx's field, shared by every caller while it
+    is among the last few fields asked for (fields are equal by their key)."""
+    return FieldArrays(ctx)

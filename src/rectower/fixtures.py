@@ -43,7 +43,7 @@ import numpy as np
 from . import feq, genus, series
 from .errors import TowerError
 from .ff import FieldCtx, legendre, pmul, pradical, require_prime
-from .fieldarrays import FieldArrays
+from .fieldarrays import field_arrays
 from .p1 import (
     Mobius,
     ProjPoint,
@@ -144,7 +144,7 @@ def chi_from_graph(graph: TowerGraph) -> Poly:
     if present[q]:
         raise TowerError("splitting values contain the point at infinity")
     codes = np.flatnonzero(present)
-    field = FieldArrays(ctx)
+    field = field_arrays(ctx)
     # conjugates[i] holds the digits of v^(p^i) for every value v
     conjugates = [field.digits(codes)]
     for _ in range(r - 1):

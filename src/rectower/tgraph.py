@@ -13,10 +13,7 @@ encoded as its element index (q for infinity).  Division goes through the
 norm without forming an inverse: N/D is N*c over the norm D*c, which lies
 in F_p, for c the product of D's other conjugates D^p, ..., D^(p^(r-1)),
 and the Frobenius is a linear map of the digits.  At infinity the value is
-one ``RatMap.eval``.  The vertices ramified for f and for g, infinity among
-them, are the points of ``p1.ramification``, which reads them off the
-Wronskian.
-The build keeps the codes, the degrees and the ramification flags, and no
+one ``RatMap.eval``.  The build keeps the codes and the out-degrees, and no
 edge: u -> v exactly when f(u) = g(v), so the edges among any vertex set
 come from its own codes (``_join``: a stable sort of the set by g-code, and
 a count of each code), linear in its size.  The sort is a radix sort on
@@ -29,10 +26,12 @@ d(q + 1), stays below 2^31, and int64 past that.
 Lines with more than ``MAX_VERTICES`` points are refused before any array
 is built.
 
-The graph holds index arrays only.  The Python views of them (the
-``ProjPoint`` vertices, the ``out_adj`` lists, the degree and ramification
-lists, and each component's points and witness) are built on first access,
-so a caller that asks for none of them makes O(1) points.
+The graph holds index arrays only.  The in-degrees and the flags of the
+vertices ramified for f and for g (the points of ``p1.ramification``) are
+made on first read, as are the Python views (the ``ProjPoint`` vertices,
+the ``out_adj`` lists, the degree and ramification lists, and each
+component's points and witness), so a caller that asks for none of them
+finds no root and makes O(1) points.
 
 Weakly connected components are labelled by min-label hooking and pointer
 jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each round hooks
@@ -41,18 +40,16 @@ each label is a root, so every vertex ends labelled with the least vertex
 of its component.  They are classified as
 
 * d-regular: every in- and out-degree equals d and no vertex is ramified
-  for f or g (these vertices split totally in the tower),
+  for f or g (these split totally in the tower); out-degrees d suffice,
 * singular: the component contains a directed path, with at least one
   edge, from a point ramified for f to a point ramified for g,
 * other: everything else (typically fibers truncated by non-rationality).
 
 Each query labels only the vertices it reads.  The d-regular vertex set
-comes from the good vertices (every degree d, not ramified): a bad vertex
-taints its in-neighbours, the u with f(u) = g(v), and so on back along
-every path, so each round keeps the good vertices whose d out-neighbours,
-the v with g(v) = f(u), were all kept by the last, counted over the
-values.  A set of good vertices closed under out-edges is closed under
-in-edges too, as it sends and takes d edges per vertex, so what is left is
+comes from the out-degrees: a vertex whose out-degree is not d taints its
+in-neighbours, the u with f(u) = g(v), and so on back along every path, so
+each round keeps the vertices whose d out-neighbours, the v with g(v) =
+f(u), were all kept by the last, counted over the values.  What is left is
 the regular set; only its own edges are labelled, to group it by
 component.  The components that hold a point ramified for f come from a
 frontier walk from those points over the values (``_closure``), which
@@ -91,7 +88,7 @@ import numpy as np
 from .errors import (BadIndex, DegreeMismatch, FieldMismatch, FieldTooLarge, NoRegularComponent,
                      UnknownFormat)
 from .ff import MAX_TABLE_ENTRIES, FieldCtx
-from .fieldarrays import BLOCK, FieldArrays
+from .fieldarrays import BLOCK, FieldArrays, field_arrays
 from .p1 import ProjPoint, RatMap, ramification, require_tame
 
 MAX_VERTICES = MAX_TABLE_ENTRIES  # q + 1 above this is refused before O(q) work
@@ -270,23 +267,20 @@ class TowerGraph:
         # every index array in int32 when the edge count, at most d per
         # vertex, stays below 2^31
         idx = np.int32 if self.d * n < 1 << 31 else np.int64
-        field = FieldArrays(ctx)
+        field = field_arrays(ctx)
         fcode, gcode = np.empty(n, dtype=idx), np.empty(n, dtype=idx)
         for lo in range(0, q, BLOCK):
             hi = min(lo + BLOCK, q)
             x = field.digits(np.arange(lo, hi, dtype=np.int64))
             fcode[lo:hi] = self._value_codes(f, field, x)
             gcode[lo:hi] = self._value_codes(g, field, x)
-        self._ram_f, self._ram_g = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         inf = ProjPoint.infinity(ctx)
-        for codes, flags, m in ((fcode, self._ram_f, f), (gcode, self._ram_g, g)):
+        for codes, m in ((fcode, f), (gcode, g)):
             t = m.eval(inf)
             codes[q] = q if t.is_infinity else ctx.element_index(t.x)
-            flags[[self.index(P) for P in ramification(m, ctx, strict=False)]] = True
         self.f_codes, self._g_codes = fcode, gcode
         # u's out-neighbours are the vertices whose g-code is u's f-code
         self._out_deg = np.bincount(gcode, minlength=n).astype(idx)[fcode]
-        self._in_deg = np.bincount(fcode, minlength=n).astype(idx)[gcode]
 
     @staticmethod
     def _value_codes(m: RatMap, field: FieldArrays, x):
@@ -326,20 +320,24 @@ class TowerGraph:
         return [dst[a:b] for a, b in zip(offsets, offsets[1:])]
 
     @cached_property
-    def out_deg(self) -> list:
-        return self._out_deg.tolist()
+    def _in_deg(self):
+        # v's in-neighbours are the vertices whose f-code is v's g-code
+        idx = self.f_codes.dtype
+        return np.bincount(self.f_codes, minlength=self.n_vertices).astype(idx)[self._g_codes]
 
-    @cached_property
-    def in_deg(self) -> list:
-        return self._in_deg.tolist()
+    def _ramified(self, m: RatMap):
+        """Whether each vertex is ramified for m: the points of ``p1.ramification``."""
+        flags = np.zeros(self.n_vertices, dtype=bool)
+        flags[[self.index(P) for P in ramification(m, self.ctx, strict=False)]] = True
+        return flags
 
-    @cached_property
-    def ram_f(self) -> list:
-        return self._ram_f.tolist()
-
-    @cached_property
-    def ram_g(self) -> list:
-        return self._ram_g.tolist()
+    _ram_f = cached_property(lambda self: self._ramified(self.f))
+    _ram_g = cached_property(lambda self: self._ramified(self.g))
+    # the degrees and the flags as lists
+    out_deg = cached_property(lambda self: self._out_deg.tolist())
+    in_deg = cached_property(lambda self: self._in_deg.tolist())
+    ram_f = cached_property(lambda self: self._ram_f.tolist())
+    ram_g = cached_property(lambda self: self._ram_g.tolist())
 
     def successors(self, u: int) -> list[int]:
         """``out_adj[u]``, without the edges of the other vertices: one pass
@@ -354,12 +352,6 @@ class TowerGraph:
 
     # -- components ---------------------------------------------------------------
 
-    @property
-    def _bad(self):
-        """Whether each vertex has a degree other than d or is ramified."""
-        return ((self._out_deg != self.d) | (self._in_deg != self.d)
-                | self._ram_f | self._ram_g)
-
     def _inner_edges(self, inside):
         """``_join`` over the ascending vertex array inside: the edges between
         its vertices, numbered by their places in it."""
@@ -369,14 +361,22 @@ class TowerGraph:
     def _regular(self):
         """The vertices of the d-regular components, grouped by component in
         order of their least vertex and ascending in each, and the bounds of
-        the groups.  A bad vertex taints every vertex with a path to it, so
-        the good vertices are whittled down: a round keeps those whose d
-        out-neighbours (the vertices whose g-value is their f-value) were all
-        kept by the last, counted over the values.  Good vertices closed
-        under out-edges send d edges each into their set and take d each, so
-        no edge enters from outside: what is left is the union of the
-        components with no bad vertex, and only its own edges are labelled."""
-        n, left = self.n_vertices, np.flatnonzero(~self._bad)
+        the groups.  The vertices of out-degree d are whittled down: a round
+        keeps those whose d out-neighbours (the vertices whose g-value is
+        their f-value) were all kept by the last, counted over the values.
+        Only what is left has its own edges labelled.
+
+        The out-degrees decide, as the forms are coprime (``RatMap`` refuses
+        a zero resultant).  The in-neighbours of v are the distinct points
+        of f^-1(g(v)), at most d.  So a set of out-degree-d vertices closed
+        under out-edges, which holds d edges per vertex, takes all d in-edges
+        of each vertex from inside: it is a union of components, every
+        in-degree d.  None of its vertices v is ramified: for g, an
+        in-neighbour of v would have out-degree |g^-1(g(v))| < d, and for
+        f, an out-neighbour of v in-degree |f^-1(f(v))| < d.  So what is
+        left is the union of the d-regular components, and a component with
+        every out-degree d is d-regular (``_table``)."""
+        n, left = self.n_vertices, np.flatnonzero(self._out_deg == self.d)
         while True:
             keep = np.bincount(self._g_codes[left], minlength=n)[self.f_codes[left]] == self.d
             if keep.all():
@@ -429,7 +429,7 @@ class TowerGraph:
         ``codes[k]`` is its class code, and ``witnesses`` maps each singular
         k to its path (searched only where a vertex is ramified for f)."""
         members, bounds = _grouped(self.n_vertices, *self._edges[1:])
-        irregular = np.logical_or.reduceat(self._bad[members], bounds[:-1])
+        irregular = np.logical_or.reduceat((self._out_deg != self.d)[members], bounds[:-1])
         codes = np.where(irregular, _OTHER, _REGULAR).astype(np.int8)
         held = np.logical_or.reduceat(self._ram_f[members], bounds[:-1])
         offsets, _, dst = self._edges

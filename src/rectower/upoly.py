@@ -199,8 +199,8 @@ class Poly:
             raise FieldTooLarge(f"{self.ctx!r} has {q} elements; root passes are capped at "
                                 f"{MAX_TABLE_ENTRIES}")
         import numpy as np  # imported here for the RSS of `import rectower.cli` (ff._kronecker_mul)
-        from .fieldarrays import BLOCK, FieldArrays
-        field = FieldArrays(self.ctx)
+        from .fieldarrays import BLOCK, field_arrays
+        field = field_arrays(self.ctx)
         found, seen = [], 0
         for lo in range(0, q, BLOCK):
             x = field.digits(np.arange(lo, min(lo + BLOCK, q), dtype=np.int64))

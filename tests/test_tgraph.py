@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rectower import cli, fixtures, tgraph
 from rectower.errors import (
@@ -22,8 +24,8 @@ from rectower.errors import (
     TowerError,
     UnknownFormat,
 )
-from rectower.ff import FieldCtx, is_prime
-from rectower.fieldarrays import FieldArrays
+from rectower.ff import FieldCtx, is_prime, pmul
+from rectower.fieldarrays import FieldArrays, field_arrays
 from rectower.p1 import (
     ProjPoint,
     RatMap,
@@ -519,6 +521,21 @@ def test_inverse_table_is_the_modular_inverse(p):
     assert table.tolist() == [0] + [pow(k, -1, p) for k in range(1, p)]
 
 
+def test_one_field_arrays_per_field(monkeypatch, capsys):
+    # equal fields share one instance, so its Frobenius map and its inverses
+    # are made once per field: verify's graph build, chi and root passes
+    assert field_arrays(FieldCtx(7, 2)) is field_arrays(FieldCtx(7, 2))
+    assert field_arrays(FieldCtx(7, 2, [3, 1, 1])) is not field_arrays(FieldCtx(7, 2))
+    made, init = [], FieldArrays.__init__
+    monkeypatch.setattr(FieldArrays, "__init__",
+                        lambda self, ctx: made.append(ctx.key()) or init(self, ctx))
+    field_arrays.cache_clear()
+    for name in sorted(fixtures.FIXTURES):
+        assert cli.main(["verify", "--p", "31", "--fixture", name]) == 0
+    capsys.readouterr()
+    assert made and len(made) == len(set(made))
+
+
 def _enumerated_paths(out_adj, starts, k, inside=None):
     """Every directed path with k edges from a vertex of starts, each step
     into ``inside`` (anywhere when None), listed one by one."""
@@ -667,14 +684,91 @@ def _check_routes_against_the_labelling(graph):
     assert graph.singular_path_counts(8) == _dict_walk(graph, ram_f, 8, set(held.tolist()), ram_g)
 
 
+def _ramified_map(rng, p, d):
+    """A random degree-d map with a rational ramified point: (x - a)^2 h(x)
+    over a random denominator, or a polynomial, ramified at infinity."""
+    if rng.random() < 0.25:
+        return RatMap.from_affine(p, [rng.randrange(p) for _ in range(d)] + [1], [1])
+    a = rng.randrange(p)
+    while True:
+        h = [rng.randrange(p) for _ in range(d - 2)] + [1 + rng.randrange(p - 1)]
+        try:
+            return RatMap.from_affine(p, pmul([a * a, -2 * a, 1], h, p),
+                                      [rng.randrange(p) for _ in range(d + 1)])
+        except DegreeZero:
+            continue
+
+
 @pytest.mark.parametrize("r", [1, 2])
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+@pytest.mark.parametrize("p", [p for p in range(5, 24) if is_prime(p)])
 def test_label_free_routes_match_the_labelling_on_random_maps(p, r):
+    # random maps, then maps with a rational point ramified for f, for g or
+    # for both: the out-degree rule against the four-condition labelling
     rng = random.Random(f"routes:{p}:{r}")
     for d in (2, 3, 4):
         for _ in range(3):
             graph = TowerGraph(_random_map(rng, p, d), _random_map(rng, p, d), FieldCtx(p, r))
             _check_routes_against_the_labelling(graph)
+        ramified, plain = _ramified_map(rng, p, d), _random_map(rng, p, d)
+        for f, g in [(ramified, plain), (plain, ramified), (ramified, _ramified_map(rng, p, d))]:
+            graph = TowerGraph(f, g, FieldCtx(p, r))
+            assert (graph._ram_f if f is ramified else graph._ram_g).any()
+            _check_routes_against_the_labelling(graph)
+
+
+@given(st.data())
+def test_components_of_out_degree_d_take_d_edges_and_are_unramified(data):
+    # random maps, f against itself (each totally split fiber of f is a
+    # d-regular component) and the fixtures' towers
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23]), label="p")
+    r, d = data.draw(st.integers(1, 2), label="r"), data.draw(st.integers(2, 4), label="d")
+    form = st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1)
+    kind = data.draw(st.sampled_from(["random", "diagonal"] + sorted(fixtures.FIXTURES)))
+    if kind in fixtures.FIXTURES:
+        fx = fixtures.FIXTURES[kind]
+        f, g, d = map_parse(fx.f_expr, p), map_parse(fx.g_expr, p), 2
+    else:
+        try:
+            f, g = (RatMap(p, data.draw(form), data.draw(form)) for _ in range(2))
+        except DegreeZero:
+            assume(False)
+        g = f if kind == "diagonal" else g
+    graph = TowerGraph(f, g, FieldCtx(p, r))
+    label = _component_labels(graph.n_vertices, *_oracle_edges(graph))
+    for comp in _labelled_groups(label):
+        if (graph._out_deg[comp] == d).all():
+            assert (graph._in_deg[comp] == d).all()
+            assert not graph._ram_f[comp].any() and not graph._ram_g[comp].any()
+
+
+def test_chi_genus_and_the_regular_set_find_no_root(monkeypatch, capsys):
+    # the build keeps the codes and the out-degrees: chi, genus --p and the
+    # regular components make no ramification flag, no in-degree and no
+    # root pass, and print the same
+    runs = [["chi", "--p", "89"], ["genus", "--p", "97", "--n-max", "60"]]
+    expected = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def forbid(*_args, **_kwargs):
+        raise AssertionError("no ramification and no root pass")
+
+    built, init = [], TowerGraph.__init__
+    monkeypatch.setattr(tgraph, "ramification", forbid)
+    monkeypatch.setattr(Poly, "roots", forbid)
+    monkeypatch.setattr(TowerGraph, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    for argv, out in zip(runs, expected):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+    for name in sorted(fixtures.FIXTURES):
+        fx = fixtures.FIXTURES[name]
+        graph = TowerGraph(map_parse(fx.f_expr, 89), map_parse(fx.g_expr, 89), FieldCtx(89, 2))
+        assert len(graph.regular_components()) == (name != "type-a-toy")
+    assert len(built) == 5
+    for graph in built:
+        assert not {"_in_deg", "_ram_f", "_ram_g"} & set(graph.__dict__)
 
 
 @pytest.mark.parametrize("name", ["new-tower", "type-a-toy"])
